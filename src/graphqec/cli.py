@@ -2,9 +2,11 @@
 
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
-usage or input errors.  JSON goes to stdout, diagnostics to stderr.  The
-only environment knob is GRAPHQEC_WORKERS, an optional worker count for
-sweeps; identical inputs always produce byte-identical stdout.
+usage or input errors, including sweeps over more than 2**22
+configurations.  JSON goes to stdout, diagnostics to stderr.  The only
+environment knob is GRAPHQEC_WORKERS, an optional worker count for sweeps
+(clamped to the CPU count and to the sweep's number of chunks); identical
+inputs always produce byte-identical stdout.
 """
 
 from __future__ import annotations

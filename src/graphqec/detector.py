@@ -10,22 +10,36 @@ error-columns block gamma[X, E].  Checking kernel generators suffices
 because both conditions are linear, and the cyclic factors of the group can
 be checked independently because integer matrices act componentwise on a
 product of cyclic groups.
+
+Single verdicts and sweeps share one engine: configurations of one size are
+decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
+both conditions are checked on all their generators at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .abelian import FiniteAbelianGroup
 from .graphcode import WeightedGraph, describe
-from .zmodlinalg import kernel_from_snf, smith_normal_form
+from .zmodlinalg import fits_int64, kernel_mod_batch
 
 FAILED_INPUT = "nonzero_on_inputs"
 FAILED_COUPLING = "error_action_on_inputs"
+
+# Configurations decided per batch: enough to amortize numpy's per-call
+# cost, small enough that a sweep's peak memory does not grow with its size.
+CHUNK = 256
+# Largest sweep accepted, in configurations (the oracle's size cap, 2**22).
+MAX_SWEEP_CONFIGS = 2**22
 
 
 @dataclass(frozen=True)
@@ -147,46 +161,78 @@ def detection_system(graph: WeightedGraph, config):
     return rows, cols, graph.submatrix(rows, cols)
 
 
+def _residues(graph: WeightedGraph, d: int) -> np.ndarray:
+    """gamma modulo d, reduced on Python ints; int64 when the engine's
+    arithmetic modulo d fits in it, else Python ints in an object array."""
+    dtype = np.int64 if fits_int64(d, graph.n) else object
+    return np.array([[x % d for x in row] for row in graph.gamma], dtype=dtype)
+
+
+def _kernel_checks(graph: WeightedGraph, group: FiniteAbelianGroup, configs) -> dict:
+    """Kernel generators and condition checks for a batch of configurations
+    of one size, per distinct cyclic factor d.
+
+    Columns are ordered inputs first, then errors.  Returns
+    ``{d: (gens, bad_input, bad_coupling)}``: ``gens`` is the (N, n, n)
+    generator array of ``kernel_mod_batch``; ``bad_input[b, j]`` says
+    generator j of configuration b is nonzero on the inputs, and
+    ``bad_coupling[b, j]`` that gamma[X, E] does not annihilate its error
+    part.  Zero rows of ``gens`` pass both checks.
+    """
+    errs = np.array(configs, dtype=np.intp).reshape(len(configs), -1)
+    batch, size = errs.shape
+    inputs = np.array(graph.inputs, dtype=np.intp)
+    outputs = np.array(graph.outputs, dtype=np.intp)
+    untouched = (outputs[None, :, None] != errs[:, None, :]).all(axis=2)
+    rows = np.broadcast_to(outputs, untouched.shape)[untouched].reshape(
+        batch, len(outputs) - size
+    )
+    cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
+    checks = {}
+    for d in dict.fromkeys(group.factors):
+        gamma = _residues(graph, d)
+        gens = kernel_mod_batch(gamma[rows[:, :, None], cols[:, None, :]], d)
+        bad_input = (gens[:, :, : len(inputs)] != 0).any(axis=2)
+        cross = gamma[inputs[None, :, None], errs[:, None, :]]
+        image = cross @ gens[:, :, len(inputs) :].transpose(0, 2, 1) % d
+        checks[d] = (gens, bad_input, (image != 0).any(axis=1))
+    return checks
+
+
 def detects(
     graph: WeightedGraph, group: FiniteAbelianGroup, config
 ) -> DetectionVerdict:
     """Decide detection of one error configuration, with witness/certificate."""
     cfg = _validated_config(graph, config)
-    rows, cols, system = detection_system(graph, cfg)
-    input_set = set(graph.inputs)
-    input_pos = tuple(i for i, c in enumerate(cols) if c in input_set)
-    error_pos = tuple(i for i, c in enumerate(cols) if c not in input_set)
-    cross = graph.submatrix(graph.inputs, cfg)
-    snf = smith_normal_form(system, ncols=len(cols))
+    cols = tuple(sorted(set(graph.inputs) | set(cfg)))
+    # Generators come in engine order (inputs, then errors); reports use cols.
+    order = [cols.index(v) for v in (*graph.inputs, *cfg)]
 
-    def fail(d, vec, reason):
-        return DetectionVerdict(
-            graph_id=describe(graph),
-            graph_inputs=graph.inputs,
-            group_factors=group.factors,
-            configuration=cfg,
-            columns=cols,
-            detected=False,
-            factor=d,
-            failed_condition=reason,
-            witness=vec,
-        )
+    def in_cols(gen) -> tuple[int, ...]:
+        out = [0] * len(cols)
+        for pos, x in zip(order, gen):
+            out[pos] = int(x)
+        return tuple(out)
 
-    kernels: dict[int, tuple[tuple[int, ...], ...]] = {}
+    checks = _kernel_checks(graph, group, [cfg])
     certificate = []
     for d in group.factors:
-        if d not in kernels:
-            kernels[d] = kernel_from_snf(snf, d).generators
-        for vec in kernels[d]:
-            if any(vec[p] for p in input_pos):
-                return fail(d, vec, FAILED_INPUT)
-            image = (
-                sum(c * vec[p] for c, p in zip(row, error_pos)) % d
-                for row in cross
+        gens, bad_input, bad_coupling = (x[0] for x in checks[d])
+        failing = bad_input | bad_coupling
+        if failing.any():
+            j = int(failing.argmax())
+            return DetectionVerdict(
+                graph_id=describe(graph),
+                graph_inputs=graph.inputs,
+                group_factors=group.factors,
+                configuration=cfg,
+                columns=cols,
+                detected=False,
+                factor=d,
+                failed_condition=FAILED_INPUT if bad_input[j] else FAILED_COUPLING,
+                witness=in_cols(gens[j]),
             )
-            if any(image):
-                return fail(d, vec, FAILED_COUPLING)
-        certificate.append((d, kernels[d]))
+        certificate.append((d, tuple(in_cols(g) for g in gens if g.any())))
     return DetectionVerdict(
         graph_id=describe(graph),
         graph_inputs=graph.inputs,
@@ -201,9 +247,8 @@ def detects(
 def strong_detects(graph: WeightedGraph, group: FiniteAbelianGroup, config) -> bool:
     """The stricter condition: the detection system has trivial kernel
     modulo every cyclic factor (implies ``detects``)."""
-    _, cols, system = detection_system(graph, config)
-    snf = smith_normal_form(system, ncols=len(cols))
-    return all(kernel_from_snf(snf, d).is_trivial for d in set(group.factors))
+    checks = _kernel_checks(graph, group, [_validated_config(graph, config)])
+    return not any(gens.any() for gens, _, _ in checks.values())
 
 
 def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bool:
@@ -232,13 +277,32 @@ def graph_automorphisms(graph: WeightedGraph) -> list[tuple[int, ...]]:
     return sorted(perms)
 
 
-def _orbit_representatives(configs, autos):
-    reps = []
-    for cfg in configs:
-        canon = min(tuple(sorted(perm[v] for v in cfg)) for perm in autos)
-        if canon == cfg:
-            reps.append(cfg)
-    return reps
+def _is_orbit_representative(cfg, autos) -> bool:
+    return min(tuple(sorted(perm[v] for v in cfg)) for perm in autos) == cfg
+
+
+def worker_count(requested: int, cpus: int | None, chunks: int) -> int:
+    """Workers a sweep uses: never more than requested, than the machine's
+    CPUs or than there are chunks to hand out; a pool starts only above 1."""
+    return max(1, min(requested, cpus or 1, chunks))
+
+
+def _chunks(graph: WeightedGraph, sizes, autos):
+    """Configurations of each size in lexicographic order, CHUNK at a time."""
+    for size in sizes:
+        configs = itertools.combinations(graph.outputs, size)
+        if autos is not None:
+            configs = (c for c in configs if _is_orbit_representative(c, autos))
+        while chunk := list(itertools.islice(configs, CHUNK)):
+            yield chunk
+
+
+def _undetected(graph: WeightedGraph, group: FiniteAbelianGroup, chunk):
+    """Configuration size, length and undetected configurations of a chunk."""
+    failing = np.zeros(len(chunk), dtype=bool)
+    for _, bad_input, bad_coupling in _kernel_checks(graph, group, chunk).values():
+        failing |= (bad_input | bad_coupling).any(axis=1)
+    return len(chunk[0]), len(chunk), [cfg for cfg, bad in zip(chunk, failing) if bad]
 
 
 def _sweep(
@@ -252,35 +316,39 @@ def _sweep(
 ) -> SweepReport:
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
-    start = time.perf_counter()
-    outputs = graph.outputs
-    autos = graph_automorphisms(graph) if orbit_reduce else None
-    sized: list[tuple[int, list[tuple[int, ...]]]] = []
-    for size in range(min(max_size, len(outputs)) + 1):
-        configs = list(itertools.combinations(outputs, size))
-        if autos is not None:
-            configs = _orbit_representatives(configs, autos)
-        sized.append((size, configs))
-
-    flat = [cfg for _, configs in sized for cfg in configs]
-    if workers > 1 and len(flat) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(partial(detects, graph, group), flat, chunksize=8))
-    else:
-        verdicts = [detects(graph, group, cfg) for cfg in flat]
-    by_config = dict(zip(flat, verdicts))
-
-    summaries = []
-    for size, configs in sized:
-        undetected = tuple(cfg for cfg in configs if not by_config[cfg].detected)
-        summaries.append(
-            SizeSummary(
-                size=size,
-                checked=len(configs),
-                detected=len(configs) - len(undetected),
-                undetected=undetected,
-            )
+    sizes = range(min(max_size, len(graph.outputs)) + 1)
+    total = sum(math.comb(len(graph.outputs), size) for size in sizes)
+    if total > MAX_SWEEP_CONFIGS:
+        raise ValueError(
+            f"sweep would check {total} configurations, more than the cap of "
+            f"{MAX_SWEEP_CONFIGS}; lower the size bound"
         )
+    start = time.perf_counter()
+    autos = graph_automorphisms(graph) if orbit_reduce else None
+    chunks = _chunks(graph, sizes, autos)
+    decide = partial(_undetected, graph, group)
+    n_chunks = sum(-(-math.comb(len(graph.outputs), size) // CHUNK) for size in sizes)
+    workers = worker_count(workers, os.cpu_count(), n_chunks)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(decide, chunks))
+    else:
+        results = [decide(chunk) for chunk in chunks]
+
+    checked = dict.fromkeys(sizes, 0)
+    undetected: dict[int, list] = {size: [] for size in sizes}
+    for size, n_checked, bad in results:
+        checked[size] += n_checked
+        undetected[size] += bad
+    summaries = tuple(
+        SizeSummary(
+            size=size,
+            checked=checked[size],
+            detected=checked[size] - len(undetected[size]),
+            undetected=tuple(undetected[size]),
+        )
+        for size in sizes
+    )
     return SweepReport(
         graph_id=describe(graph),
         graph_inputs=graph.inputs,
@@ -288,7 +356,7 @@ def _sweep(
         mode=mode,
         max_size=max_size,
         errors=errors,
-        sizes=tuple(summaries),
+        sizes=summaries,
         elapsed_s=time.perf_counter() - start,
         orbit_reduced=orbit_reduce,
     )

@@ -1,16 +1,21 @@
 """Exact integer linear algebra over Z and Z_d.
 
-Everything here runs on arbitrary-precision Python integers: Smith normal
-form with tracked unimodular transforms, kernels of integer matrices acting
-modulo d (any d >= 2, prime or not), and fraction-free Bareiss determinants.
-Matrices are plain lists of row lists; operations that must work on matrices
-with zero rows take an explicit column count.
+Two kernel engines: ``kernel_mod_batch`` decides a whole batch of systems
+at once by numpy elimination over each prime-power factor Z_{p^k} of the
+modulus, combined by CRT; Smith normal form with tracked unimodular
+transforms runs on arbitrary-precision Python integers and serves moduli too
+large for int64 arithmetic.  Fraction-free Bareiss determinants complete the
+module.  Matrices are plain lists of row lists; operations that must work on
+matrices with zero rows take an explicit column count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 IntMatrix = list[list[int]]
 
@@ -242,6 +247,148 @@ def kernel_mod(a, d: int, ncols: int | None = None) -> KernelBasis:
 def kernel_trivial(a, d: int, ncols: int | None = None) -> bool:
     """True iff the only solution of A x = 0 (mod d) is x = 0."""
     return kernel_mod(a, d, ncols=ncols).is_trivial
+
+
+def fits_int64(d: int, n: int) -> bool:
+    """True when the batched engine's arithmetic modulo d on n columns fits
+    in int64.
+
+    The widest intermediate is the condition check of a detection system: a
+    sum over up to n columns of products of two residues, at most
+    n * (d - 1)**2.  Elimination, inversion and CRT lifting form one residue
+    product at a time, at most (d - 1)**2, and subtract it from a residue or
+    reduce it before adding one.
+    """
+    return max(n, 1) * (d - 1) ** 2 < 2**63
+
+
+@functools.lru_cache(maxsize=256)
+def prime_powers(d: int) -> tuple[tuple[int, int], ...]:
+    """(p, k) for every prime power p**k exactly dividing d, by trial division."""
+    if d < 2:
+        raise ValueError(f"modulus must be >= 2, got {d}")
+    out = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            k = 0
+            while d % p == 0:
+                d //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if d > 1:
+        out.append((d, 1))
+    return tuple(out)
+
+
+def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
+    """p-adic valuation of residues modulo p**k, with k for zero."""
+    if k == 1:
+        return (a == 0).astype(np.int8)
+    val = np.zeros(a.shape, dtype=np.int8)
+    pe = 1
+    for _ in range(k):
+        pe *= p
+        val += a % pe == 0
+    return val
+
+
+def _unit_inverse(u: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Inverse of units modulo q = p**k as u**(phi(q) - 1), by squaring."""
+    q = p**k
+    e = p ** (k - 1) * (p - 1) - 1
+    out = np.ones_like(u)
+    base = u % q
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Kernel generators over Z_q, q = p**k, of a batch of residue matrices.
+
+    Smith elimination on the local ring Z_q: the pivot is the entry of least
+    valuation in the remaining block (ties to the lowest (row, col) in
+    row-major order), so it divides every block entry up to a unit and one
+    pass clears its row and column.  Only the column transform is tracked.
+    Pivot column j of valuation v yields p**(k - v) times transform column
+    j; a column without a pivot yields the transform column itself.
+    """
+    q = p**k
+    batch, m, n = a.shape
+    basis = np.tile(np.eye(n, dtype=np.int64), (batch, 1, 1))  # basis[b, j] = column j
+    scale = np.ones((batch, n), dtype=np.int64)
+    free = np.ones((batch, m, n), dtype=bool)  # rows and columns not yet pivots
+    at = np.arange(batch)
+    for _ in range(min(m, n)):
+        flat = np.where(free, _valuation(a, p, k), k).reshape(batch, -1)
+        pos = flat.argmin(axis=1)
+        v = flat[at, pos].astype(np.int64)
+        found = v < k
+        if not found.any():
+            break
+        # A system whose block is already zero gets zero multipliers below,
+        # which leave its matrix and transform unchanged.
+        v[~found] = 0
+        r, c = np.divmod(pos, n)
+        pv = p**v
+        pivot_row = a[at, r]
+        inv = _unit_inverse(pivot_row[at, c] // pv, p, k) * found
+        # Row operations clear column c outside the pivot row.  Residue
+        # products stay below q**2, so one reduction after subtracting.
+        f = a[at, :, c] // pv[:, None] * inv[:, None] % q
+        f[at, r] = 0
+        a = (a - f[:, :, None] * pivot_row[:, None, :]) % q
+        # Column operations clear row r; in the matrix they only zero the
+        # row's other entries, in the transform they act on the basis.
+        g = pivot_row // pv[:, None] * inv[:, None] % q
+        g[at, c] = 0
+        basis = (basis - g[:, :, None] * basis[at, c][:, None, :]) % q
+        b, r, c = at[found], r[found], c[found]
+        a[b, r] = 0
+        a[b, r, c] = pivot_row[found, c]
+        free[b, r, :] = False
+        free[b, :, c] = False
+        scale[b, c] = p ** (k - v[found]) % q  # 0, not q, when v = 0
+    return basis * scale[:, :, None] % q
+
+
+def kernel_mod_batch(systems, d: int) -> np.ndarray:
+    """Kernel generators modulo d of every system in a batch.
+
+    ``systems`` is an (N, m, n) integer array, int64 or Python ints in an
+    object array.  The result is an (N, n, n) array: row j of system b is the
+    generator read off column j, and all-zero rows are not generators.  The
+    nonzero rows of system b generate {x in Z_d^n : A_b x = 0 (mod d)}.
+
+    Moduli passing ``fits_int64`` run batched in int64, one elimination per
+    prime power q of d, lifted to Z_d by CRT.  Larger moduli run one Smith
+    normal form per system on Python integers and return an object array.
+    """
+    if d < 2:
+        raise ValueError(f"modulus must be >= 2, got {d}")
+    systems = np.asarray(systems)
+    batch, _, n = systems.shape
+    if not fits_int64(d, n):
+        out = np.zeros((batch, n, n), dtype=object)
+        for b, a in enumerate(systems):
+            gens = kernel_from_snf(smith_normal_form(a.tolist(), ncols=n), d).generators
+            if gens:
+                out[b, : len(gens)] = gens
+        return out
+    out = np.zeros((batch, n, n), dtype=np.int64)
+    for p, k in prime_powers(d):
+        q = p**k
+        # Weights are arbitrary Python ints: reduce before any int64 cast.
+        residues = (systems % q).astype(np.int64)
+        rest = d // q
+        idempotent = rest * pow(rest, -1, q) % d  # 1 mod q, 0 mod d / q
+        out = (out + _local_kernel(residues, p, k) * idempotent % d) % d
+    return out
 
 
 def det_exact(a) -> int:

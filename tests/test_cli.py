@@ -152,6 +152,18 @@ class TestSweepCommand:
         _, parallel, _ = run_cli(capsys, *args)
         assert serial == parallel
 
+    def test_sweep_over_cap_exit_two(self, capsys, monkeypatch, tmp_path):
+        # 23 edgeless outputs, sizes <= 12: more than 2**22 configurations
+        path = tmp_path / "edgeless.graph"
+        path.write_text("vertices: 24\ninputs: 0\n")
+        monkeypatch.setenv("GRAPHQEC_WORKERS", "100000")
+        code, out, err = run_cli(
+            capsys, "sweep", "--graph", str(path), "--group", "2", "--detect", "12"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "cap of 4194304" in err
+
     def test_bad_worker_env_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAPHQEC_WORKERS", "many")
         code, _, err = run_cli(

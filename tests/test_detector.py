@@ -9,6 +9,8 @@ from helpers import random_graph, verify_certificate, verify_witness
 
 from graphqec.abelian import make_group
 from graphqec.detector import (
+    CHUNK,
+    MAX_SWEEP_CONFIGS,
     corrects_errors,
     detection_system,
     detects,
@@ -17,8 +19,39 @@ from graphqec.detector import (
     input_exchange_check,
     is_isometry_condition,
     strong_detects,
+    worker_count,
 )
 from graphqec.graphcode import WeightedGraph, matrix19_code
+from graphqec.zmodlinalg import kernel_from_snf, smith_normal_form
+
+
+def snf_detected(graph, group, config) -> bool:
+    """Reference verdict: one Smith normal form over Z per configuration,
+    then both detection conditions on every kernel generator."""
+    _, cols, system = detection_system(graph, config)
+    snf = smith_normal_form(system, ncols=len(cols))
+    input_pos = [i for i, c in enumerate(cols) if c in graph.inputs]
+    error_pos = [i for i, c in enumerate(cols) if c not in graph.inputs]
+    cross = graph.submatrix(graph.inputs, config)
+    for d in group.factors:
+        for vec in kernel_from_snf(snf, d).generators:
+            if any(vec[p] for p in input_pos):
+                return False
+            if any(sum(c * vec[p] for c, p in zip(row, error_pos)) % d for row in cross):
+                return False
+    return True
+
+
+def random_partitioned_graph(rng, weights) -> WeightedGraph:
+    """Random graph on 2..6 vertices with 0..3 inputs and at least one output."""
+    n = rng.randint(2, 6)
+    edges = [
+        (u, v, rng.choice(weights))
+        for u in range(n)
+        for v in range(u + 1, n)
+    ]
+    inputs = rng.sample(range(n), rng.randint(0, min(3, n - 1)))
+    return WeightedGraph.from_edges(n, [e for e in edges if e[2]], inputs)
 
 
 class TestDetectionSystem:
@@ -245,6 +278,117 @@ class TestSweeps:
         assert serial.to_dict(include_elapsed=False) == parallel.to_dict(
             include_elapsed=False
         )
+
+
+    def test_sweep_cap_refused_before_work(self):
+        # 23 outputs: sizes <= 11 are exactly the cap, sizes <= 12 exceed it
+        graph = WeightedGraph.from_edges(24, [], (0,))
+        assert sum(math.comb(23, s) for s in range(12)) == MAX_SWEEP_CONFIGS
+        with pytest.raises(ValueError, match="cap"):
+            detects_errors(graph, make_group([2]), 12)
+
+    def test_sizes_spanning_several_chunks(self):
+        rng = random.Random(77)
+        edges = [
+            (u, v, rng.choice((1, 2, 3)))
+            for u in range(13)
+            for v in range(u + 1, 13)
+            if rng.random() < 0.6
+        ]
+        graph = WeightedGraph.from_edges(13, edges, (0,))
+        group = make_group([6])
+        report = detects_errors(graph, group, 5)
+        assert report.sizes[5].checked == math.comb(12, 5) > 2 * CHUNK
+        expected = [
+            cfg
+            for size in range(6)
+            for cfg in itertools.combinations(graph.outputs, size)
+            if not snf_detected(graph, group, cfg)
+        ]
+        assert expected and list(report.undetected) == expected
+        parallel = detects_errors(graph, group, 5, workers=2)
+        assert parallel.to_dict(include_elapsed=False) == report.to_dict(include_elapsed=False)
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_chunks(self):
+        assert worker_count(100_000, 2, 14) == 2
+        assert worker_count(100_000, 64, 3) == 3
+        assert worker_count(4, 8, 14) == 4
+
+    def test_one_means_no_pool(self):
+        assert worker_count(1, 8, 14) == 1
+        assert worker_count(8, 8, 1) == 1
+        assert worker_count(8, None, 14) == 1
+        assert worker_count(0, 8, 14) == 1
+
+
+class TestBatchedEngine:
+    """The batched modular engine against one SNF per configuration."""
+
+    def test_sweeps_match_per_configuration_snf(self):
+        rng = random.Random(8000)
+        weights = (-3, -1, 0, 1, 2, 5, 2**63 + 1, -(2**64) + 3)
+        groups = ([2], [3], [4], [6], [9], [12], [2, 4], [3, 9], [2, 2, 6], [7], [2**61 - 1])
+        seen = set()
+        for _ in range(120):
+            graph = random_partitioned_graph(rng, weights)
+            factors = rng.choice(groups)
+            group = make_group(factors)
+            flat = [x for row in graph.gamma for x in row]
+            seen |= {
+                ("inputs", min(len(graph.inputs), 2)),
+                ("negative", any(x < 0 for x in flat)),
+                ("huge", any(abs(x) >= 2**63 for x in flat)),
+                ("factors", tuple(factors)),
+            }
+            report = detects_errors(graph, group, len(graph.outputs))
+            expected = [
+                cfg
+                for size in range(len(graph.outputs) + 1)
+                for cfg in itertools.combinations(graph.outputs, size)
+                if not snf_detected(graph, group, cfg)
+            ]
+            assert list(report.undetected) == expected
+            size = rng.randint(0, len(graph.outputs))
+            for cfg in itertools.combinations(graph.outputs, size):
+                verdict = detects(graph, group, cfg)
+                assert verdict.detected == (cfg not in expected)
+                if verdict.detected:
+                    verify_certificate(graph, verdict)
+                else:
+                    verify_witness(graph, verdict)
+        assert {
+            ("inputs", 0), ("inputs", 1), ("inputs", 2), ("negative", True),
+            ("huge", True), ("factors", (7,)), ("factors", (2**61 - 1,)),
+        } <= seen
+
+    def test_all_outputs_zero_row_system(self, wheel, z2):
+        rows, _, _ = detection_system(wheel, wheel.outputs)
+        assert rows == ()
+        report = detects_errors(wheel, z2, len(wheel.outputs))
+        assert report.sizes[-1].undetected == (wheel.outputs,)
+
+    def test_more_columns_than_rows(self, wheel, z2):
+        rows, cols, _ = detection_system(wheel, (1, 2, 3, 4))
+        assert len(cols) > len(rows)
+        verdict = detects(wheel, z2, (1, 2, 3, 4))
+        assert not verdict.detected
+        verify_witness(wheel, verdict)
+
+    def test_graph_without_inputs(self, z3):
+        graph = WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)], ())
+        assert detects_errors(graph, z3, 4).all_detected
+        verdict = detects(graph, z3, (0, 2))
+        assert verdict.detected and verdict.columns == (0, 2)
+        verify_certificate(graph, verdict)
+
+    def test_strong_detects_trivial_and_nontrivial_kernel(self, tenfold, z2):
+        # (1, 3, 5) leaves no kernel at all; (1, 2, 5) is detected through a
+        # nonzero kernel that meets both conditions, so it is not strong
+        assert strong_detects(tenfold, z2, (1, 3, 5))
+        assert detects(tenfold, z2, (1, 2, 5)).detected
+        assert not strong_detects(tenfold, z2, (1, 2, 5))
 
 
 class TestIsometryCondition:

@@ -4,12 +4,16 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphqec.zmodlinalg import (
     det_exact,
+    fits_int64,
     kernel_mod,
+    kernel_mod_batch,
     kernel_trivial,
+    prime_powers,
     smith_normal_form,
 )
 
@@ -157,6 +161,85 @@ class TestKernelMod:
                 a = random_matrix(rng, 3, 3, -2, 2)
                 basis = kernel_mod(a, d)
                 assert spanned_set(basis.generators, d, 3) == brute_force_kernel(a, d, 3)
+
+
+def batch_generators(gens_array):
+    """Nonzero rows of one system's block of ``kernel_mod_batch`` output."""
+    return [tuple(int(x) for x in row) for row in gens_array if any(row)]
+
+
+class TestKernelModBatch:
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12, 30])
+    def test_spans_brute_force_kernel(self, d):
+        rng = random.Random(5000 + d)
+        for _ in range(6):
+            rows, cols = rng.randint(0, 3), rng.randint(1, 3 if d < 12 else 2)
+            batch = [random_matrix(rng, rows, cols) for _ in range(4)]
+            gens = kernel_mod_batch(np.array(batch, dtype=np.int64).reshape(4, rows, cols), d)
+            assert gens.shape == (4, cols, cols)
+            for a, block in zip(batch, gens):
+                span = spanned_set(batch_generators(block), d, cols)
+                assert span == brute_force_kernel(a, d, cols)
+                assert span == spanned_set(kernel_mod(a, d, ncols=cols).generators, d, cols)
+
+    def test_zero_rows_give_the_whole_space(self):
+        gens = kernel_mod_batch(np.zeros((2, 0, 3), dtype=np.int64), 6)
+        for block in gens:
+            assert batch_generators(block) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_more_columns_than_rows(self):
+        a = [[1, 2, 3, 4]]
+        gens = batch_generators(kernel_mod_batch(np.array([a]), 4)[0])
+        assert len(gens) == 3
+        assert spanned_set(gens, 4, 4) == brute_force_kernel(a, 4, 4)
+
+    def test_no_columns(self):
+        assert kernel_mod_batch(np.zeros((3, 2, 0), dtype=np.int64), 5).shape == (3, 0, 0)
+
+    def test_entries_beyond_int64_reduce_exactly(self):
+        big = [[2**64 + 3, -(2**70) - 1], [2**63, 5]]
+        small = [[x % 12 for x in row] for row in big]
+        by_big = kernel_mod_batch(np.array([big], dtype=object), 12)
+        by_small = kernel_mod_batch(np.array([small], dtype=np.int64), 12)
+        assert np.array_equal(by_big, by_small)
+
+    def test_int64_switch(self):
+        assert fits_int64(7, 100)
+        assert fits_int64(3_000_000_000, 1)
+        assert not fits_int64(3_000_000_000, 2)
+        assert not fits_int64(2**61 - 1, 1)
+
+    @pytest.mark.parametrize("d", [7, 2**61 - 1])
+    def test_factor_on_each_side_of_the_switch(self, d):
+        rng = random.Random(d)
+        for _ in range(10):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+            a = [[rng.choice([0, 1, -1, 3, 2**62]) for _ in range(cols)] for _ in range(rows)]
+            block = kernel_mod_batch(np.array([a], dtype=object), d)[0]
+            gens = batch_generators(block)
+            for gen in gens:
+                assert all(0 <= x < d for x in gen)
+                assert all(sum(c * x for c, x in zip(row, gen)) % d == 0 for row in a)
+            reference = kernel_mod(a, d).generators
+            if d == 7:
+                assert block.dtype == np.int64
+                assert spanned_set(gens, d, cols) == brute_force_kernel(a, d, cols)
+                assert spanned_set(reference, d, cols) == brute_force_kernel(a, d, cols)
+            else:
+                # above the switch the batch runs one SNF per system
+                assert block.dtype == object
+                assert gens == list(reference)
+
+    def test_prime_powers(self):
+        assert prime_powers(360) == ((2, 3), (3, 2), (5, 1))
+        assert prime_powers(97) == ((97, 1),)
+        assert prime_powers(2) == ((2, 1),)
+        with pytest.raises(ValueError):
+            prime_powers(1)
+
+    def test_rejects_small_modulus(self):
+        with pytest.raises(ValueError):
+            kernel_mod_batch(np.zeros((1, 1, 1), dtype=np.int64), 1)
 
 
 class TestDeterminant:
