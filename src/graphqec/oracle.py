@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -124,10 +125,11 @@ def check_isometry(isometry: CodeIsometry, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(gram - np.eye(v.shape[1])).max() < tol)
 
 
-def _error_axis_view(
+def _error_leg_matrix(
     isometry: CodeIsometry, config: tuple[int, ...]
 ) -> tuple[np.ndarray, int]:
-    """Reshape the matrix to (|G|^|E|, |G|^|I|, cols) with E axes leading."""
+    """Lay the matrix out as A of shape (|G|^|I|, |G|^|E| * cols): column
+    (a, c) holds column c of V restricted to the rows whose E legs read a."""
     order = isometry.group.order
     ys = isometry.outputs
     pos = {v: i for i, v in enumerate(ys)}
@@ -135,9 +137,9 @@ def _error_axis_view(
     i_axes = [i for i in range(len(ys)) if ys[i] not in set(config)]
     cols = isometry.cols
     tensor = isometry.matrix.reshape((order,) * len(ys) + (cols,))
-    tensor = tensor.transpose(tuple(e_axes) + tuple(i_axes) + (len(ys),))
+    tensor = tensor.transpose(tuple(i_axes) + tuple(e_axes) + (len(ys),))
     n_e = order ** len(config)
-    return tensor.reshape(n_e, order ** len(i_axes), cols), n_e
+    return tensor.reshape(order ** len(i_axes), n_e * cols), n_e
 
 
 def _validated_oracle_config(graph: WeightedGraph, config) -> tuple[int, ...]:
@@ -146,6 +148,61 @@ def _validated_oracle_config(graph: WeightedGraph, config) -> tuple[int, ...]:
     if any(v not in outputs for v in cfg):
         raise ValueError(f"configuration {cfg} is not a subset of the outputs")
     return cfg
+
+
+def _isometry_for(
+    graph: WeightedGraph,
+    group: FiniteAbelianGroup,
+    size_cap: int,
+    isometry: CodeIsometry | None,
+) -> CodeIsometry:
+    """Build the isometry, or check that a given one belongs to (graph, group)."""
+    if isometry is None:
+        return build_isometry(graph, group, size_cap=size_cap)
+    if isometry.group != group:
+        raise ValueError(
+            f"isometry is over the group {list(isometry.group.factors)}, "
+            f"not {list(group.factors)}"
+        )
+    if isometry.inputs != graph.inputs or isometry.outputs != graph.outputs:
+        raise ValueError(
+            f"isometry has inputs {list(isometry.inputs)} and outputs "
+            f"{list(isometry.outputs)}, the graph has inputs {list(graph.inputs)} "
+            f"and outputs {list(graph.outputs)}"
+        )
+    return isometry
+
+
+def _compressions(
+    isometry: CodeIsometry, config: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """Yield every compressed operator M_ab = V* (|a><b| (x) id) V, as stacks
+    of shape (h, |G|^|E|, cols, cols) over consecutive ranges of a.
+
+    With A from ``_error_leg_matrix``, entry ((a, c), (b, d)) of A^H A is
+    M_ab[c, d].  Each stack is one row block of that Gram matrix, at most as
+    many bytes as V itself (but at least one assignment high).
+    """
+    a_mat, n_e = _error_leg_matrix(isometry, config)
+    cols = isometry.cols
+    height = max(1, a_mat.shape[0] // cols)
+    for lo in range(0, n_e, height):
+        hi = min(n_e, lo + height)
+        block = a_mat[:, lo * cols:hi * cols].conj().T @ a_mat
+        yield block.reshape(hi - lo, cols, n_e, cols).transpose(0, 2, 1, 3)
+
+
+def _all_scalar(compressed: np.ndarray, tol: float) -> bool:
+    """True iff every matrix in the stack is a multiple of the identity:
+    off-diagonal entries below ``tol`` and diagonal entries mutually within
+    ``tol``."""
+    cols = compressed.shape[-1]
+    off_mask = ~np.eye(cols, dtype=bool)
+    if np.abs(compressed[..., off_mask]).max(initial=0.0) >= tol:
+        return False
+    diag = np.einsum("abcc->abc", compressed)
+    spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(initial=0.0)
+    return bool(spread < tol)
 
 
 def kl_detects(
@@ -162,26 +219,14 @@ def kl_detects(
     M = V* (|a><b| (x) id) V must be a scalar multiple of the identity:
     off-diagonal entries below ``tol`` and diagonal entries mutually within
     ``tol``.  Rank-one operators span everything localized in the
-    configuration, so this is exhaustive.
+    configuration, so this is exhaustive.  ``isometry`` must have been built
+    for ``graph`` and ``group`` (ValueError otherwise).
     """
     cfg = _validated_oracle_config(graph, config)
-    if isometry is None:
-        isometry = build_isometry(graph, group, size_cap=size_cap)
-    w, n_e = _error_axis_view(isometry, cfg)
-    cols = isometry.cols
-    if cols <= 1:
+    isometry = _isometry_for(graph, group, size_cap, isometry)
+    if isometry.cols <= 1:
         return True  # any 1x1 compression is a scalar multiple of identity
-    off_mask = ~np.eye(cols, dtype=bool)
-    w_conj = w.conj()
-    for a in range(n_e):
-        compressed = np.einsum("ic,bid->bcd", w_conj[a], w)
-        if np.abs(compressed[:, off_mask]).max(initial=0.0) >= tol:
-            return False
-        diag = np.einsum("bcc->bc", compressed)
-        spread = np.abs(diag[:, :, None] - diag[:, None, :]).max(initial=0.0)
-        if spread >= tol:
-            return False
-    return True
+    return all(_all_scalar(m, tol) for m in _compressions(isometry, cfg))
 
 
 def omega_table(
@@ -194,30 +239,23 @@ def omega_table(
 ) -> dict:
     """Observed proportionality scalars, keyed by pairs of error-leg
     assignments (tuples of group elements).  Raises if the configuration is
-    not detected."""
+    not detected, or if ``isometry`` was not built for ``graph`` and
+    ``group``."""
     cfg = _validated_oracle_config(graph, config)
-    if isometry is None:
-        isometry = build_isometry(graph, group, size_cap=size_cap)
-    w, n_e = _error_axis_view(isometry, cfg)
-    cols = isometry.cols
+    isometry = _isometry_for(graph, group, size_cap, isometry)
     assignments = list(
         itertools.product(itertools.product(*(range(d) for d in group.factors)),
                           repeat=len(cfg))
     )
-    off_mask = ~np.eye(cols, dtype=bool)
-    w_conj = w.conj()
     table: dict = {}
-    for a in range(n_e):
-        compressed = np.einsum("ic,bid->bcd", w_conj[a], w)
-        diag = np.einsum("bcc->bc", compressed)
-        if cols > 1:
-            if np.abs(compressed[:, off_mask]).max(initial=0.0) >= tol:
-                raise ValueError(f"configuration {cfg} is not detected")
-            if np.abs(diag[:, :, None] - diag[:, None, :]).max(initial=0.0) >= tol:
-                raise ValueError(f"configuration {cfg} is not detected")
-        lam = diag.mean(axis=1)
-        for b in range(n_e):
-            table[(assignments[a], assignments[b])] = complex(lam[b])
+    rows = iter(assignments)
+    for compressed in _compressions(isometry, cfg):
+        if not _all_scalar(compressed, tol):
+            raise ValueError(f"configuration {cfg} is not detected")
+        lam = np.einsum("abcc->abc", compressed).mean(axis=2)
+        for lam_a, a in zip(lam, rows):
+            for b, value in zip(assignments, lam_a):
+                table[(a, b)] = complex(value)
     return table
 
 

@@ -10,8 +10,9 @@ from helpers import random_graph
 
 from graphqec.abelian import enumerate_elements, make_group
 from graphqec.detector import detects
-from graphqec.graphcode import WeightedGraph, apply_map
+from graphqec.graphcode import WeightedGraph, apply_map, wheel_code
 from graphqec.oracle import (
+    _compressions,
     build_isometry,
     check_isometry,
     export_isometry_csv,
@@ -125,18 +126,45 @@ class TestKnillLaflamme:
         with pytest.raises(ValueError):
             kl_detects(tenfold, z2, (1,), size_cap=100)
 
+    def test_rejects_isometry_of_other_group(self, wheel, z3, wheel_iso_z2):
+        for check in (kl_detects, omega_table):
+            with pytest.raises(ValueError, match="group"):
+                check(wheel, z3, (1, 2), isometry=wheel_iso_z2)
+
+    def test_rejects_isometry_of_other_partition(self, wheel, z2, wheel_iso_z2):
+        moved = wheel.with_inputs((3,))
+        for check in (kl_detects, omega_table):
+            with pytest.raises(ValueError, match="inputs"):
+                check(moved, z2, (1, 2), isometry=wheel_iso_z2)
+
     def test_agrees_with_kernel_criterion_on_builtins(
         self, wheel, tenfold, z2, z3, z5
     ):
-        cases = [(wheel, group) for group in (z2, z3, z5)] + [(tenfold, z2)]
-        for graph, group in cases:
+        cases = [
+            (wheel, z5, 2),
+            (wheel, make_group([7]), 2),
+            (tenfold, z2, 3),
+            (tenfold, z3, 3),
+        ]
+        for graph, group, max_size in cases:
             iso = build_isometry(graph, group)
-            max_size = 2 if graph.n == 6 else 3
             for size in range(max_size + 1):
                 for config in itertools.combinations(graph.outputs, size):
                     kernel = detects(graph, group, config).detected
                     oracle = kl_detects(graph, group, config, isometry=iso)
                     assert kernel == oracle, (graph.name, group.factors, config)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_agrees_across_gram_block_sizes(self, wheel, order):
+        group = make_group([order])
+        iso = build_isometry(wheel, group)
+        for size in range(len(wheel.outputs) + 1):
+            for config in itertools.combinations(wheel.outputs, size):
+                blocks = sum(1 for _ in _compressions(iso, config))
+                # the whole Gram matrix is one block iff |E| + |X| <= |I|
+                assert (blocks == 1) == (size + 1 <= 5 - size), config
+                kernel = detects(wheel, group, config).detected
+                assert kl_detects(wheel, group, config, isometry=iso) == kernel
 
 
 class TestOmegaTable:
@@ -184,6 +212,42 @@ class TestOmegaTable:
             )
             assert (abs(lam) > 1e-12) == on_support
 
+
+    @pytest.mark.parametrize(
+        "graph, config",
+        [
+            (wheel_code(), (2, 5)),
+            # twin outputs 1 and 2 joined by an edge: some scalars with a != b
+            # are not real, so a slip between a and b changes the table
+            (
+                WeightedGraph.from_edges(
+                    5,
+                    [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 1),
+                     (3, 4, 1), (0, 4, 1)],
+                    (0,),
+                ),
+                (1, 2),
+            ),
+        ],
+        ids=["wheel", "twins"],
+    )
+    def test_qutrit_scalars_match_direct_compression(self, z3, graph, config):
+        iso = build_isometry(graph, z3)
+        table = omega_table(graph, z3, config, isometry=iso)
+        # rows of V grouped by error-leg assignment, ordered by the rest
+        e_pos = [graph.outputs.index(v) for v in config]
+        slices: dict = {}
+        digits_of_rows = itertools.product(range(3), repeat=len(graph.outputs))
+        for row, digits in enumerate(digits_of_rows):
+            a = tuple((digits[p],) for p in e_pos)
+            slices.setdefault(a, []).append(iso.matrix[row])
+        w = {a: np.array(rows) for a, rows in slices.items()}
+        assert len(table) == len(w) ** 2 == 81
+        for a, b in itertools.product(w, repeat=2):
+            compressed = w[a].conj().T @ w[b]
+            scalar = compressed[0, 0]
+            assert np.abs(compressed - scalar * np.eye(iso.cols)).max() < 1e-12
+            assert abs(table[(a, b)] - scalar) < 1e-12, (a, b)
 
 class TestExport:
     def test_header_and_csv(self, wheel, z2, wheel_iso_z2, tmp_path):
