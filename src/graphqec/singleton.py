@@ -11,39 +11,119 @@ for the all-unimodular predicate.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .zmodlinalg import det_exact
+import numpy as np
 
+from .zmodlinalg import det_batch, det_fits_int64
 
-def prime_factors(n: int) -> frozenset[int]:
-    """Prime divisors of |n| for nonzero n; 0 and +-1 yield the empty set."""
-    n = abs(int(n))
-    out = set()
-    if n <= 1:
-        return frozenset()
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
+# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger numbers that pass
+# every base cannot be certified prime here.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# Pollard rho steps before a cofactor counts as unfactorable: several times
+# the expected count for a factor below the square root of _MR_EXACT_BELOW.
+_RHO_STEPS = 1 << 22
 
 
 def is_prime(d: int) -> bool:
+    """Deterministic Miller-Rabin test.
+
+    Raises ValueError for a number of at least 3.3e24 that passes every base,
+    since its primality cannot be certified.
+    """
+    d = int(d)
     if d < 2:
         return False
-    p = 2
-    while p * p <= d:
+    for p in _SMALL_PRIMES:
         if d % p == 0:
+            return d == p
+    odd = d - 1
+    twos = 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, d)
+        if x in (1, d - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
+    if d >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot certify that {d} is prime: it passes Miller-Rabin to the "
+            f"first 13 prime bases, which is proven only below {_MR_EXACT_BELOW}"
+        )
     return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, by Brent's variant of Pollard's
+    rho; raises ValueError past _RHO_STEPS steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, power, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            steps += 2 * power
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n} within {_RHO_STEPS} Pollard rho steps")
+            power *= 2
+        if g == n:
+            # The batched product hit 0 mod n: redo the last batch one step
+            # at a time.
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def prime_factors(n: int) -> frozenset[int]:
+    """Prime divisors of |n| for nonzero n; 0 and +-1 yield the empty set.
+
+    Small primes by trial division, then Pollard rho split until every
+    cofactor passes ``is_prime``.  Raises ValueError when a cofactor can be
+    neither certified prime nor split within the step limit.
+    """
+    n = abs(int(n))
+    out: set[int] = set()
+    if n <= 1:
+        return frozenset()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        c = pending.pop()
+        if is_prime(c):
+            out.add(c)
+        else:
+            f = _rho_divisor(c)
+            pending += [f, c // f]
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -97,12 +177,23 @@ def _partitions(size: int):
         yield block, tuple(v for v in range(size) if v not in in_block)
 
 
-def _block_det(rows, block, comp) -> int:
-    return det_exact([[rows[i][j] for j in comp] for i in block])
+def _partition_arrays(partitions, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks and complements of the partitions as two (P, m) index arrays."""
+    pairs = np.array(list(partitions), dtype=np.intp).reshape(-1, 2, m)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """Determinants of the blocks gamma[block, comp] of every partition, for
+    one matrix (shape (P,)) or a stack of matrices (shape (N, P))."""
+    stack = gammas[..., blocks[:, :, None], comps[:, None, :]]
+    m = blocks.shape[1]
+    return det_batch(stack.reshape(-1, m, m)).reshape(stack.shape[:-2])
 
 
 def _report(rows, m, partitions) -> DeterminantReport:
-    dets = tuple(_block_det(rows, block, comp) for block, comp in partitions)
+    blocks, comps = _partition_arrays(partitions, m)
+    dets = tuple(_offdiag_dets(np.array(rows, dtype=object), blocks, comps).tolist())
     bad: set[int] = set()
     for det in dets:
         bad |= prime_factors(det)
@@ -212,6 +303,16 @@ class Skeleton:
         )
 
 
+# Attempts drawn and decided together by search_weights; for matrix19's 35
+# partitions one batch's int64 block stack is 0.14 MB.
+SEARCH_CHUNK = 32
+# Largest number of int64 block entries handed to one determinant batch.
+_STACK_ENTRIES = 1 << 15
+# Graph codes per census batch: 2**CENSUS_BATCH_BITS (1 MB of uint32).
+CENSUS_BATCH_BITS = 18
+CENSUS_MAX_N = 8
+
+
 @dataclass(frozen=True)
 class WeightSearchResult:
     matrix: tuple[tuple[int, ...], ...] | None
@@ -232,31 +333,58 @@ def search_weights(
 
     Each attempt draws weights uniformly from [-bound, bound] without 0 on
     the skeleton's free positions (per-attempt RNG derived from the master
-    seed, so runs are reproducible) and verifies determinants with early
-    abort.  A skeleton row with fewer than m admissible entries forces a zero
+    seed, so runs are reproducible).  Attempts are drawn ``SEARCH_CHUNK`` at a
+    time and their determinants computed together, partitions in groups of
+    at most ``_STACK_ENTRIES`` block entries, dropping attempts after the
+    first group with a zero determinant; the first attempt left wins.  A
+    skeleton row with fewer than m admissible entries forces a zero
     determinant, so that case fails immediately without spending budget.
     """
-    if weight_bound < 1:
-        raise ValueError(f"weight bound must be >= 1, got {weight_bound}")
+    if not 1 <= weight_bound < 2**62:
+        raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if skeleton.min_row_support() < skeleton.m:
         return WeightSearchResult(matrix=None, attempts=0, seed=seed, budget=budget)
-    size = skeleton.size
+    size, m = skeleton.size, skeleton.m
     positions = skeleton.free_positions
-    parts = list(_partitions(size))
-    choices = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
-    for attempt in range(budget):
-        rng = random.Random(f"{seed}:{attempt}")
-        gamma = [[0] * size for _ in range(size)]
-        for i, j in positions:
-            w = rng.choice(choices)
-            gamma[i][j] = w
-            gamma[j][i] = w
-        if all(_block_det(gamma, block, comp) != 0 for block, comp in parts):
+    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
+    blocks, comps = _partition_arrays(_partitions(size), m)
+    group = max(1, _STACK_ENTRIES // (SEARCH_CHUNK * m * m))
+    # Drawing x from range(-bound, bound) and using x + 1 for x >= 0 picks
+    # the same weights as choice() on the list of nonzero weights would,
+    # without building that list.
+    shifted = range(-weight_bound, weight_bound)
+    # Weights past the int64 guard take det_exact block by block; one attempt
+    # at a time then keeps that cost to the attempts actually needed.
+    if det_fits_int64(m, weight_bound):
+        chunk, dtype = SEARCH_CHUNK, np.int64
+    else:
+        chunk, dtype = 1, object
+    for start in range(0, budget, chunk):
+        draws = []
+        for attempt in range(start, min(start + chunk, budget)):
+            choice = random.Random(f"{seed}:{attempt}").choice
+            draws.append([choice(shifted) for _ in positions])
+        weights = np.array(draws, dtype=dtype)
+        weights = np.where(weights >= 0, weights + 1, weights)
+        gammas = np.zeros((len(weights), size, size), dtype=dtype)
+        gammas[:, rows, cols] = weights
+        gammas[:, cols, rows] = weights
+        alive = np.arange(len(weights))
+        for first in range(0, len(blocks), group):
+            part = slice(first, first + group)
+            dets = _offdiag_dets(gammas[alive], blocks[part], comps[part])
+            alive = alive[(dets != 0).all(axis=1)]
+            if not alive.size:
+                break
+        if alive.size:
+            gamma = [[0] * size for _ in range(size)]
+            for (i, j), w in zip(positions, weights[alive[0]].tolist()):
+                gamma[i][j] = gamma[j][i] = w
             return WeightSearchResult(
                 matrix=tuple(tuple(row) for row in gamma),
-                attempts=attempt + 1,
+                attempts=start + int(alive[0]) + 1,
                 seed=seed,
                 budget=budget,
             )
@@ -284,43 +412,115 @@ def _gamma_from_bits(n: int, bits: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in gamma)
 
 
+# A graph on n vertices is coded as an integer whose bit b is pair b of the
+# upper triangle in row-major order, i.e. character b of adjacency_bits.
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_bits(n: int) -> np.ndarray:
+    """(n, n) array: entry (u, v), u != v, is the code bit of the pair {u, v}."""
+    index = np.zeros((n, n), dtype=np.intp)
+    us, vs = np.triu_indices(n, 1)
+    index[us, vs] = index[vs, us] = np.arange(us.size)
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _relabel_table(n: int) -> np.ndarray:
+    """(n!, C(n, 2)) table: row p holds, for each code bit of the graph
+    relabelled by the p-th permutation, the code bit it is read from."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    us, vs = np.triu_indices(n, 1)
+    return _pair_bits(n)[perms[:, us], perms[:, vs]].astype(np.uint8)
+
+
+def _orbit(n: int, code: int) -> tuple[int, np.ndarray]:
+    """Canonical key of a graph and the codes of all its relabellings.
+
+    The key is the smallest adjacency bit-string over all relabellings, read
+    as a binary number with character 0 as the most significant bit.
+    """
+    table = _relabel_table(n)
+    nbits = table.shape[1]
+    shifts = np.arange(nbits, dtype=np.int64)
+    images = (code >> shifts & 1)[table]
+    return int((images @ (1 << shifts[::-1])).min()), images @ (1 << shifts)
+
+
 def canonical_bits(gamma) -> str:
     """Minimum adjacency bit-string over all vertex permutations."""
     n = len(gamma)
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        bits = "".join(
-            "1" if gamma[perm[i]][perm[j]] else "0" for i, j in pair_list
-        )
-        if best is None or bits < best:
-            best = bits
-    return best or ""
-
-
-def _small_det(mat) -> int:
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if k == 3:
-        a, b, c = mat[0]
-        d, e, f = mat[1]
-        g, h, i = mat[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return det_exact(mat)
+    if n > CENSUS_MAX_N:
+        raise ValueError(f"canonical form supports at most {CENSUS_MAX_N} vertices, got {n}")
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return ""
+    key, _ = _orbit(n, int(adjacency_bits(gamma)[::-1], 2))
+    return format(key, f"0{nbits}b")
 
 
 def unimodular_offdiag_predicate(gamma) -> bool:
     """Every off-diagonal half-block determinant is +-1, which makes the
     block invertible modulo every d >= 2, i.e. valid for every group."""
     n = len(gamma)
-    for block, comp in _partitions(n):
-        det = _small_det([[gamma[i][j] for j in comp] for i in block])
-        if det not in (-1, 1):
-            return False
-    return True
+    blocks, comps = _partition_arrays(_partitions(n), n // 2)
+    dets = _offdiag_dets(np.array(gamma, dtype=object), blocks, comps)
+    return bool(np.isin(dets, (-1, 1)).all())
+
+
+@functools.lru_cache(maxsize=None)
+def _unimodular_blocks(m: int) -> np.ndarray:
+    """Entry k: whether the 0/1 m x m matrix with entry (i, j) equal to bit
+    i*m + j of k has determinant +-1."""
+    size = m * m
+    keys = np.arange(1 << size, dtype=np.int64)
+    step = _STACK_ENTRIES // size
+    out = np.empty(keys.size, dtype=bool)
+    for first in range(0, keys.size, step):
+        part = keys[first : first + step, None] >> np.arange(size) & 1
+        out[first : first + step] = np.abs(det_batch(part.reshape(-1, m, m))) == 1
+    return out
+
+
+def _unimodular_codes(n: int):
+    """Codes of the n-vertex graphs whose off-diagonal blocks all have
+    determinant +-1, in increasing order.
+
+    Codes run in uint32 batches sharing their bits from CENSUS_BATCH_BITS up.
+    A vertex joined to fewer than m others puts a zero row in some block, so
+    a degree filter goes first: each vertex's degree is its degree among the
+    shared high bits plus a per-code low-bit degree tabulated once.  Then each
+    partition in turn reads its block's bits as an index into the table of
+    unimodular 0/1 blocks and drops the graphs that fail.
+    """
+    m = n // 2
+    nbits = n * (n - 1) // 2
+    low_bits = min(nbits, CENSUS_BATCH_BITS)
+    pair_bits = _pair_bits(n)
+    incident = [[int(pair_bits[v, u]) for u in range(n) if u != v] for v in range(n)]
+    low = np.arange(1 << low_bits, dtype=np.uint32)
+    low_degrees = [
+        sum((low >> b & 1).astype(np.uint8) for b in bits if b < low_bits) for bits in incident
+    ]
+    high_masks = [sum(1 << b for b in bits if b >= low_bits) for bits in incident]
+    blocks, comps = _partition_arrays(_partitions(n), m)
+    block_bits = pair_bits[blocks[:, :, None], comps[:, None, :]].reshape(len(blocks), -1)
+    unimodular = _unimodular_blocks(m)
+    for high in range(0, 1 << nbits, 1 << low_bits):
+        keep = np.ones(low.size, dtype=bool)
+        for degrees, mask in zip(low_degrees, high_masks):
+            need = m - (high & mask).bit_count()
+            if need > 0:
+                keep &= degrees >= need
+        codes = low[keep] | high
+        for bits in block_bits.tolist():
+            if not codes.size:
+                break
+            index = np.zeros_like(codes)
+            for place, bit in enumerate(bits):
+                index |= (codes >> bit & 1) << place
+            codes = codes[unimodular[index]]
+        yield from codes.tolist()
 
 
 def graph_census(n: int, predicate=None) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -329,36 +529,30 @@ def graph_census(n: int, predicate=None) -> tuple[tuple[tuple[int, ...], ...], .
     one canonical adjacency matrix per isomorphism class, sorted by
     bit-string.
 
-    Brute force over 2^C(n,2) graphs with n! canonicalization: instant for
-    n <= 6, hours for n = 8.
+    The default predicate runs batched over all 2^C(n,2) graphs (see
+    ``_unimodular_codes``); a custom predicate is called on every graph.
+    Each survivor not yet seen is canonicalized against all n! relabellings
+    at once, and all of its relabellings are marked seen, so every class is
+    canonicalized once.  n = 8 runs in about 1 s.
     """
-    if not 2 <= n <= 8:
-        raise ValueError(f"census supports 2 <= n <= 8, got {n}")
+    if not 2 <= n <= CENSUS_MAX_N:
+        raise ValueError(f"census supports 2 <= n <= {CENSUS_MAX_N}, got {n}")
     if n % 2:
         raise ValueError(f"census needs an even vertex count, got {n}")
-    m = n // 2
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nbits = len(pair_list)
-    use_default = predicate is None
-    pred = unimodular_offdiag_predicate if use_default else predicate
-    vertex_masks = [
-        sum(1 << b for b, (u, v) in enumerate(pair_list) if vtx in (u, v))
-        for vtx in range(n)
-    ]
-    survivors = []
-    for code in range(1 << nbits):
-        if use_default and any(
-            bin(code & mask).count("1") < m for mask in vertex_masks
-        ):
-            # a vertex joined to fewer than m others puts a zero row in some block
-            continue
-        bits = format(code, f"0{nbits}b")[::-1]
-        gamma = _gamma_from_bits(n, bits)
-        if pred(gamma):
-            survivors.append(gamma)
-    classes: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for gamma in survivors:
-        canon = canonical_bits(gamma)
-        if canon not in classes:
-            classes[canon] = _gamma_from_bits(n, canon)
-    return tuple(classes[key] for key in sorted(classes))
+    nbits = n * (n - 1) // 2
+    if predicate is None:
+        codes = _unimodular_codes(n)
+    else:
+        codes = (
+            code
+            for code in range(1 << nbits)
+            if predicate(_gamma_from_bits(n, format(code, f"0{nbits}b")[::-1]))
+        )
+    seen: set[int] = set()
+    keys = []
+    for code in codes:
+        if code not in seen:
+            key, images = _orbit(n, code)
+            seen.update(images.tolist())
+            keys.append(key)
+    return tuple(_gamma_from_bits(n, format(key, f"0{nbits}b")) for key in sorted(keys))

@@ -418,3 +418,64 @@ def det_exact(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def det_fits_int64(m: int, bound: int) -> bool:
+    """True when fraction-free elimination of m x m matrices with entries of
+    absolute value at most ``bound`` stays inside int64.
+
+    Every interior entry is a minor of order at most m, at most
+    m**(m/2) * bound**m by Hadamard's inequality, and each update subtracts
+    one product of two minors from another.
+    """
+    return 2 * m**m * bound ** (2 * m) < 2**63
+
+
+def det_batch(blocks) -> np.ndarray:
+    """Exact determinants of a stack of square integer matrices.
+
+    ``blocks`` is an (N, m, m) integer array, int64 or narrower, or Python
+    ints as nested lists or an object array.  When ``det_fits_int64`` holds
+    for the largest entry, fraction-free Bareiss elimination runs on the whole
+    stack at once in int64, each matrix taking as pivot the first nonzero
+    entry at or below the diagonal (a row swap flips its sign); the result is
+    an int64 array of shape (N,).  Otherwise each matrix goes through
+    ``det_exact`` and the result is an object array of Python ints.
+    """
+    if not isinstance(blocks, np.ndarray):
+        blocks = np.array(blocks, dtype=object)
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError(f"determinants need an (N, m, m) stack, got shape {blocks.shape}")
+    batch, m, _ = blocks.shape
+    if np.can_cast(blocks.dtype, np.int64):
+        bound = max(int(blocks.max()), -int(blocks.min())) if blocks.size else 0
+    elif blocks.dtype == object or blocks.dtype.kind == "u":
+        bound = max((abs(int(x)) for x in blocks.flat), default=0)
+    else:
+        raise ValueError(f"determinants need integer entries, got {blocks.dtype}")
+    if not det_fits_int64(m, bound):
+        out = np.empty(batch, dtype=object)
+        out[:] = [det_exact(block.tolist()) for block in blocks]
+        return out
+    a = blocks.astype(np.int64)
+    if m == 0:
+        return np.ones(batch, dtype=np.int64)
+    sign = np.ones(batch, dtype=np.int64)
+    prev = np.ones(batch, dtype=np.int64)
+    for k in range(m - 1):
+        # A column with no pivot keeps pivot 0, which zeroes the rest of the
+        # elimination and so the determinant.
+        piv = k + (a[:, k:, k] != 0).argmax(axis=1)
+        swap = np.flatnonzero(piv != k)
+        if swap.size:
+            row = a[swap, k].copy()
+            a[swap, k] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = row
+            sign[swap] = -sign[swap]
+        pivot = a[:, k, k]
+        a[:, k + 1 :, k + 1 :] = (
+            a[:, k + 1 :, k + 1 :] * pivot[:, None, None]
+            - a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+        ) // prev[:, None, None]
+        prev = np.where(pivot == 0, 1, pivot)
+    return sign * a[:, m - 1, m - 1]

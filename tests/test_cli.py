@@ -11,6 +11,29 @@ from graphqec.cli import main
 from graphqec.graphcode import serialize_graph, wheel_code
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# stdout of the per-graph census, per-block determinants and
+# one-attempt-at-a-time search, kept byte for byte
+GOLDEN = {
+    "census-2": ("census", "--n", "2"),
+    "census-4": ("census", "--n", "4"),
+    "census-6": ("census", "--n", "6"),
+    "subdets-matrix19": ("subdets", "--builtin", "matrix19"),
+    "subdets-matrix19-inputs-0-1": ("subdets", "--builtin", "matrix19", "--inputs", "0,1"),
+    "search-first-attempt": (
+        "search", "--builtin", "matrix19", "--bound", "2", "--seed", "13", "--budget", "100",
+    ),
+    "search-attempt-32": (
+        "search", "--builtin", "matrix19", "--bound", "2", "--seed", "414", "--budget", "100",
+    ),
+    "search-attempt-33": (
+        "search", "--builtin", "matrix19", "--bound", "2", "--seed", "1512", "--budget", "100",
+    ),
+    "search-exhausted": (
+        "search", "--builtin", "matrix19", "--bound", "1", "--seed", "12345", "--budget", "5000",
+    ),
+}
 
 
 def load_schema(name: str) -> dict:
@@ -196,6 +219,22 @@ class TestSubdetsCommand:
         code, _, err = run_cli(capsys, "subdets", "--graph", str(path))
         assert code == 2
 
+    def test_semiprime_weight(self, capsys, tmp_path):
+        path = tmp_path / "pair.graph"
+        path.write_text(f"vertices: 2\ninputs:\n0 1 {(10**9 + 7) * (10**9 + 9)}\n")
+        code, payload = run_json(capsys, "subdets", "--graph", str(path))
+        assert code == 0
+        assert payload["bad_primes"] == [10**9 + 7, 10**9 + 9]
+        jsonschema.validate(payload, load_schema("subdets"))
+
+    def test_uncertifiable_weight_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "pair.graph"
+        path.write_text(f"vertices: 2\ninputs:\n0 1 {2**89 - 1}\n")
+        code, out, err = run_cli(capsys, "subdets", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot certify" in err
+
 
 class TestSearchCommand:
     def test_builtin_skeleton_search(self, capsys):
@@ -250,6 +289,12 @@ class TestCensusCommand:
     def test_odd_count_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "census", "--n", "5")
         assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(capsys, name):
+    _, out, _ = run_cli(capsys, *GOLDEN[name])
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 class TestExportCommand:

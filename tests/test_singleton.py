@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects_errors, strong_detects
-from graphqec.graphcode import matrix19_code
+from graphqec.zmodlinalg import det_exact
+from graphqec import singleton
+from graphqec.graphcode import matrix19_code, wheel_code
 from graphqec.singleton import (
+    SEARCH_CHUNK,
     Skeleton,
     adjacency_bits,
     canonical_bits,
@@ -31,6 +37,65 @@ PUBLISHED_BAD_PRIMES = frozenset({2, 3, 5, 11})
 CENSUS_4_CLASSES = ()
 # canonical bits of the second 6-vertex class (the first is the wheel graph)
 SECOND_SIXFOLD_CLASS_BITS = "001111011101100"
+# no 8-vertex graph passes: confirmed against a full run of the earlier
+# per-graph census (about 5 minutes), whose stdout the batched one matches
+CENSUS_8_CLASSES = ()
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def trial_division_factors(n):
+    """Reference: prime divisors of |n| by trial division."""
+    n = abs(n)
+    out = set()
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
+
+
+def reference_search(skeleton, weight_bound, seed, budget):
+    """Reference: one attempt at a time, det_exact per block, early exit."""
+    size = skeleton.size
+    parts = list(singleton._partitions(size))
+    choices = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
+    for attempt in range(budget):
+        rng = random.Random(f"{seed}:{attempt}")
+        gamma = [[0] * size for _ in range(size)]
+        for i, j in skeleton.free_positions:
+            gamma[i][j] = gamma[j][i] = rng.choice(choices)
+        if all(
+            det_exact([[gamma[i][j] for j in comp] for i in block]) != 0
+            for block, comp in parts
+        ):
+            return attempt + 1, tuple(map(tuple, gamma))
+    return budget, None
+
+
+def reference_unimodular(gamma):
+    n = len(gamma)
+    return all(
+        det_exact([[gamma[i][j] for j in comp] for i in block]) in (-1, 1)
+        for block, comp in singleton._partitions(n)
+    )
+
+
+def reference_canonical_bits(gamma):
+    """Reference: minimum bit-string over all n! relabellings, one at a time."""
+    n = len(gamma)
+    return min(
+        "".join(
+            "1" if gamma[perm[i]][perm[j]] else "0"
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        for perm in itertools.permutations(range(n))
+    )
 
 
 class TestPrimes:
@@ -44,6 +109,42 @@ class TestPrimes:
         assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
         assert not is_prime(1)
         assert not is_prime(-7)
+
+    def test_against_trial_division(self):
+        for n in range(10**5 + 1):
+            want = trial_division_factors(n)
+            assert prime_factors(n) == want
+            assert is_prime(n) == (want == {n})
+
+    def test_large_factors(self):
+        assert prime_factors(-(2**4) * 3 * (2**31 - 1) * (2**61 - 1)) == {
+            2, 3, 2**31 - 1, 2**61 - 1
+        }
+        assert prime_factors((10**6 + 3) ** 3 * 999_983**2) == {10**6 + 3, 999_983}
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
+        # 2^89 - 1 is prime, but above the proven Miller-Rabin range; a
+        # multiple of it fails a base and is composite for certain
+        assert not is_prime(3 * (2**89 - 1))
+
+    def test_large_semiprime_weight_is_fast(self):
+        w = (10**9 + 7) * (10**9 + 9)
+        start = time.perf_counter()
+        report = offdiag_subdets([[0, w], [w, 0]])
+        assert time.perf_counter() - start < 1.0
+        assert report.dets == (w,)
+        assert sorted(report.bad_primes) == [10**9 + 7, 10**9 + 9]
+
+    def test_uncertifiable_prime_rejected(self):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime(2**89 - 1)
+        with pytest.raises(ValueError, match="cannot certify"):
+            prime_factors(6 * (2**89 - 1))
+
+    def test_unsplittable_cofactor_rejected(self, monkeypatch):
+        monkeypatch.setattr(singleton, "_RHO_STEPS", 1000)
+        with pytest.raises(ValueError, match="cannot factor"):
+            prime_factors((2**31 - 1) * (2**61 - 1))
 
 
 class TestOffdiagSubdets:
@@ -199,16 +300,117 @@ class TestSearchWeights:
         assert bound1.attempts == 10**3
         bound2 = search_weights(complete, 2, 0, 10**3)
         assert bound2.success
+        # pinned from the one-attempt-at-a-time search
+        assert bound2.attempts == 1
+        assert bound2.matrix == ((0, -2, 1, -1), (-2, 0, 1, -2), (1, 1, 0, -1), (-1, -2, -1, 0))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["search-first-attempt", "search-attempt-32", "search-attempt-33", "search-exhausted"],
+    )
+    def test_pinned_matrix19_searches(self, name, matrix19):
+        # stdout of the one-attempt-at-a-time search; tests/test_cli.py
+        # checks the same commands byte for byte
+        pinned = json.loads((GOLDEN / f"{name}.json").read_text())
+        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        result = search_weights(skeleton, pinned["bound"], pinned["seed"], pinned["budget"])
+        assert result.attempts == pinned["attempts"]
+        assert result.matrix == (
+            tuple(map(tuple, pinned["matrix"])) if pinned["found"] else None
+        )
+
+    def test_pinned_searches_straddle_a_batch(self):
+        attempts = {
+            json.loads(path.read_text())["attempts"] for path in GOLDEN.glob("search-*.json")
+        }
+        assert {1, SEARCH_CHUNK, SEARCH_CHUNK + 1} <= attempts
+
+    @pytest.mark.parametrize(
+        "graph, bound, seeds, budget",
+        [
+            ("matrix19", 2, range(12), 100),
+            ("matrix19", 1, range(2), 70),
+            ("matrix19", 10**3, range(3), 5),  # past the int64 guard
+            ("wheel", 1, range(12), 100),
+            ("k4", 1, range(2), 40),
+        ],
+    )
+    def test_matches_one_attempt_at_a_time(self, graph, bound, seeds, budget):
+        gamma = {
+            "matrix19": matrix19_code().gamma,
+            "wheel": wheel_code().gamma,
+            "k4": [[int(i != j) for j in range(4)] for i in range(4)],
+        }[graph]
+        skeleton = Skeleton.from_matrix(gamma)
+        for seed in seeds:
+            result = search_weights(skeleton, bound, seed, budget)
+            assert (result.attempts, result.matrix) == reference_search(
+                skeleton, bound, seed, budget
+            )
+
+    def test_huge_bound_draws_without_a_weight_list(self, matrix19):
+        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        bound = 2**62 - 1
+        result = search_weights(skeleton, bound, 0, 3)
+        assert result.success
+        weights = [result.matrix[i][j] for i, j in skeleton.free_positions]
+        assert all(type(w) is int and 0 < abs(w) <= bound for w in weights)
+        for block, comp in singleton._partitions(8):
+            assert det_exact([[result.matrix[i][j] for j in comp] for i in block]) != 0
 
     def test_bad_arguments(self, matrix19):
         skeleton = Skeleton.from_matrix(matrix19.gamma)
         with pytest.raises(ValueError):
             search_weights(skeleton, 0, 0, 10)
         with pytest.raises(ValueError):
+            search_weights(skeleton, 2**62, 0, 10)
+        with pytest.raises(ValueError):
             search_weights(skeleton, 2, 0, -1)
 
 
 class TestCensus:
+    def test_eight_vertices_pinned(self):
+        assert graph_census(8) == CENSUS_8_CLASSES
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_batched_predicate_matches_per_graph(self, n):
+        assert graph_census(n) == graph_census(n, predicate=reference_unimodular)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_unimodular_block_table(self, m):
+        # no census up to n = 8 tells a block of determinant +-2 from a
+        # unimodular one, so the table is checked directly
+        table = singleton._unimodular_blocks(m)
+        assert table.shape == (1 << (m * m),)
+        keys = range(table.size) if m < 4 else random.Random(93).sample(range(table.size), 3000)
+        for key in keys:
+            block = [[key >> (i * m + j) & 1 for j in range(m)] for i in range(m)]
+            assert table[key] == (abs(det_exact(block)) == 1)
+
+    def test_predicate_matches_reference(self):
+        rng = random.Random(91)
+        for n in (2, 4, 6, 8):
+            for _ in range(200):
+                gamma = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        gamma[i][j] = gamma[j][i] = rng.choice((-1, 0, 1, 1, 2))
+                assert unimodular_offdiag_predicate(gamma) == reference_unimodular(gamma)
+
+    def test_canonical_bits_matches_reference(self):
+        rng = random.Random(92)
+        for n in range(8):
+            for _ in range(3 if n == 7 else 20):
+                gamma = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        gamma[i][j] = gamma[j][i] = rng.randint(0, 1)
+                assert canonical_bits(gamma) == reference_canonical_bits(gamma)
+
+    def test_canonical_bits_rejects_large_graphs(self):
+        with pytest.raises(ValueError):
+            canonical_bits([[0] * 9 for _ in range(9)])
+
     def test_two_vertices(self):
         classes = graph_census(2)
         assert classes == (((0, 1), (1, 0)),)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from graphqec.zmodlinalg import (
+    det_batch,
     det_exact,
+    det_fits_int64,
     fits_int64,
     kernel_mod,
     kernel_mod_batch,
@@ -269,6 +271,95 @@ class TestDeterminant:
         rng = random.Random(11)
         a = random_matrix(rng, 5, 5, -(10**12), 10**12)
         assert det_exact(a) == cofactor_det(a)
+
+
+def object_stack(blocks, m):
+    """(N, m, m) object array of Python ints; nested lists are ambiguous at m = 0."""
+    out = np.empty((len(blocks), m, m), dtype=object)
+    for b, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            out[b, i] = row
+    return out
+
+
+class TestDetBatch:
+    """The batched Bareiss kernel against ``det_exact``, one matrix at a time."""
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_random_stacks(self, m):
+        rng = random.Random(500 + m)
+        for lo, hi in ((-3, 3), (0, 1), (-(10**3), 10**3)):
+            blocks = [random_matrix(rng, m, m, lo, hi) for _ in range(300)]
+            want = [det_exact(block) for block in blocks]
+            got = det_batch(object_stack(blocks, m))
+            assert got.tolist() == want
+            as_int64 = det_batch(object_stack(blocks, m).astype(np.int64))
+            assert as_int64.tolist() == want
+            assert det_fits_int64(m, hi) == (as_int64.dtype == np.int64)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_zero_pivot_columns(self, m):
+        # Zeroing the leading rows of a column forces row swaps; zeroing a
+        # whole column, or repeating a row, forces a zero determinant.
+        rng = random.Random(600 + m)
+        blocks = []
+        for _ in range(300):
+            block = random_matrix(rng, m, m, -2, 2)
+            col = rng.randrange(m)
+            for row in range(rng.randint(1, m)):
+                block[row][col] = 0
+            if rng.random() < 0.2:
+                block[rng.randrange(m)] = list(block[rng.randrange(m)])
+            blocks.append(block)
+        want = [det_exact(block) for block in blocks]
+        assert 0 in want and any(want)
+        assert det_batch(object_stack(blocks, m)).tolist() == want
+
+    @pytest.mark.parametrize("m", [1, 4, 6])
+    def test_guard_sides(self, m):
+        # largest entry bound A with 2 m^m A^(2m) < 2^63, by bisection
+        edge = 1
+        while 2 * m**m * (2 * edge) ** (2 * m) < 2**63:
+            edge *= 2
+        step = edge
+        while step > 1:
+            step //= 2
+            if 2 * m**m * (edge + step) ** (2 * m) < 2**63:
+                edge += step
+        assert det_fits_int64(m, edge) and not det_fits_int64(m, edge + 1)
+        rng = random.Random(700 + m)
+        for bound, dtype in ((edge, np.int64), (edge + 1, object)):
+            blocks = [random_matrix(rng, m, m, -bound, bound) for _ in range(50)]
+            blocks[0][0][0] = bound  # the largest entry sits at the guard
+            got = det_batch(object_stack(blocks, m))
+            assert got.dtype == dtype
+            assert got.tolist() == [det_exact(block) for block in blocks]
+
+    def test_entries_beyond_int64(self):
+        rng = random.Random(800)
+        for bound in (2**63 - 1, 2**63, 2**64, 10**30):
+            blocks = [random_matrix(rng, 3, 3, -bound, bound) for _ in range(20)]
+            blocks[0][1][2] = bound
+            got = det_batch(object_stack(blocks, 3))
+            assert got.dtype == object
+            assert got.tolist() == [det_exact(block) for block in blocks]
+        unsigned = np.full((1, 1, 1), 2**63, dtype=np.uint64)
+        assert det_batch(unsigned).tolist() == [2**63]
+
+    def test_empty_and_narrow_inputs(self):
+        assert det_batch(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+        assert det_batch(np.zeros((0, 4, 4), dtype=np.int64)).tolist() == []
+        eye = np.eye(3, dtype=bool)[None]
+        assert det_batch(eye).tolist() == [1]
+        assert det_batch([[[1, 2], [3, 4]]]).tolist() == [-2]
+
+    def test_rejects_bad_shapes_and_dtypes(self):
+        with pytest.raises(ValueError):
+            det_batch(np.zeros((2, 2, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            det_batch(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            det_batch(np.zeros((1, 2, 2)))
 
 
 class TestKernelTrivial:
