@@ -18,7 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import detector, oracle, singleton
+# detector, oracle and singleton are imported by the handlers that use them,
+# so each subcommand loads only the modules it runs.
 from .abelian import parse_group
 from .graphcode import BUILTIN_GRAPHS, WeightedGraph, parse_graph
 
@@ -83,6 +84,8 @@ def _add_graph_flags(sub, with_inputs=True):
 
 
 def _cmd_detect(args) -> int:
+    from . import detector
+
     graph = _load_graph(args)
     group = parse_group(args.group)
     config = _parse_vertex_list(args.config)
@@ -92,6 +95,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import detector
+
     graph = _load_graph(args)
     group = parse_group(args.group)
     workers = _workers()
@@ -104,6 +109,8 @@ def _cmd_sweep(args) -> int:
 
     exit_code = EXIT_OK if report.all_detected else EXIT_CLAIM_FAILS
     if args.oracle:
+        from . import oracle
+
         total = group.order ** graph.n
         if total > oracle.DEFAULT_SIZE_CAP:
             _info(
@@ -136,6 +143,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_subdets(args) -> int:
+    from . import singleton
+
     # the partition plays no role here; --inputs names the restriction set
     if args.builtin:
         graph = BUILTIN_GRAPHS[args.builtin]()
@@ -146,7 +155,7 @@ def _cmd_subdets(args) -> int:
         fixed = _parse_vertex_list(args.inputs)
         report = singleton.restricted_subdets(graph.gamma, fixed)
         payload = report.to_dict()
-        payload["restricted_to_inputs"] = list(fixed)
+        payload["restricted_to_inputs"] = sorted(set(fixed))
     else:
         report = singleton.offdiag_subdets(graph.gamma)
         payload = report.to_dict()
@@ -156,6 +165,8 @@ def _cmd_subdets(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import singleton
+
     if args.skeleton:
         path = Path(args.skeleton)
         pattern = parse_graph(path.read_text(encoding="utf-8"), name=path.stem)
@@ -180,6 +191,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import singleton
+
     classes = singleton.graph_census(args.n)
     payload = {
         "n": args.n,
@@ -202,6 +215,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import oracle
+
     graph = _load_graph(args)
     group = parse_group(args.group)
     iso = oracle.build_isometry(graph, group)

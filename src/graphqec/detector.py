@@ -22,7 +22,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -330,6 +329,8 @@ def _sweep(
     n_chunks = sum(-(-math.comb(len(graph.outputs), size) // CHUNK) for size in sizes)
     workers = worker_count(workers, os.cpu_count(), n_chunks)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(decide, chunks))
     else:

@@ -303,9 +303,10 @@ class Skeleton:
         )
 
 
-# Attempts drawn and decided together by search_weights; for matrix19's 35
-# partitions one batch's int64 block stack is 0.14 MB.
+# Attempts in search_weights' first batch; later batches double up to
+# SEARCH_CHUNK_MAX.  For matrix19 a full batch's int64 matrices take 0.13 MB.
 SEARCH_CHUNK = 32
+SEARCH_CHUNK_MAX = 256
 # Largest number of int64 block entries handed to one determinant batch.
 _STACK_ENTRIES = 1 << 15
 # Graph codes per census batch: 2**CENSUS_BATCH_BITS (1 MB of uint32).
@@ -325,20 +326,69 @@ class WeightSearchResult:
         return self.matrix is not None
 
 
+def _draw_words(count: int) -> int:
+    """Raw 32-bit words read per attempt for ``count`` draws.  At least half
+    of all words are accepted, so a row rarely runs short."""
+    return 2 * count + 32
+
+
+def _choice_draws(rng: random.Random, key: str, n: int, count: int) -> list[int]:
+    """The ``count`` indices below n that ``choice`` picks after seeding with
+    ``key``."""
+    rng.seed(key)
+    return [rng.choice(range(n)) for _ in range(count)]
+
+
+def _stream_draws(rng: random.Random, keys: list[str], n: int, count: int) -> np.ndarray:
+    """``_choice_draws`` for every key at once, as a (len(keys), count) int64
+    array, for 2 <= n < 2**32.
+
+    ``choice`` takes the top k = n.bit_length() bits of one 32-bit word per
+    try and rejects values >= n.  Each key's stream is read once as
+    ``_draw_words(count)`` words (``getrandbits`` fills its result from the
+    least significant word up), the rejection runs on all rows together, and
+    each row keeps its first ``count`` accepted values.  A row with fewer
+    accepted words is redrawn by ``_choice_draws``.
+    """
+    words = _draw_words(count)
+    raw = bytearray()
+    for key in keys:
+        rng.seed(key)
+        raw += rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    values = np.frombuffer(raw, dtype="<u4").reshape(len(keys), words) >> (32 - n.bit_length())
+    accepted = values < n
+    counts = accepted.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    full = counts >= count
+    out = np.empty((len(keys), count), dtype=np.int64)
+    out[full] = values[accepted][starts[full, None] + np.arange(count)]
+    for row in np.flatnonzero(~full).tolist():
+        out[row] = _choice_draws(rng, keys[row], n, count)
+    return out
+
+
 def search_weights(
     skeleton: Skeleton, weight_bound: int, seed: int, budget: int
 ) -> WeightSearchResult:
     """Randomized search for nonzero weights making every block determinant
     nonzero.
 
-    Each attempt draws weights uniformly from [-bound, bound] without 0 on
-    the skeleton's free positions (per-attempt RNG derived from the master
-    seed, so runs are reproducible).  Attempts are drawn ``SEARCH_CHUNK`` at a
-    time and their determinants computed together, partitions in groups of
-    at most ``_STACK_ENTRIES`` block entries, dropping attempts after the
-    first group with a zero determinant; the first attempt left wins.  A
-    skeleton row with fewer than m admissible entries forces a zero
-    determinant, so that case fails immediately without spending budget.
+    Attempt a draws weights uniformly from [-bound, bound] without 0 on the
+    skeleton's free positions, by ``choice`` from ``range(-bound, bound)``
+    (x >= 0 maps to x + 1) on a ``random.Random`` seeded with
+    ``f"{seed}:{a}"``, so runs are reproducible.  While ``det_fits_int64``
+    holds, attempts run in batches of ``SEARCH_CHUNK`` doubling up to
+    ``SEARCH_CHUNK_MAX``, and each batch's draws come from one raw read of
+    every attempt's stream (``_stream_draws``), which picks the same weights
+    as ``choice``; past the guard, attempts run one at a time with
+    ``choice``.  Partitions are checked in groups of 1, 2, 4, ... (each at
+    most ``_STACK_ENTRIES`` block entries over the attempts still alive),
+    dropping the attempts with a zero determinant after each group; the
+    first attempt left wins.  From the second batch on, the partitions that
+    zeroed the most determinants so far are checked first, which at bound 1
+    on matrix19 kills most attempts with the first block.  A skeleton row with fewer than m admissible
+    entries forces a zero determinant, so that case fails immediately
+    without spending budget.
     """
     if not 1 <= weight_bound < 2**62:
         raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
@@ -350,34 +400,37 @@ def search_weights(
     positions = skeleton.free_positions
     rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
     blocks, comps = _partition_arrays(_partitions(size), m)
-    group = max(1, _STACK_ENTRIES // (SEARCH_CHUNK * m * m))
-    # Drawing x from range(-bound, bound) and using x + 1 for x >= 0 picks
-    # the same weights as choice() on the list of nonzero weights would,
-    # without building that list.
-    shifted = range(-weight_bound, weight_bound)
-    # Weights past the int64 guard take det_exact block by block; one attempt
-    # at a time then keeps that cost to the attempts actually needed.
-    if det_fits_int64(m, weight_bound):
-        chunk, dtype = SEARCH_CHUNK, np.int64
-    else:
-        chunk, dtype = 1, object
-    for start in range(0, budget, chunk):
-        draws = []
-        for attempt in range(start, min(start + chunk, budget)):
-            choice = random.Random(f"{seed}:{attempt}").choice
-            draws.append([choice(shifted) for _ in positions])
-        weights = np.array(draws, dtype=dtype)
+    rng = random.Random()
+    # det_fits_int64 implies bound < 2**31, so every draw is one 32-bit word.
+    # Weights past the guard take det_exact block by block; one attempt at a
+    # time then keeps that cost to the attempts actually needed.
+    fits = det_fits_int64(m, weight_bound)
+    start, chunk = 0, SEARCH_CHUNK if fits else 1
+    order = np.arange(len(blocks))
+    zeros = np.zeros(len(blocks), dtype=np.int64)
+    while start < budget:
+        keys = [f"{seed}:{attempt}" for attempt in range(start, min(start + chunk, budget))]
+        if fits:
+            draws = _stream_draws(rng, keys, 2 * weight_bound, len(positions))
+        else:
+            draws = np.array(
+                [_choice_draws(rng, key, 2 * weight_bound, len(positions)) for key in keys],
+                dtype=object,
+            )
+        weights = draws - weight_bound
         weights = np.where(weights >= 0, weights + 1, weights)
-        gammas = np.zeros((len(weights), size, size), dtype=dtype)
+        gammas = np.zeros((len(keys), size, size), dtype=weights.dtype)
         gammas[:, rows, cols] = weights
         gammas[:, cols, rows] = weights
-        alive = np.arange(len(weights))
-        for first in range(0, len(blocks), group):
-            part = slice(first, first + group)
-            dets = _offdiag_dets(gammas[alive], blocks[part], comps[part])
-            alive = alive[(dets != 0).all(axis=1)]
-            if not alive.size:
-                break
+        alive = np.arange(len(keys))
+        first, group = 0, 1
+        while first < len(order) and alive.size:
+            count = min(group, max(1, _STACK_ENTRIES // (alive.size * m * m)))
+            part = order[first : first + count]
+            dead = _offdiag_dets(gammas[alive], blocks[part], comps[part]) == 0
+            zeros[part] += dead.sum(axis=0)
+            alive = alive[~dead.any(axis=1)]
+            first, group = first + count, 2 * group
         if alive.size:
             gamma = [[0] * size for _ in range(size)]
             for (i, j), w in zip(positions, weights[alive[0]].tolist()):
@@ -388,6 +441,11 @@ def search_weights(
                 seed=seed,
                 budget=budget,
             )
+        # Which attempts survive does not depend on the partition order.
+        order = np.argsort(-zeros, kind="stable")
+        start += chunk
+        if fits:
+            chunk = min(2 * chunk, SEARCH_CHUNK_MAX)
     return WeightSearchResult(matrix=None, attempts=budget, seed=seed, budget=budget)
 
 

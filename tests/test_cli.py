@@ -30,6 +30,9 @@ GOLDEN = {
     "search-attempt-33": (
         "search", "--builtin", "matrix19", "--bound", "2", "--seed", "1512", "--budget", "100",
     ),
+    "search-attempt-97": (
+        "search", "--builtin", "matrix19", "--bound", "2", "--seed", "79073", "--budget", "100",
+    ),
     "search-exhausted": (
         "search", "--builtin", "matrix19", "--bound", "1", "--seed", "12345", "--budget", "5000",
     ),
@@ -212,6 +215,23 @@ class TestSubdetsCommand:
         assert payload["restricted_to_inputs"] == [0, 1]
         assert len(payload["partitions"]) == math.comb(6, 2)
         jsonschema.validate(payload, load_schema("subdets"))
+
+    def test_repeated_inputs_echo_the_restriction_used(self, capsys):
+        code, payload = run_json(
+            capsys, "subdets", "--builtin", "matrix19", "--inputs", "0,0"
+        )
+        assert code == 0
+        assert payload["restricted_to_inputs"] == [0]
+        # every partition keeps vertex 0 on one side
+        assert len(payload["partitions"]) == math.comb(7, 3)
+        jsonschema.validate(payload, load_schema("subdets"))
+        _, unordered = run_json(
+            capsys, "subdets", "--builtin", "matrix19", "--inputs", "1,0,1"
+        )
+        _, plain = run_json(capsys, "subdets", "--builtin", "matrix19", "--inputs", "0,1")
+        assert unordered == plain
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "restricted_to_inputs": [0, 0]}, load_schema("subdets"))
 
     def test_odd_graph_exit_two(self, capsys, tmp_path):
         path = tmp_path / "odd.graph"

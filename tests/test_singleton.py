@@ -11,7 +11,7 @@ import pytest
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects_errors, strong_detects
-from graphqec.zmodlinalg import det_exact
+from graphqec.zmodlinalg import det_exact, det_fits_int64
 from graphqec import singleton
 from graphqec.graphcode import matrix19_code, wheel_code
 from graphqec.singleton import (
@@ -63,12 +63,14 @@ def reference_search(skeleton, weight_bound, seed, budget):
     """Reference: one attempt at a time, det_exact per block, early exit."""
     size = skeleton.size
     parts = list(singleton._partitions(size))
-    choices = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
     for attempt in range(budget):
         rng = random.Random(f"{seed}:{attempt}")
         gamma = [[0] * size for _ in range(size)]
         for i, j in skeleton.free_positions:
-            gamma[i][j] = gamma[j][i] = rng.choice(choices)
+            # choice() on the list -bound..-1, 1..bound, read by index
+            # rather than built (bounds reach 2**31 - 1)
+            r = rng.choice(range(2 * weight_bound))
+            gamma[i][j] = gamma[j][i] = r - weight_bound + (r >= weight_bound)
         if all(
             det_exact([[gamma[i][j] for j in comp] for i in block]) != 0
             for block, comp in parts
@@ -306,7 +308,13 @@ class TestSearchWeights:
 
     @pytest.mark.parametrize(
         "name",
-        ["search-first-attempt", "search-attempt-32", "search-attempt-33", "search-exhausted"],
+        [
+            "search-first-attempt",
+            "search-attempt-32",
+            "search-attempt-33",
+            "search-attempt-97",
+            "search-exhausted",
+        ],
     )
     def test_pinned_matrix19_searches(self, name, matrix19):
         # stdout of the one-attempt-at-a-time search; tests/test_cli.py
@@ -324,6 +332,8 @@ class TestSearchWeights:
             json.loads(path.read_text())["attempts"] for path in GOLDEN.glob("search-*.json")
         }
         assert {1, SEARCH_CHUNK, SEARCH_CHUNK + 1} <= attempts
+        # batches double: the third starts after SEARCH_CHUNK + 2 * SEARCH_CHUNK
+        assert 3 * SEARCH_CHUNK + 1 in attempts
 
     @pytest.mark.parametrize(
         "graph, bound, seeds, budget",
@@ -333,6 +343,15 @@ class TestSearchWeights:
             ("matrix19", 10**3, range(3), 5),  # past the int64 guard
             ("wheel", 1, range(12), 100),
             ("k4", 1, range(2), 40),
+            ("matrix19", 64, range(10), 20),  # 2 * bound = 2**7: half the words accepted
+            ("matrix19", 107, range(10), 20),  # largest bound inside the int64 guard
+            ("matrix19", 108, range(3), 5),  # smallest bound past it
+            ("two", 2**31 - 1, range(10), 3),  # k = 32: the whole word is the draw
+            ("two", 2**30, range(10), 3),
+            # budgets ending on each side of the batch boundaries 32, 96, 224, 480
+            *(("matrix19", 1, range(2), budget) for budget in (31, 33, 95, 97, 223, 225, 479, 481)),
+            ("matrix19", 2, [79073], 96),  # first hit at attempt 97
+            ("matrix19", 2, [79073], 97),
         ],
     )
     def test_matches_one_attempt_at_a_time(self, graph, bound, seeds, budget):
@@ -340,6 +359,7 @@ class TestSearchWeights:
             "matrix19": matrix19_code().gamma,
             "wheel": wheel_code().gamma,
             "k4": [[int(i != j) for j in range(4)] for i in range(4)],
+            "two": [[0, 1], [1, 0]],
         }[graph]
         skeleton = Skeleton.from_matrix(gamma)
         for seed in seeds:
@@ -347,6 +367,36 @@ class TestSearchWeights:
             assert (result.attempts, result.matrix) == reference_search(
                 skeleton, bound, seed, budget
             )
+
+    def test_draw_cases_sit_on_the_guard_edges(self):
+        # the bounds 107, 108 and 2**31 - 1 above are chosen by these edges
+        assert det_fits_int64(4, 107) and not det_fits_int64(4, 108)
+        assert det_fits_int64(1, 2**31 - 1) and not det_fits_int64(1, 2**31)
+
+    @pytest.mark.parametrize("bound, spare", [(1, 16), (3, 4)])
+    def test_rows_out_of_words_redraw_with_choice(self, monkeypatch, matrix19, bound, spare):
+        # so few words per attempt that about half the rows run short
+        monkeypatch.setattr(singleton, "_draw_words", lambda count: count + spare)
+        drawn, redrawn = [], []
+        stream_draws, choice_draws = singleton._stream_draws, singleton._choice_draws
+
+        def streaming(rng, keys, n, count):
+            drawn.extend(keys)
+            return stream_draws(rng, keys, n, count)
+
+        def choosing(rng, key, n, count):
+            redrawn.append(key)
+            return choice_draws(rng, key, n, count)
+
+        monkeypatch.setattr(singleton, "_stream_draws", streaming)
+        monkeypatch.setattr(singleton, "_choice_draws", choosing)
+        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        for seed in range(6):
+            result = search_weights(skeleton, bound, seed, 100)
+            assert (result.attempts, result.matrix) == reference_search(
+                skeleton, bound, seed, 100
+            )
+        assert 0 < len(redrawn) < len(drawn)
 
     def test_huge_bound_draws_without_a_weight_list(self, matrix19):
         skeleton = Skeleton.from_matrix(matrix19.gamma)
