@@ -8,7 +8,7 @@ verdict, oracle and determinant modules.
 import importlib
 
 _SOURCES = {
-    "abelian": ("FiniteAbelianGroup", "Phase", "make_group", "parse_group"),
+    "abelian": ("FiniteAbelianGroup", "make_group", "parse_group"),
     "detector": (
         "DetectionVerdict",
         "SweepReport",

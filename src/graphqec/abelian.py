@@ -1,52 +1,14 @@
 """Finite abelian groups as products of cyclic factors.
 
-Elements are tuples of residues, one per cyclic factor.  Phases produced by
-the bicharacter are kept as exact rationals mod 1 so that all character
-identities hold without rounding; conversion to complex floats happens only
-at the consumer's request.
+A group is its tuple of cyclic factor sizes.  The verdict engine and the
+oracle work on residues modulo each factor, so the type carries only the
+factors, their derived order, exponent and rank, and the CLI literal parser.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
-
-GroupElement = tuple[int, ...]
-
-DEFAULT_ENUMERATION_CAP = 2**20
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A root of unity exp(2*pi*i*t), stored as the exact rational t mod 1."""
-
-    exponent: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % 1)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent + other.exponent)
-
-    def __pow__(self, k: int) -> "Phase":
-        return Phase(self.exponent * k)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.exponent)
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def to_complex(self) -> complex:
-        return cmath.exp(2j * math.pi * float(self.exponent))
-
-
-PHASE_ONE = Phase(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -75,50 +37,6 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return len(self.factors)
 
-    def zero(self) -> GroupElement:
-        return (0,) * len(self.factors)
-
-    def element(self, values) -> GroupElement:
-        """Reduce an integer tuple componentwise into the group."""
-        values = tuple(values)
-        if len(values) != len(self.factors):
-            raise ValueError(
-                f"element length {len(values)} != factor count {len(self.factors)}"
-            )
-        return tuple(int(v) % d for v, d in zip(values, self.factors))
-
-    def validate(self, g: GroupElement) -> GroupElement:
-        if len(g) != len(self.factors):
-            raise ValueError(
-                f"element length {len(g)} != factor count {len(self.factors)}"
-            )
-        if any(not 0 <= gi < d for gi, d in zip(g, self.factors)):
-            raise ValueError(f"element {g} not reduced modulo factors {self.factors}")
-        return g
-
-    def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self.validate(g)
-        self.validate(h)
-        return tuple((gi + hi) % d for gi, hi, d in zip(g, h, self.factors))
-
-    def neg(self, g: GroupElement) -> GroupElement:
-        self.validate(g)
-        return tuple((-gi) % d for gi, d in zip(g, self.factors))
-
-    def scale(self, k: int, g: GroupElement) -> GroupElement:
-        """Integer multiple k*g, reduced per factor."""
-        self.validate(g)
-        return tuple((k * gi) % d for gi, d in zip(g, self.factors))
-
-    def chi(self, g: GroupElement, h: GroupElement) -> Phase:
-        """Standard symmetric bicharacter: exponent sum_i g_i*h_i/d_i mod 1."""
-        self.validate(g)
-        self.validate(h)
-        t = Fraction(0)
-        for gi, hi, d in zip(g, h, self.factors):
-            t += Fraction(gi * hi, d)
-        return Phase(t)
-
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(d) for d in self.factors)
 
@@ -138,63 +56,3 @@ def parse_group(text: str) -> FiniteAbelianGroup:
     if not factors:
         raise ValueError(f"bad group literal {text!r}: no factors")
     return make_group(factors)
-
-
-def add(group: FiniteAbelianGroup, g: GroupElement, h: GroupElement) -> GroupElement:
-    return group.add(g, h)
-
-
-def neg(group: FiniteAbelianGroup, g: GroupElement) -> GroupElement:
-    return group.neg(g)
-
-
-def zero(group: FiniteAbelianGroup) -> GroupElement:
-    return group.zero()
-
-
-def chi(group: FiniteAbelianGroup, g: GroupElement, h: GroupElement) -> Phase:
-    return group.chi(g, h)
-
-
-def _check_cap(group: FiniteAbelianGroup, cap: int) -> None:
-    if group.order > cap:
-        raise ValueError(
-            f"group order {group.order} exceeds the enumeration cap {cap}"
-        )
-
-
-def enumerate_elements(
-    group: FiniteAbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[GroupElement]:
-    """All elements in lexicographic residue order (defines matrix indexings)."""
-    _check_cap(group, cap)
-    return list(iter_elements(group, cap=cap))
-
-
-def iter_elements(
-    group: FiniteAbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[GroupElement]:
-    _check_cap(group, cap)
-    return itertools.product(*(range(d) for d in group.factors))
-
-
-def check_nondegenerate(
-    group: FiniteAbelianGroup,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    tol: float = 1e-6,
-) -> bool:
-    """Brute-force non-degeneracy: sum_g chi(g, h) must be |G| at h=0, else 0.
-
-    Quadratic in the group order; meant for small groups.  The character sums
-    are evaluated in floats, but each term is an exact root of unity, so the
-    accumulated error stays far below ``tol`` at any order within the cap.
-    """
-    _check_cap(group, cap)
-    order = group.order
-    elements = enumerate_elements(group, cap=cap)
-    for h in elements:
-        total = sum(group.chi(g, h).to_complex() for g in elements)
-        expected = complex(order, 0) if h == group.zero() else 0j
-        if abs(total - expected) > tol:
-            return False
-    return True

@@ -3,7 +3,8 @@
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
 usage or input errors, including sweeps over more than 2**22
-configurations.  JSON goes to stdout, diagnostics to stderr.  The only
+configurations and search bounds too large to certify the bad primes of a
+hit.  JSON goes to stdout, diagnostics to stderr.  The only
 environment knob is GRAPHQEC_WORKERS, an optional worker count for sweeps
 (clamped to the CPU count and to the sweep's number of chunks); identical
 inputs always produce byte-identical stdout.
@@ -173,6 +174,14 @@ def _cmd_search(args) -> int:
         skeleton = singleton.Skeleton.from_matrix(pattern.gamma)
     else:
         skeleton = singleton.Skeleton.from_matrix(BUILTIN_GRAPHS[args.builtin]().gamma)
+    # A hit's report factors every block determinant; refuse bounds whose
+    # determinants could have factors that cannot be certified prime.
+    if not singleton.certifiable_bound(skeleton.m, args.bound):
+        raise ValueError(
+            f"--bound {args.bound} is too large to certify the bad primes of "
+            f"{skeleton.m} x {skeleton.m} blocks; the largest accepted bound is "
+            f"{singleton.largest_certifiable_bound(skeleton.m)}"
+        )
     result = singleton.search_weights(skeleton, args.bound, args.seed, args.budget)
     payload = {
         "found": result.success,

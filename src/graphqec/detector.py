@@ -103,7 +103,6 @@ class SweepReport:
     errors: int | None
     sizes: tuple[SizeSummary, ...]
     elapsed_s: float
-    orbit_reduced: bool = False
 
     @property
     def all_detected(self) -> bool:
@@ -121,7 +120,6 @@ class SweepReport:
             "mode": self.mode,
             "max_size": self.max_size,
             "all_detected": self.all_detected,
-            "orbit_reduced": self.orbit_reduced,
             "sizes": [
                 {
                     "size": s.size,
@@ -256,42 +254,16 @@ def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bo
     return detects(graph, group, ()).detected
 
 
-def graph_automorphisms(graph: WeightedGraph) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving weights and the input/output split."""
-    import networkx as nx  # deferred: only orbit reduction needs it
-
-    g = nx.Graph()
-    input_set = set(graph.inputs)
-    for v in range(graph.n):
-        g.add_node(v, kind=(v in input_set))
-    for u, v, w in graph.edges():
-        g.add_edge(u, v, weight=w)
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        g,
-        g,
-        node_match=nx.algorithms.isomorphism.categorical_node_match("kind", None),
-        edge_match=nx.algorithms.isomorphism.categorical_edge_match("weight", None),
-    )
-    perms = {tuple(m[v] for v in range(graph.n)) for m in matcher.isomorphisms_iter()}
-    return sorted(perms)
-
-
-def _is_orbit_representative(cfg, autos) -> bool:
-    return min(tuple(sorted(perm[v] for v in cfg)) for perm in autos) == cfg
-
-
 def worker_count(requested: int, cpus: int | None, chunks: int) -> int:
     """Workers a sweep uses: never more than requested, than the machine's
     CPUs or than there are chunks to hand out; a pool starts only above 1."""
     return max(1, min(requested, cpus or 1, chunks))
 
 
-def _chunks(graph: WeightedGraph, sizes, autos):
+def _chunks(graph: WeightedGraph, sizes):
     """Configurations of each size in lexicographic order, CHUNK at a time."""
     for size in sizes:
         configs = itertools.combinations(graph.outputs, size)
-        if autos is not None:
-            configs = (c for c in configs if _is_orbit_representative(c, autos))
         while chunk := list(itertools.islice(configs, CHUNK)):
             yield chunk
 
@@ -311,7 +283,6 @@ def _sweep(
     mode: str,
     errors: int | None,
     workers: int,
-    orbit_reduce: bool,
 ) -> SweepReport:
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
@@ -323,8 +294,7 @@ def _sweep(
             f"{MAX_SWEEP_CONFIGS}; lower the size bound"
         )
     start = time.perf_counter()
-    autos = graph_automorphisms(graph) if orbit_reduce else None
-    chunks = _chunks(graph, sizes, autos)
+    chunks = _chunks(graph, sizes)
     decide = partial(_undetected, graph, group)
     n_chunks = sum(-(-math.comb(len(graph.outputs), size) // CHUNK) for size in sizes)
     workers = worker_count(workers, os.cpu_count(), n_chunks)
@@ -359,7 +329,6 @@ def _sweep(
         errors=errors,
         sizes=summaries,
         elapsed_s=time.perf_counter() - start,
-        orbit_reduced=orbit_reduce,
     )
 
 
@@ -368,10 +337,9 @@ def detects_errors(
     group: FiniteAbelianGroup,
     max_size: int,
     workers: int = 1,
-    orbit_reduce: bool = False,
 ) -> SweepReport:
     """Sweep every configuration of size <= max_size in lexicographic order."""
-    return _sweep(graph, group, max_size, "detect", None, workers, orbit_reduce)
+    return _sweep(graph, group, max_size, "detect", None, workers)
 
 
 def corrects_errors(
@@ -379,12 +347,11 @@ def corrects_errors(
     group: FiniteAbelianGroup,
     errors: int,
     workers: int = 1,
-    orbit_reduce: bool = False,
 ) -> SweepReport:
     """Correcting e errors means detecting every configuration of size <= 2e."""
     if errors < 0:
         raise ValueError(f"error count must be >= 0, got {errors}")
-    return _sweep(graph, group, 2 * errors, "correct", errors, workers, orbit_reduce)
+    return _sweep(graph, group, 2 * errors, "correct", errors, workers)
 
 
 def input_exchange_check(
@@ -393,10 +360,7 @@ def input_exchange_check(
     new_inputs,
     errors: int,
     workers: int = 1,
-    orbit_reduce: bool = False,
 ) -> SweepReport:
     """Re-partition the graph with a different input set and re-run the
     correction sweep."""
-    return corrects_errors(
-        graph.with_inputs(new_inputs), group, errors, workers, orbit_reduce
-    )
+    return corrects_errors(graph.with_inputs(new_inputs), group, errors, workers)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import FiniteAbelianGroup, GroupElement
-
 IntMatrix = list[list[int]]
 
 
@@ -161,31 +159,6 @@ def serialize_graph(graph: WeightedGraph) -> str:
     for u, v, w in graph.edges():
         lines.append(f"{u} {v} {w}")
     return "\n".join(lines) + "\n"
-
-
-def apply_map(
-    matrix, group: FiniteAbelianGroup, elements
-) -> tuple[GroupElement, ...]:
-    """Act with an integer matrix on a tuple of group elements.
-
-    Entry k of the result is sum_l matrix[k][l] * elements[l], with integer
-    scalars acting componentwise and each component reduced mod its factor.
-    """
-    elements = tuple(elements)
-    for g in elements:
-        group.validate(g)
-    out: list[GroupElement] = []
-    for row in matrix:
-        if len(row) != len(elements):
-            raise ValueError(
-                f"matrix row width {len(row)} != element count {len(elements)}"
-            )
-        acc = [0] * group.rank
-        for coeff, g in zip(row, elements):
-            for i, gi in enumerate(g):
-                acc[i] += coeff * gi
-        out.append(group.element(acc))
-    return tuple(out)
 
 
 def wheel_code() -> WeightedGraph:

@@ -6,7 +6,7 @@ on the matrix strongly detects the matching configurations over Z_d exactly
 when no block determinant vanishes mod d.  This module computes those
 determinants exactly, derives the excluded ("bad") primes, searches for
 weight assignments on a sparsity skeleton, and runs the small-graph census
-for the all-unimodular predicate.
+for the all-unimodular property.
 """
 
 from __future__ import annotations
@@ -29,6 +29,25 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # Pollard rho steps before a cofactor counts as unfactorable: several times
 # the expected count for a factor below the square root of _MR_EXACT_BELOW.
 _RHO_STEPS = 1 << 22
+
+
+def certifiable_bound(m: int, bound: int) -> bool:
+    """True when every m x m block with entries of absolute value at most
+    ``bound`` has a determinant below _MR_EXACT_BELOW, so that
+    ``prime_factors`` can certify its factors.  Hadamard's inequality bounds
+    a block determinant by m**(m/2) * bound**m."""
+    return m**m * bound ** (2 * m) < _MR_EXACT_BELOW**2
+
+
+def largest_certifiable_bound(m: int) -> int:
+    """Largest bound passing ``certifiable_bound`` for m x m blocks."""
+    low, high = 0, 1
+    while certifiable_bound(m, high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if certifiable_bound(m, mid) else (low, mid)
+    return low
 
 
 def is_prime(d: int) -> bool:
@@ -517,15 +536,6 @@ def canonical_bits(gamma) -> str:
     return format(key, f"0{nbits}b")
 
 
-def unimodular_offdiag_predicate(gamma) -> bool:
-    """Every off-diagonal half-block determinant is +-1, which makes the
-    block invertible modulo every d >= 2, i.e. valid for every group."""
-    n = len(gamma)
-    blocks, comps = _partition_arrays(_partitions(n), n // 2)
-    dets = _offdiag_dets(np.array(gamma, dtype=object), blocks, comps)
-    return bool(np.isin(dets, (-1, 1)).all())
-
-
 @functools.lru_cache(maxsize=None)
 def _unimodular_blocks(m: int) -> np.ndarray:
     """Entry k: whether the 0/1 m x m matrix with entry (i, j) equal to bit
@@ -581,34 +591,25 @@ def _unimodular_codes(n: int):
         yield from codes.tolist()
 
 
-def graph_census(n: int, predicate=None) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Enumerate all simple graphs on n vertices, keep those passing the
-    predicate (default: all off-diagonal block determinants +-1) and return
-    one canonical adjacency matrix per isomorphism class, sorted by
-    bit-string.
+def graph_census(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Enumerate all simple graphs on n vertices, keep those whose
+    off-diagonal block determinants are all +-1 and return one canonical
+    adjacency matrix per isomorphism class, sorted by bit-string.
 
-    The default predicate runs batched over all 2^C(n,2) graphs (see
-    ``_unimodular_codes``); a custom predicate is called on every graph.
-    Each survivor not yet seen is canonicalized against all n! relabellings
-    at once, and all of its relabellings are marked seen, so every class is
-    canonicalized once.  n = 8 runs in about 1 s.
+    The determinant test runs batched over all 2^C(n,2) graphs (see
+    ``_unimodular_codes``).  Each survivor not yet seen is canonicalized
+    against all n! relabellings at once, and all of its relabellings are
+    marked seen, so every class is canonicalized once.  n = 8 runs in about
+    1 s.
     """
     if not 2 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 2 <= n <= {CENSUS_MAX_N}, got {n}")
     if n % 2:
         raise ValueError(f"census needs an even vertex count, got {n}")
     nbits = n * (n - 1) // 2
-    if predicate is None:
-        codes = _unimodular_codes(n)
-    else:
-        codes = (
-            code
-            for code in range(1 << nbits)
-            if predicate(_gamma_from_bits(n, format(code, f"0{nbits}b")[::-1]))
-        )
     seen: set[int] = set()
     keys = []
-    for code in codes:
+    for code in _unimodular_codes(n):
         if code not in seen:
             key, images = _orbit(n, code)
             seen.update(images.tolist())

@@ -238,17 +238,6 @@ def kernel_from_snf(snf: SmithDecomposition, d: int) -> KernelBasis:
     return KernelBasis(modulus=d, dimension=n, generators=tuple(generators))
 
 
-def kernel_mod(a, d: int, ncols: int | None = None) -> KernelBasis:
-    """Generating set of {x : A x = 0 (mod d)} for any modulus d >= 2."""
-    n = _ncols_of(a, ncols)
-    return kernel_from_snf(smith_normal_form(a, ncols=n), d)
-
-
-def kernel_trivial(a, d: int, ncols: int | None = None) -> bool:
-    """True iff the only solution of A x = 0 (mod d) is x = 0."""
-    return kernel_mod(a, d, ncols=ncols).is_trivial
-
-
 def fits_int64(d: int, n: int) -> bool:
     """True when the batched engine's arithmetic modulo d on n columns fits
     in int64.

@@ -1,9 +1,11 @@
-"""Shared test utilities: random instances and verdict re-verification."""
+"""Shared test utilities: random instances, reference kernels and verdict
+re-verification."""
 
 from __future__ import annotations
 
 from graphqec.detector import FAILED_COUPLING, FAILED_INPUT, detection_system
 from graphqec.graphcode import WeightedGraph
+from graphqec.zmodlinalg import KernelBasis, kernel_from_snf, smith_normal_form
 
 
 def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:
@@ -16,6 +18,17 @@ def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:
             if w:
                 edges.append((u, v, w))
     return WeightedGraph.from_edges(n, edges, (rng.randrange(n),))
+
+
+def kernel_mod(a, d: int, ncols: int | None = None) -> KernelBasis:
+    """Reference kernel: generators of {x : A x = 0 (mod d)} read off one
+    Smith normal form over Z."""
+    return kernel_from_snf(smith_normal_form(a, ncols=ncols), d)
+
+
+def kernel_trivial(a, d: int, ncols: int | None = None) -> bool:
+    """True iff the only solution of A x = 0 (mod d) is x = 0."""
+    return kernel_mod(a, d, ncols=ncols).is_trivial
 
 
 def mat_vec_mod(matrix, vec, d):

@@ -9,12 +9,13 @@ import pytest
 
 from graphqec.cli import main
 from graphqec.graphcode import serialize_graph, wheel_code
+from graphqec.singleton import certifiable_bound, largest_certifiable_bound
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# stdout of the per-graph census, per-block determinants and
-# one-attempt-at-a-time search, kept byte for byte
+# stdout of the per-graph census, per-block determinants,
+# one-attempt-at-a-time search and sweeps, kept byte for byte
 GOLDEN = {
     "census-2": ("census", "--n", "2"),
     "census-4": ("census", "--n", "4"),
@@ -36,7 +37,13 @@ GOLDEN = {
     "search-exhausted": (
         "search", "--builtin", "matrix19", "--bound", "1", "--seed", "12345", "--budget", "5000",
     ),
+    "sweep-wheel-correct-1-oracle": (
+        "sweep", "--builtin", "wheel", "--group", "2", "--correct", "1", "--oracle",
+    ),
+    "sweep-tenfold-detect-4": ("sweep", "--builtin", "tenfold", "--group", "2", "--detect", "4"),
 }
+# exit code of each golden command that does not exit 0
+GOLDEN_EXIT = {"search-exhausted": 1, "sweep-tenfold-detect-4": 1}
 
 
 def load_schema(name: str) -> dict:
@@ -283,6 +290,29 @@ class TestSearchCommand:
         assert payload["attempts"] == 50
         jsonschema.validate(payload, load_schema("search"))
 
+    def test_bound_past_certification_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--builtin", "matrix19", "--bound", "674774", "--budget", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "largest accepted bound is 674773" in err
+
+    def test_largest_certifiable_bound_succeeds(self, capsys):
+        code, payload = run_json(
+            capsys, "search", "--builtin", "matrix19", "--bound", "674773",
+            "--seed", "0", "--budget", "3",
+        )
+        assert code == 0
+        assert payload["found"] is True
+        jsonschema.validate(payload, load_schema("search"))
+
+    def test_certification_edges(self):
+        # m x m blocks with entries up to the bound keep |det| < 3.3e24
+        for m, edge in ((3, 86_103_958), (4, 674_773)):
+            assert certifiable_bound(m, edge) and not certifiable_bound(m, edge + 1)
+            assert largest_certifiable_bound(m) == edge
+
     def test_deterministic_output(self, capsys):
         args = ("search", "--builtin", "matrix19", "--seed", "7", "--budget", "1000")
         _, out1, _ = run_cli(capsys, *args)
@@ -313,8 +343,9 @@ class TestCensusCommand:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_stdout(capsys, name):
-    _, out, _ = run_cli(capsys, *GOLDEN[name])
+    code, out, _ = run_cli(capsys, *GOLDEN[name])
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert code == GOLDEN_EXIT.get(name, 0)
 
 
 class TestExportCommand:

@@ -15,7 +15,6 @@ from graphqec.detector import (
     detection_system,
     detects,
     detects_errors,
-    graph_automorphisms,
     input_exchange_check,
     is_isometry_condition,
     strong_detects,
@@ -441,28 +440,6 @@ class TestGroupFactorIndependence:
                             and detects(graph, make_group([d2]), config).detected
                         )
                         assert combined == separate
-
-
-class TestOrbitReduction:
-    def test_wheel_automorphisms(self, wheel):
-        autos = graph_automorphisms(wheel)
-        # hub fixed, pentagon rotations and reflections remain
-        assert len(autos) == 10
-        assert all(perm[0] == 0 for perm in autos)
-
-    def test_reduced_sweep_agrees(self, wheel, tenfold, z2):
-        for graph in (wheel, tenfold):
-            full = detects_errors(graph, z2, 2)
-            reduced = detects_errors(graph, z2, 2, orbit_reduce=True)
-            assert reduced.orbit_reduced
-            assert full.all_detected == reduced.all_detected
-            for s_full, s_red in zip(full.sizes, reduced.sizes):
-                assert s_red.checked <= s_full.checked
-
-    def test_wheel_two_error_orbits(self, wheel, z2):
-        # adjacency splits the ten pairs into two orbits
-        reduced = detects_errors(wheel, z2, 2, orbit_reduce=True)
-        assert reduced.sizes[2].checked == 2
 
 
 class TestRandomizedSoundness:

@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from graphqec.abelian import make_group
 from graphqec.graphcode import (
     WeightedGraph,
-    apply_map,
     matrix19_code,
     parse_graph,
     serialize_graph,
@@ -128,28 +126,6 @@ class TestSubmatrix:
     def test_partition_independent_of_inputs(self, matrix19):
         other = matrix19.with_inputs((4, 5))
         assert matrix19.submatrix((0, 1), (2, 3)) == other.submatrix((0, 1), (2, 3))
-
-
-class TestApplyMap:
-    def test_scaling(self):
-        g4 = make_group([4])
-        assert apply_map([[2]], g4, ((1,),)) == ((2,),)
-
-    def test_sum_mod_two(self, z2):
-        assert apply_map([[1, 1]], z2, ((1,), (1,))) == ((0,),)
-
-    def test_identity(self, z3):
-        eye = [[1, 0], [0, 1]]
-        v = ((2,), (1,))
-        assert apply_map(eye, z3, v) == v
-
-    def test_dimension_mismatch(self, z2):
-        with pytest.raises(ValueError):
-            apply_map([[1, 1]], z2, ((1,),))
-
-    def test_product_group_componentwise(self):
-        g = make_group([2, 3])
-        assert apply_map([[3]], g, ((1, 2),)) == ((1, 0),)
 
 
 class TestWheel:

@@ -35,6 +35,9 @@ print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
+# modules only the removed exact phase algebra and orbit reduction needed
+UNUSED = {"fractions", "decimal", "cmath", "networkx"}
+
 
 def loaded_modules(code: str, *argv: str) -> set[str]:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -51,6 +54,7 @@ def test_setup_names_load_no_numpy():
     modules = loaded_modules(SETUP)
     assert "numpy" not in modules
     assert not {"graphqec.detector", "graphqec.oracle", "graphqec.singleton"} & modules
+    assert not UNUSED & modules
 
 
 @pytest.mark.parametrize(
@@ -64,12 +68,14 @@ def test_singleton_commands_skip_verdict_modules(argv):
     modules = loaded_modules(RUN_CLI, *argv)
     assert "graphqec.singleton" in modules
     assert not {"graphqec.detector", "graphqec.oracle", "concurrent.futures"} & modules
+    assert not UNUSED & modules
 
 
 def test_one_worker_sweep_skips_singleton_and_pool():
     modules = loaded_modules(RUN_CLI, "sweep", "--builtin", "wheel", "--detect", "2")
     assert "graphqec.detector" in modules
     assert not {"graphqec.singleton", "graphqec.oracle", "concurrent.futures"} & modules
+    assert not UNUSED & modules
 
 
 def test_every_public_name_resolves():

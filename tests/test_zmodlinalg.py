@@ -6,15 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from helpers import kernel_mod, kernel_trivial
 
 from graphqec.zmodlinalg import (
     det_batch,
     det_exact,
     det_fits_int64,
     fits_int64,
-    kernel_mod,
     kernel_mod_batch,
-    kernel_trivial,
     prime_powers,
     smith_normal_form,
 )
