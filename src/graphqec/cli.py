@@ -3,7 +3,8 @@
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
 usage or input errors, including sweeps over more than 2**22
-configurations and search bounds too large to certify the bad primes of a
+configurations, reports and searches over more than 2**21 vertex
+partitions, and search bounds too large to certify the bad primes of a
 hit.  JSON goes to stdout, diagnostics to stderr.  The only
 environment knob is GRAPHQEC_WORKERS, an optional worker count for sweeps
 (clamped to the CPU count and to the sweep's number of chunks); identical
@@ -22,7 +23,7 @@ from pathlib import Path
 # detector, oracle and singleton are imported by the handlers that use them,
 # so each subcommand loads only the modules it runs.
 from .abelian import parse_group
-from .graphcode import BUILTIN_GRAPHS, WeightedGraph, parse_graph
+from .graphcode import BUILTIN_GRAPHS, WeightedGraph, describe, parse_graph
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
@@ -56,14 +57,17 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad vertex list {text!r}") from None
 
 
+def _read_graph(builtin: str | None, path: str) -> WeightedGraph:
+    """The named built-in graph, or else the graph file at ``path``."""
+    if builtin:
+        return BUILTIN_GRAPHS[builtin]()
+    file = Path(path)
+    return parse_graph(file.read_text(encoding="utf-8"), name=file.stem)
+
+
 def _load_graph(args) -> WeightedGraph:
-    if getattr(args, "builtin", None):
-        builder = BUILTIN_GRAPHS[args.builtin]
-        graph = builder()
-    else:
-        path = Path(args.graph)
-        graph = parse_graph(path.read_text(encoding="utf-8"), name=path.stem)
-    if getattr(args, "inputs", None) is not None:
+    graph = _read_graph(args.builtin, args.graph)
+    if args.inputs is not None:
         graph = graph.with_inputs(_parse_vertex_list(args.inputs))
     return graph
 
@@ -147,11 +151,7 @@ def _cmd_subdets(args) -> int:
     from . import singleton
 
     # the partition plays no role here; --inputs names the restriction set
-    if args.builtin:
-        graph = BUILTIN_GRAPHS[args.builtin]()
-    else:
-        path = Path(args.graph)
-        graph = parse_graph(path.read_text(encoding="utf-8"), name=path.stem)
+    graph = _read_graph(args.builtin, args.graph)
     if args.inputs is not None:
         fixed = _parse_vertex_list(args.inputs)
         report = singleton.restricted_subdets(graph.gamma, fixed)
@@ -160,7 +160,7 @@ def _cmd_subdets(args) -> int:
     else:
         report = singleton.offdiag_subdets(graph.gamma)
         payload = report.to_dict()
-    payload["graph"] = graph.name or f"{graph.n}-vertex graph"
+    payload["graph"] = describe(graph)
     _emit(payload)
     return EXIT_OK
 
@@ -168,12 +168,8 @@ def _cmd_subdets(args) -> int:
 def _cmd_search(args) -> int:
     from . import singleton
 
-    if args.skeleton:
-        path = Path(args.skeleton)
-        pattern = parse_graph(path.read_text(encoding="utf-8"), name=path.stem)
-        skeleton = singleton.Skeleton.from_matrix(pattern.gamma)
-    else:
-        skeleton = singleton.Skeleton.from_matrix(BUILTIN_GRAPHS[args.builtin]().gamma)
+    pattern = _read_graph(args.builtin, args.skeleton)
+    skeleton = singleton.Skeleton.from_matrix(pattern.gamma)
     # A hit's report factors every block determinant; refuse bounds whose
     # determinants could have factors that cannot be certified prime.
     if not singleton.certifiable_bound(skeleton.m, args.bound):

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .abelian import FiniteAbelianGroup
-from .graphcode import WeightedGraph, describe
+from .graphcode import WeightedGraph, describe, validated_config
 from .zmodlinalg import fits_int64, kernel_mod_batch
 
 FAILED_INPUT = "nonzero_on_inputs"
@@ -137,21 +137,10 @@ class SweepReport:
         return out
 
 
-def _validated_config(graph: WeightedGraph, config) -> tuple[int, ...]:
-    cfg = tuple(sorted({int(v) for v in config}))
-    outside = [v for v in cfg if v in graph.inputs or not 0 <= v < graph.n]
-    if outside:
-        raise ValueError(
-            f"error configuration {cfg} must be a subset of the output "
-            f"vertices, offending vertices: {outside}"
-        )
-    return cfg
-
-
 def detection_system(graph: WeightedGraph, config):
     """Rows (untouched outputs), columns (inputs plus errors) and the block
     of gamma linking them, in ascending vertex order."""
-    cfg = _validated_config(graph, config)
+    cfg = validated_config(graph, config)
     in_cfg = set(cfg)
     rows = tuple(y for y in graph.outputs if y not in in_cfg)
     cols = tuple(sorted(set(graph.inputs) | in_cfg))
@@ -200,7 +189,7 @@ def detects(
     graph: WeightedGraph, group: FiniteAbelianGroup, config
 ) -> DetectionVerdict:
     """Decide detection of one error configuration, with witness/certificate."""
-    cfg = _validated_config(graph, config)
+    cfg = validated_config(graph, config)
     cols = tuple(sorted(set(graph.inputs) | set(cfg)))
     # Generators come in engine order (inputs, then errors); reports use cols.
     order = [cols.index(v) for v in (*graph.inputs, *cfg)]
@@ -244,7 +233,7 @@ def detects(
 def strong_detects(graph: WeightedGraph, group: FiniteAbelianGroup, config) -> bool:
     """The stricter condition: the detection system has trivial kernel
     modulo every cyclic factor (implies ``detects``)."""
-    checks = _kernel_checks(graph, group, [_validated_config(graph, config)])
+    checks = _kernel_checks(graph, group, [validated_config(graph, config)])
     return not any(gens.any() for gens, _, _ in checks.values())
 
 

@@ -13,6 +13,22 @@ from dataclasses import dataclass, field
 IntMatrix = list[list[int]]
 
 
+def symmetric_matrix(matrix, name: str = "gamma") -> tuple[tuple[int, ...], ...]:
+    """The rows of a square, symmetric integer matrix with zero diagonal, as
+    tuples of ints; ValueError, naming the matrix ``name``, otherwise."""
+    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"{name} must be square")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise ValueError(f"{name} has a nonzero diagonal entry at {i}")
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"{name} is not symmetric at ({i},{j})")
+    return rows
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     gamma: tuple[tuple[int, ...], ...]
@@ -20,16 +36,8 @@ class WeightedGraph:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        gamma = tuple(tuple(int(x) for x in row) for row in self.gamma)
+        gamma = symmetric_matrix(self.gamma)
         n = len(gamma)
-        if any(len(row) != n for row in gamma):
-            raise ValueError("gamma must be square")
-        for i in range(n):
-            if gamma[i][i] != 0:
-                raise ValueError(f"gamma has a nonzero diagonal entry at {i}")
-            for j in range(i + 1, n):
-                if gamma[i][j] != gamma[j][i]:
-                    raise ValueError(f"gamma is not symmetric at ({i},{j})")
         inputs = tuple(sorted({int(v) for v in self.inputs}))
         if any(not 0 <= v < n for v in inputs):
             raise ValueError(f"input vertex out of range: {inputs}")
@@ -89,6 +97,19 @@ class WeightedGraph:
 
 def describe(graph: WeightedGraph) -> str:
     return graph.name or f"{graph.n}-vertex graph"
+
+
+def validated_config(graph: WeightedGraph, config) -> tuple[int, ...]:
+    """An error configuration as sorted distinct vertices; ValueError unless
+    every vertex is an output of the graph."""
+    cfg = tuple(sorted({int(v) for v in config}))
+    outside = [v for v in cfg if v in graph.inputs or not 0 <= v < graph.n]
+    if outside:
+        raise ValueError(
+            f"error configuration {cfg} must be a subset of the output "
+            f"vertices, offending vertices: {outside}"
+        )
+    return cfg
 
 
 def parse_graph(text: str, name: str = "") -> WeightedGraph:

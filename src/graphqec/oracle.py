@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .abelian import FiniteAbelianGroup
-from .graphcode import WeightedGraph, describe
+from .graphcode import WeightedGraph, describe, validated_config
 
 DEFAULT_SIZE_CAP = 2**22
 DEFAULT_TOL = 1e-8
@@ -142,14 +142,6 @@ def _error_leg_matrix(
     return tensor.reshape(order ** len(i_axes), n_e * cols), n_e
 
 
-def _validated_oracle_config(graph: WeightedGraph, config) -> tuple[int, ...]:
-    cfg = tuple(sorted({int(v) for v in config}))
-    outputs = set(graph.outputs)
-    if any(v not in outputs for v in cfg):
-        raise ValueError(f"configuration {cfg} is not a subset of the outputs")
-    return cfg
-
-
 def _isometry_for(
     graph: WeightedGraph,
     group: FiniteAbelianGroup,
@@ -222,7 +214,7 @@ def kl_detects(
     configuration, so this is exhaustive.  ``isometry`` must have been built
     for ``graph`` and ``group`` (ValueError otherwise).
     """
-    cfg = _validated_oracle_config(graph, config)
+    cfg = validated_config(graph, config)
     isometry = _isometry_for(graph, group, size_cap, isometry)
     if isometry.cols <= 1:
         return True  # any 1x1 compression is a scalar multiple of identity
@@ -241,7 +233,7 @@ def omega_table(
     assignments (tuples of group elements).  Raises if the configuration is
     not detected, or if ``isometry`` was not built for ``graph`` and
     ``group``."""
-    cfg = _validated_oracle_config(graph, config)
+    cfg = validated_config(graph, config)
     isometry = _isometry_for(graph, group, size_cap, isometry)
     assignments = list(
         itertools.product(itertools.product(*(range(d) for d in group.factors)),

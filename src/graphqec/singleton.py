@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphcode import symmetric_matrix
 from .zmodlinalg import det_batch, det_fits_int64
 
 # Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
@@ -29,6 +30,9 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # Pollard rho steps before a cofactor counts as unfactorable: several times
 # the expected count for a factor below the square root of _MR_EXACT_BELOW.
 _RHO_STEPS = 1 << 22
+# Largest number of half-half partitions a report or search lists: 2**21
+# admits up to 24 vertices (1,352,078 partitions) and refuses 26 (5,200,300).
+MAX_PARTITIONS = 1 << 21
 
 
 def certifiable_bound(m: int, bound: int) -> bool:
@@ -172,19 +176,25 @@ class DeterminantReport:
 
 
 def _validate_gamma(gamma) -> tuple[tuple[tuple[int, ...], ...], int]:
-    rows = tuple(tuple(int(x) for x in row) for row in gamma)
+    rows = symmetric_matrix(gamma, "matrix")
     size = len(rows)
     if size == 0 or size % 2:
         raise ValueError(f"matrix size must be even and positive, got {size}")
-    if any(len(row) != size for row in rows):
-        raise ValueError("matrix must be square")
-    for i in range(size):
-        if rows[i][i] != 0:
-            raise ValueError(f"nonzero diagonal entry at {i}")
-        for j in range(i + 1, size):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix not symmetric at ({i},{j})")
+    _check_partition_count(size)
     return rows, size // 2
+
+
+def _check_partition_count(size: int) -> None:
+    """Refuse a vertex count whose half-half partitions exceed MAX_PARTITIONS.
+
+    Reports and searches list every partition, and reports stack one block
+    per partition, before any determinant is known."""
+    count = math.comb(size - 1, size // 2 - 1)
+    if count > MAX_PARTITIONS:
+        raise ValueError(
+            f"{size} vertices have {count} half-half partitions, more than the "
+            f"cap of {MAX_PARTITIONS}"
+        )
 
 
 def _partitions(size: int):
@@ -212,7 +222,17 @@ def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> 
 
 def _report(rows, m, partitions) -> DeterminantReport:
     blocks, comps = _partition_arrays(partitions, m)
-    dets = tuple(_offdiag_dets(np.array(rows, dtype=object), blocks, comps).tolist())
+    gamma = np.array(rows, dtype=object)
+    # Batches of at most _STACK_ENTRIES block entries bound the memory of
+    # the stacked blocks, which hold Python ints past the int64 guard.
+    step = max(1, _STACK_ENTRIES // (m * m))
+    dets = tuple(
+        det
+        for first in range(0, len(blocks), step)
+        for det in _offdiag_dets(
+            gamma, blocks[first : first + step], comps[first : first + step]
+        ).tolist()
+    )
     bad: set[int] = set()
     for det in dets:
         bad |= prime_factors(det)
@@ -277,20 +297,12 @@ class Skeleton:
     support: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.support)
+        rows = symmetric_matrix(self.support, "skeleton")
         size = len(rows)
         if size == 0 or size % 2:
             raise ValueError(f"skeleton size must be even and positive, got {size}")
-        if any(len(row) != size for row in rows):
-            raise ValueError("skeleton must be square")
-        for i in range(size):
-            if rows[i][i] != 0:
-                raise ValueError(f"skeleton has a nonzero diagonal entry at {i}")
-            for j in range(size):
-                if rows[i][j] not in (0, 1):
-                    raise ValueError("skeleton entries must be 0 or 1")
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"skeleton not symmetric at ({i},{j})")
+        if any(x not in (0, 1) for row in rows for x in row):
+            raise ValueError("skeleton entries must be 0 or 1")
         object.__setattr__(self, "support", rows)
 
     @property
@@ -413,6 +425,7 @@ def search_weights(
         raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_partition_count(skeleton.size)
     if skeleton.min_row_support() < skeleton.m:
         return WeightSearchResult(matrix=None, attempts=0, seed=seed, budget=budget)
     size, m = skeleton.size, skeleton.m
@@ -421,8 +434,8 @@ def search_weights(
     blocks, comps = _partition_arrays(_partitions(size), m)
     rng = random.Random()
     # det_fits_int64 implies bound < 2**31, so every draw is one 32-bit word.
-    # Weights past the guard take det_exact block by block; one attempt at a
-    # time then keeps that cost to the attempts actually needed.
+    # Weights past the guard make det_batch eliminate on Python ints; one
+    # attempt at a time then keeps that cost to the attempts actually needed.
     fits = det_fits_int64(m, weight_bound)
     start, chunk = 0, SEARCH_CHUNK if fits else 1
     order = np.arange(len(blocks))
@@ -600,7 +613,7 @@ def graph_census(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     ``_unimodular_codes``).  Each survivor not yet seen is canonicalized
     against all n! relabellings at once, and all of its relabellings are
     marked seen, so every class is canonicalized once.  n = 8 runs in about
-    1 s.
+    0.7 s.
     """
     if not 2 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 2 <= n <= {CENSUS_MAX_N}, got {n}")

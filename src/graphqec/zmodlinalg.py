@@ -1,12 +1,14 @@
 """Exact integer linear algebra over Z and Z_d.
 
-Two kernel engines: ``kernel_mod_batch`` decides a whole batch of systems
-at once by numpy elimination over each prime-power factor Z_{p^k} of the
-modulus, combined by CRT; Smith normal form with tracked unimodular
-transforms runs on arbitrary-precision Python integers and serves moduli too
-large for int64 arithmetic.  Fraction-free Bareiss determinants complete the
-module.  Matrices are plain lists of row lists; operations that must work on
-matrices with zero rows take an explicit column count.
+``kernel_mod_batch`` decides a whole batch of systems at once by numpy
+elimination over each prime-power factor Z_{p^k} of the modulus, combined by
+CRT.  Moduli too large for int64 arithmetic go through a Smith normal form on
+arbitrary-precision Python integers instead; it tracks only the column
+transform the kernel is read off.  ``det_batch`` computes exact determinants
+of a stack by one vectorized fraction-free Bareiss loop, in int64 when the
+entries allow and on Python integers otherwise.  Matrices are plain lists of
+row lists; operations that must work on matrices with zero rows take an
+explicit column count.
 """
 
 from __future__ import annotations
@@ -16,33 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-IntMatrix = list[list[int]]
-
-
-def _copy(a) -> IntMatrix:
-    return [[int(x) for x in row] for row in a]
-
-
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 def _ncols_of(a, ncols: int | None) -> int:
@@ -61,45 +36,17 @@ def _ncols_of(a, ncols: int | None) -> int:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A = U * S * V with U, V unimodular and S in Smith normal form.
+    """The invariant factors of A and the inverse column transform.
 
-    ``v_inv`` is the inverse of V, kept because kernels are read off through
-    it: x solves A x = 0 (mod d) exactly when x = v_inv * y for y with
+    A = U * S * V with U, V unimodular and S in Smith normal form; ``diagonal``
+    is the diagonal of S and ``v_inv`` the inverse of V.  Kernels are read off
+    through it: x solves A x = 0 (mod d) exactly when x = v_inv * y for y with
     S y = 0 (mod d).
     """
 
-    u: tuple[tuple[int, ...], ...]
-    s: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
+    diagonal: tuple[int, ...]
     v_inv: tuple[tuple[int, ...], ...]
-    nrows: int
     ncols: int
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(self.nrows, self.ncols)
-        return tuple(self.s[i][i] for i in range(k))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-    def reconstruct(self) -> IntMatrix:
-        return _matmul(_matmul([list(r) for r in self.u], [list(r) for r in self.s]),
-                       [list(r) for r in self.v])
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Generators of {x in Z_d^n : A x = 0 mod d} as a Z_d-module."""
-
-    modulus: int
-    dimension: int
-    generators: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators
 
 
 def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
@@ -107,39 +54,26 @@ def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
 
     Pivot rule: smallest nonzero absolute value in the remaining block, ties
     broken by lowest (row, col).  The divisibility chain s_1 | s_2 | ... is
-    enforced and diagonal entries are normalized to be nonnegative.
+    enforced and diagonal entries are normalized to be nonnegative.  Row
+    operations act on the working matrix only; column operations also act on
+    ``v_inv``.
     """
     n = _ncols_of(a, ncols)
-    s = _copy(a)
+    s = [[int(x) for x in row] for row in a]
     m = len(s)
-    u = _identity(m)        # accumulates inverses of row ops: A = u * s * v
-    v = _identity(n)
-    v_inv = _identity(n)    # accumulates column ops: kernel vectors live here
-
-    def row_swap(i, k):
-        s[i], s[k] = s[k], s[i]
-        for r in u:
-            r[i], r[k] = r[k], r[i]
+    v_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_addmul(i, k, c):
         # row_i += c * row_k
         si, sk = s[i], s[k]
         for j in range(n):
             si[j] += c * sk[j]
-        for r in u:
-            r[k] -= c * r[i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        for r in u:
-            r[i] = -r[i]
 
     def col_swap(j, l):
         for row in s:
             row[j], row[l] = row[l], row[j]
         for row in v_inv:
             row[j], row[l] = row[l], row[j]
-        v[j], v[l] = v[l], v[j]
 
     def col_addmul(j, l, c):
         # col_j += c * col_l
@@ -147,16 +81,6 @@ def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
             row[j] += c * row[l]
         for row in v_inv:
             row[j] += c * row[l]
-        vl, vj = v[l], v[j]
-        for jj in range(n):
-            vl[jj] -= c * vj[jj]
-
-    def col_negate(j):
-        for row in s:
-            row[j] = -row[j]
-        for row in v_inv:
-            row[j] = -row[j]
-        v[j] = [-x for x in v[j]]
 
     def find_pivot(t):
         best = None
@@ -173,7 +97,7 @@ def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
         if pivot is None:
             break
         if pivot[0] != t:
-            row_swap(t, pivot[0])
+            s[t], s[pivot[0]] = s[pivot[0]], s[t]
         if pivot[1] != t:
             col_swap(t, pivot[1])
         while True:
@@ -184,7 +108,7 @@ def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
                 q = s[i][t] // s[t][t]
                 row_addmul(i, t, -q)
                 if s[i][t]:
-                    row_swap(t, i)
+                    s[t], s[i] = s[i], s[t]
                 continue
             j = next((j for j in range(t + 1, n) if s[t][j]), None)
             if j is not None:
@@ -204,22 +128,18 @@ def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
                 row_addmul(t, bad[0], 1)
                 continue
             break
-        if s[t][t] < 0:
-            row_negate(t)
         t += 1
 
     return SmithDecomposition(
-        u=tuple(tuple(r) for r in u),
-        s=tuple(tuple(r) for r in s),
-        v=tuple(tuple(r) for r in v),
+        diagonal=tuple(abs(s[i][i]) for i in range(min(m, n))),
         v_inv=tuple(tuple(r) for r in v_inv),
-        nrows=m,
         ncols=n,
     )
 
 
-def kernel_from_snf(snf: SmithDecomposition, d: int) -> KernelBasis:
-    """Kernel of x -> A x over Z_d read off a precomputed decomposition."""
+def kernel_from_snf(snf: SmithDecomposition, d: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of {x in Z_d^n : A x = 0 mod d}, read off a precomputed
+    decomposition of A."""
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     n = snf.ncols
@@ -235,7 +155,7 @@ def kernel_from_snf(snf: SmithDecomposition, d: int) -> KernelBasis:
         vec = tuple((step * snf.v_inv[i][j]) % d for i in range(n))
         if any(vec):
             generators.append(vec)
-    return KernelBasis(modulus=d, dimension=n, generators=tuple(generators))
+    return tuple(generators)
 
 
 def fits_int64(d: int, n: int) -> bool:
@@ -365,7 +285,7 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     if not fits_int64(d, n):
         out = np.zeros((batch, n, n), dtype=object)
         for b, a in enumerate(systems):
-            gens = kernel_from_snf(smith_normal_form(a.tolist(), ncols=n), d).generators
+            gens = kernel_from_snf(smith_normal_form(a.tolist(), ncols=n), d)
             if gens:
                 out[b, : len(gens)] = gens
         return out
@@ -378,35 +298,6 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
         idempotent = rest * pow(rest, -1, q) % d  # 1 mod q, 0 mod d / q
         out = (out + _local_kernel(residues, p, k) * idempotent % d) % d
     return out
-
-
-def det_exact(a) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Arbitrary-precision throughout; the interior divisions are exact by the
-    Bareiss identity.  The empty 0x0 matrix has determinant 1.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = _copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def det_fits_int64(m: int, bound: int) -> bool:
@@ -424,12 +315,14 @@ def det_batch(blocks) -> np.ndarray:
     """Exact determinants of a stack of square integer matrices.
 
     ``blocks`` is an (N, m, m) integer array, int64 or narrower, or Python
-    ints as nested lists or an object array.  When ``det_fits_int64`` holds
-    for the largest entry, fraction-free Bareiss elimination runs on the whole
-    stack at once in int64, each matrix taking as pivot the first nonzero
-    entry at or below the diagonal (a row swap flips its sign); the result is
-    an int64 array of shape (N,).  Otherwise each matrix goes through
-    ``det_exact`` and the result is an object array of Python ints.
+    ints as nested lists or an object array.  Fraction-free Bareiss
+    elimination runs on the whole stack at once, each matrix taking as pivot
+    the first nonzero entry at or below the diagonal (a row swap flips its
+    sign); the interior divisions are exact by the Bareiss identity.  When
+    ``det_fits_int64`` holds for the largest entry the loop runs in int64 and
+    the result is an int64 array of shape (N,); otherwise it runs on Python
+    ints and the result is an object array.  The empty 0x0 matrix has
+    determinant 1.
     """
     if not isinstance(blocks, np.ndarray):
         blocks = np.array(blocks, dtype=object)
@@ -442,15 +335,12 @@ def det_batch(blocks) -> np.ndarray:
         bound = max((abs(int(x)) for x in blocks.flat), default=0)
     else:
         raise ValueError(f"determinants need integer entries, got {blocks.dtype}")
-    if not det_fits_int64(m, bound):
-        out = np.empty(batch, dtype=object)
-        out[:] = [det_exact(block.tolist()) for block in blocks]
-        return out
-    a = blocks.astype(np.int64)
     if m == 0:
         return np.ones(batch, dtype=np.int64)
+    dtype = np.int64 if det_fits_int64(m, bound) else object
+    a = blocks.astype(dtype)
     sign = np.ones(batch, dtype=np.int64)
-    prev = np.ones(batch, dtype=np.int64)
+    prev = np.ones(batch, dtype=dtype)
     for k in range(m - 1):
         # A column with no pivot keeps pivot 0, which zeroes the rest of the
         # elimination and so the determinant.

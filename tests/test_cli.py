@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from graphqec import singleton
 from graphqec.cli import main
 from graphqec.graphcode import serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
@@ -261,6 +262,25 @@ class TestSubdetsCommand:
         assert code == 2
         assert out == ""
         assert "cannot certify" in err
+
+
+def write_cycle(path: Path, size: int) -> str:
+    edges = "".join(f"{v} {v + 1} 1\n" for v in range(size - 1))
+    path.write_text(f"vertices: {size}\ninputs: 0\n{edges}0 {size - 1} 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [("subdets", "--graph"), ("search", "--skeleton")])
+def test_partition_cap_exit_two(capsys, monkeypatch, tmp_path, command):
+    def refuse(size):
+        raise AssertionError("partitions listed past the cap")
+
+    monkeypatch.setattr(singleton, "_partitions", refuse)
+    path = write_cycle(tmp_path / "c26.graph", 26)
+    code, out, err = run_cli(capsys, *command, path)
+    assert code == 2
+    assert out == ""
+    assert "5200300 half-half partitions" in err and "2097152" in err
 
 
 class TestSearchCommand:

@@ -33,7 +33,7 @@ def snf_detected(graph, group, config) -> bool:
     error_pos = [i for i, c in enumerate(cols) if c not in graph.inputs]
     cross = graph.submatrix(graph.inputs, config)
     for d in group.factors:
-        for vec in kernel_from_snf(snf, d).generators:
+        for vec in kernel_from_snf(snf, d):
             if any(vec[p] for p in input_pos):
                 return False
             if any(sum(c * vec[p] for c, p in zip(row, error_pos)) % d for row in cross):

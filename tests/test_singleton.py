@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import det_exact
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects_errors, strong_detects
-from graphqec.zmodlinalg import det_exact, det_fits_int64
+from graphqec.zmodlinalg import det_fits_int64
 from graphqec import singleton
 from graphqec.graphcode import matrix19_code, wheel_code
 from graphqec.singleton import (
@@ -236,6 +237,41 @@ class TestRestricted:
     def test_too_many_inputs_rejected(self, matrix19):
         with pytest.raises(ValueError):
             restricted_subdets(matrix19.gamma, (0, 1, 2, 3, 4))
+
+
+def cycle(size: int) -> tuple[tuple[int, ...], ...]:
+    """Adjacency matrix of the cycle on ``size`` vertices."""
+    return tuple(
+        tuple(1 if (i - j) % size in (1, size - 1) else 0 for j in range(size))
+        for i in range(size)
+    )
+
+
+class TestPartitionCap:
+    """26 vertices have 5,200,300 half-half partitions, over the 2**21 cap;
+    24 have 1,352,078, under it."""
+
+    @pytest.fixture
+    def no_listing(self, monkeypatch):
+        def refuse(size):
+            raise AssertionError("partitions listed past the cap")
+
+        monkeypatch.setattr(singleton, "_partitions", refuse)
+
+    def test_reports_refuse_26_vertices(self, no_listing):
+        with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
+            offdiag_subdets(cycle(26))
+        with pytest.raises(ValueError, match="5200300 half-half partitions"):
+            restricted_subdets(cycle(26), (0,))
+
+    def test_search_refuses_26_vertices(self, no_listing):
+        with pytest.raises(ValueError, match="5200300 half-half partitions"):
+            search_weights(Skeleton(cycle(26)), 2, 0, 10)
+
+    def test_search_accepts_24_vertices(self, no_listing):
+        # a cycle starves every row, so the search ends before any listing
+        result = search_weights(Skeleton(cycle(24)), 2, 0, 10)
+        assert not result.success and result.attempts == 0
 
 
 class TestSkeleton:

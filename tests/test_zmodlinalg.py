@@ -6,17 +6,22 @@ import random
 
 import numpy as np
 import pytest
-from helpers import kernel_mod, kernel_trivial
+from helpers import det_exact, kernel_mod, kernel_trivial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphqec.zmodlinalg import (
     det_batch,
-    det_exact,
     det_fits_int64,
     fits_int64,
     kernel_mod_batch,
     prime_powers,
     smith_normal_form,
 )
+
+# Property tests draw from a fixed seed with a fixed example count, so every
+# run checks the same inputs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
 def cofactor_det(m):
@@ -59,6 +64,37 @@ def random_matrix(rng, rows, cols, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def check_smith_form(a, snf) -> None:
+    """The invariants that pin down a Smith normal form without U: with
+    s_1 | s_2 | ... the diagonal and r its rank, v_inv is unimodular, column j
+    of A * v_inv is divisible by s_j for j < r and zero from r on, and
+    s_1 ... s_k is the gcd of the k x k minors of A.  Together these say
+    A = U * S * V for a unimodular U."""
+    rows, n = len(a), snf.ncols
+    diag = snf.diagonal
+    assert len(diag) == min(rows, n)
+    assert all(x >= 0 for x in diag)
+    nonzero = [x for x in diag if x]
+    assert all(b % a_ == 0 for a_, b in zip(nonzero, nonzero[1:]))
+    # zeros trail the nonzero invariant factors
+    assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
+    v_inv = [list(r) for r in snf.v_inv]
+    assert abs(det_exact(v_inv)) == 1
+    for j in range(n):
+        col = [sum(row[k] * v_inv[k][j] for k in range(n)) for row in a]
+        if j < len(nonzero):
+            assert all(x % diag[j] == 0 for x in col)
+        else:
+            assert not any(col)
+    for k in range(1, len(diag) + 1):
+        minors = [
+            det_exact([[a[i][j] for j in cols] for i in rows_])
+            for rows_ in itertools.combinations(range(rows), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        assert math.prod(diag[:k]) == math.gcd(*minors)
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         snf = smith_normal_form([[2, 0], [0, 3]])
@@ -67,61 +103,63 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         snf = smith_normal_form([[0, 0], [0, 0]])
         assert snf.diagonal == (0, 0)
-        assert snf.reconstruct() == [[0, 0], [0, 0]]
+        assert snf.v_inv == ((1, 0), (0, 1))
 
     def test_single_row(self):
         snf = smith_normal_form([[1, 1]])
-        assert [list(r) for r in snf.s] == [[1, 0]]
+        assert snf.diagonal == (1,)
+        check_smith_form([[1, 1]], snf)
 
     def test_empty_rows(self):
         snf = smith_normal_form([], ncols=3)
-        assert snf.nrows == 0 and snf.ncols == 3
-        assert snf.v == snf.v_inv == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert snf.diagonal == () and snf.ncols == 3
+        assert snf.v_inv == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_randomized_invariants(self, seed):
         rng = random.Random(seed)
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, rows, cols)
-        snf = smith_normal_form(a)
-        assert snf.reconstruct() == a
-        assert abs(det_exact([list(r) for r in snf.u])) == 1
-        assert abs(det_exact([list(r) for r in snf.v])) == 1
-        diag = snf.diagonal
-        assert all(x >= 0 for x in diag)
-        nonzero = [x for x in diag if x]
-        assert all(b % a_ == 0 for a_, b in zip(nonzero, nonzero[1:]))
-        # zeros trail the nonzero invariant factors
-        assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
-        # v_inv really inverts v
-        n = snf.ncols
-        prod = [
-            [sum(snf.v[i][k] * snf.v_inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        check_smith_form(a, smith_normal_form(a))
 
     def test_deterministic(self):
         a = [[4, -6, 2], [6, 3, 9], [0, 5, -5]]
         assert smith_normal_form(a) == smith_normal_form(a)
 
+    @PROPERTY
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.integers(-4, 4) | st.integers(-(2**70), 2**70),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                max_size=4,
+            ).map(lambda a: (a, cols))
+        )
+    )
+    def test_invariants_property(self, case):
+        a, cols = case
+        check_smith_form(a, smith_normal_form(a, ncols=cols))
+
 
 class TestKernelMod:
     def test_two_mod_four(self):
-        assert kernel_mod([[2]], 4).generators == ((2,),)
+        assert kernel_mod([[2]], 4) == ((2,),)
 
     def test_ones_mod_two(self):
-        assert kernel_mod([[1, 1]], 2).generators == ((1, 1),)
+        assert kernel_mod([[1, 1]], 2) == ((1, 1),)
 
     def test_wheel_system_trivial(self):
         a = [[1, 0, 1], [1, 0, 0], [1, 1, 0]]
-        assert kernel_mod(a, 2).is_trivial
+        assert not kernel_mod(a, 2)
         for d in (3, 4, 5, 6):
             assert kernel_trivial(a, d)
 
     def test_zero_rows_full_kernel(self):
-        basis = kernel_mod([], 3, ncols=2)
-        assert spanned_set(basis.generators, 3, 2) == set(
+        generators = kernel_mod([], 3, ncols=2)
+        assert spanned_set(generators, 3, 2) == set(
             itertools.product(range(3), repeat=2)
         )
 
@@ -135,10 +173,10 @@ class TestKernelMod:
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         d = rng.choice([2, 3, 4, 5, 6, 9])
         a = random_matrix(rng, rows, cols)
-        basis = kernel_mod(a, d)
-        assert basis.modulus == d and basis.dimension == cols
-        assert len(basis.generators) <= cols
-        for gen in basis.generators:
+        generators = kernel_mod(a, d)
+        assert len(generators) <= cols
+        for gen in generators:
+            assert len(gen) == cols
             assert all(0 <= x < d for x in gen)
             assert any(gen)
             assert all(
@@ -151,8 +189,7 @@ class TestKernelMod:
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         d = rng.choice([2, 3, 4, 5])
         a = random_matrix(rng, rows, cols)
-        basis = kernel_mod(a, d)
-        assert spanned_set(basis.generators, d, cols) == brute_force_kernel(a, d, cols)
+        assert spanned_set(kernel_mod(a, d), d, cols) == brute_force_kernel(a, d, cols)
 
     def test_composite_modulus_exhaustive(self):
         # composite moduli exercise the non-field path
@@ -160,8 +197,7 @@ class TestKernelMod:
             for seed in range(8):
                 rng = random.Random(3000 + 10 * d + seed)
                 a = random_matrix(rng, 3, 3, -2, 2)
-                basis = kernel_mod(a, d)
-                assert spanned_set(basis.generators, d, 3) == brute_force_kernel(a, d, 3)
+                assert spanned_set(kernel_mod(a, d), d, 3) == brute_force_kernel(a, d, 3)
 
 
 def batch_generators(gens_array):
@@ -181,7 +217,7 @@ class TestKernelModBatch:
             for a, block in zip(batch, gens):
                 span = spanned_set(batch_generators(block), d, cols)
                 assert span == brute_force_kernel(a, d, cols)
-                assert span == spanned_set(kernel_mod(a, d, ncols=cols).generators, d, cols)
+                assert span == spanned_set(kernel_mod(a, d, ncols=cols), d, cols)
 
     def test_zero_rows_give_the_whole_space(self):
         gens = kernel_mod_batch(np.zeros((2, 0, 3), dtype=np.int64), 6)
@@ -221,7 +257,7 @@ class TestKernelModBatch:
             for gen in gens:
                 assert all(0 <= x < d for x in gen)
                 assert all(sum(c * x for c, x in zip(row, gen)) % d == 0 for row in a)
-            reference = kernel_mod(a, d).generators
+            reference = kernel_mod(a, d)
             if d == 7:
                 assert block.dtype == np.int64
                 assert spanned_set(gens, d, cols) == brute_force_kernel(a, d, cols)
@@ -230,6 +266,30 @@ class TestKernelModBatch:
                 # above the switch the batch runs one SNF per system
                 assert block.dtype == object
                 assert gens == list(reference)
+
+    @PROPERTY
+    @given(
+        st.sampled_from([2, 3, 4, 5, 6, 8, 9]),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_spans_brute_force_property(self, d, rows, cols, data):
+        entries = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+        batch = data.draw(
+            st.lists(
+                st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        systems = np.zeros((len(batch), rows, cols), dtype=object)
+        for b, a in enumerate(batch):
+            for i, row in enumerate(a):
+                systems[b, i] = row
+        for a, block in zip(batch, kernel_mod_batch(systems, d)):
+            assert spanned_set(batch_generators(block), d, cols) == brute_force_kernel(a, d, cols)
 
     def test_prime_powers(self):
         assert prime_powers(360) == ((2, 3), (3, 2), (5, 1))
@@ -244,32 +304,44 @@ class TestKernelModBatch:
 
 
 class TestDeterminant:
+    """``det_batch`` against worked examples and an independent cofactor
+    expansion, and the ``det_exact`` reference the other tests use."""
+
     def test_examples(self):
+        assert det_batch([[[1, 2], [3, 4]]]).tolist() == [-2]
+        assert det_batch(np.eye(4, dtype=np.int64)[None]).tolist() == [1]
+        assert det_batch([[[0, 0], [1, 1]]]).tolist() == [0]
+        assert det_batch(np.zeros((1, 0, 0), dtype=np.int64)).tolist() == [1]
         assert det_exact([[1, 2], [3, 4]]) == -2
-        eye4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        assert det_exact(eye4) == 1
-        assert det_exact([[0, 0], [1, 1]]) == 0
         assert det_exact([]) == 1
 
     def test_wheel_block_unimodular(self):
         # block linking {0,1,2} to {3,4,5} in the wheel graph
-        assert det_exact([[1, 0, 1], [1, 0, 0], [1, 1, 0]]) == 1
+        assert det_batch([[[1, 0, 1], [1, 0, 0], [1, 1, 0]]]).tolist() == [1]
 
     def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            det_batch([[[1, 2, 3], [4, 5, 6]]])
         with pytest.raises(ValueError):
             det_exact([[1, 2, 3], [4, 5, 6]])
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(7)
+        by_size = {n: [] for n in range(1, 5)}
         for _ in range(10_000):
             n = rng.randint(1, 4)
-            a = random_matrix(rng, n, n, -5, 5)
-            assert det_exact(a) == cofactor_det(a)
+            by_size[n].append(random_matrix(rng, n, n, -5, 5))
+        for n, blocks in by_size.items():
+            want = [cofactor_det(a) for a in blocks]
+            assert det_batch(object_stack(blocks, n)).tolist() == want
+            assert [det_exact(a) for a in blocks] == want
 
     def test_big_entries_stay_exact(self):
         rng = random.Random(11)
         a = random_matrix(rng, 5, 5, -(10**12), 10**12)
-        assert det_exact(a) == cofactor_det(a)
+        got = det_batch([a])
+        assert got.dtype == object
+        assert got.tolist() == [cofactor_det(a)] == [det_exact(a)]
 
 
 def object_stack(blocks, m):
@@ -282,7 +354,7 @@ def object_stack(blocks, m):
 
 
 class TestDetBatch:
-    """The batched Bareiss kernel against ``det_exact``, one matrix at a time."""
+    """The batched Bareiss loop against ``det_exact``, one matrix at a time."""
 
     @pytest.mark.parametrize("m", range(7))
     def test_random_stacks(self, m):
@@ -351,6 +423,29 @@ class TestDetBatch:
         eye = np.eye(3, dtype=bool)[None]
         assert det_batch(eye).tolist() == [1]
         assert det_batch([[[1, 2], [3, 4]]]).tolist() == [-2]
+
+    @PROPERTY
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.sampled_from([1, 3, 1000, 10**6, 2**40, 10**30]).flatmap(
+                    lambda bound: st.lists(
+                        st.lists(st.integers(-bound, bound), min_size=m * m, max_size=m * m),
+                        min_size=1,
+                        max_size=8,
+                    )
+                ),
+            )
+        )
+    )
+    def test_matches_reference_property(self, case):
+        m, flat = case
+        blocks = [[row[i * m : (i + 1) * m] for i in range(m)] for row in flat]
+        got = det_batch(object_stack(blocks, m))
+        bound = max((abs(x) for row in flat for x in row), default=0)
+        assert got.dtype == (np.int64 if det_fits_int64(m, bound) else object)
+        assert got.tolist() == [det_exact(block) for block in blocks]
 
     def test_rejects_bad_shapes_and_dtypes(self):
         with pytest.raises(ValueError):
