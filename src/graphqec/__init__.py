@@ -17,7 +17,6 @@ _SOURCES = {
         "detects_errors",
         "input_exchange_check",
         "is_isometry_condition",
-        "strong_detects",
     ),
     "graphcode": (
         "WeightedGraph",
@@ -27,14 +26,13 @@ _SOURCES = {
         "tenfold_code",
         "wheel_code",
     ),
-    "oracle": ("CodeIsometry", "build_isometry", "check_isometry", "kl_detects", "omega_table"),
+    "oracle": ("CodeIsometry", "build_isometry", "check_isometry", "kl_detects"),
     "singleton": (
         "DeterminantReport",
         "Skeleton",
         "graph_census",
         "is_strongly_ec",
         "offdiag_subdets",
-        "restricted_bad_primes",
         "search_weights",
     ),
 }

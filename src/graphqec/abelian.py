@@ -37,9 +37,6 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return len(self.factors)
 
-    def __str__(self) -> str:
-        return "Z" + "xZ".join(str(d) for d in self.factors)
-
 
 def make_group(factors) -> FiniteAbelianGroup:
     """Build a group from a list of cyclic factor sizes (each >= 2)."""

@@ -2,13 +2,15 @@
 
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
-usage or input errors, including sweeps over more than 2**22
-configurations, reports and searches over more than 2**21 vertex
-partitions, and search bounds too large to certify the bad primes of a
-hit.  JSON goes to stdout, diagnostics to stderr.  The only
-environment knob is GRAPHQEC_WORKERS, an optional worker count for sweeps
-(clamped to the CPU count and to the sweep's number of chunks); identical
-inputs always produce byte-identical stdout.
+usage or input errors, including graph files declaring more than 2,048
+vertices, sweeps over more than 2**22 configurations, reports and searches
+over more than 2**21 vertex partitions, and search bounds too large to
+certify the bad primes of a hit.  A sweep's --oracle cross-check is skipped,
+with a warning, on instances over the oracle's size cap.  JSON goes to
+stdout, diagnostics to stderr.  The only environment knob is
+GRAPHQEC_WORKERS, an optional worker count for sweeps (clamped to the CPU
+count and to the sweep's number of chunks); identical inputs always produce
+byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .graphcode import BUILTIN_GRAPHS, WeightedGraph, describe, parse_graph
 EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
+
+INPUTS_HELP = "override the input vertex set, e.g. '3' or '0,1'"
 
 
 def _emit(payload: dict) -> None:
@@ -72,7 +76,7 @@ def _load_graph(args) -> WeightedGraph:
     return graph
 
 
-def _add_graph_flags(sub, with_inputs=True):
+def _add_graph_flags(sub):
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", metavar="FILE", help="graph file to load")
     src.add_argument(
@@ -80,12 +84,6 @@ def _add_graph_flags(sub, with_inputs=True):
         choices=sorted(BUILTIN_GRAPHS),
         help="use a built-in graph",
     )
-    if with_inputs:
-        sub.add_argument(
-            "--inputs",
-            metavar="LIST",
-            help="override the input vertex set, e.g. '3' or '0,1'",
-        )
 
 
 def _cmd_detect(args) -> int:
@@ -110,18 +108,16 @@ def _cmd_sweep(args) -> int:
     else:
         report = detector.corrects_errors(graph, group, args.correct, workers=workers)
     _info(f"sweep finished in {report.elapsed_s:.3f}s")
-    payload = report.to_dict(include_elapsed=False)
+    payload = report.to_dict()
 
     exit_code = EXIT_OK if report.all_detected else EXIT_CLAIM_FAILS
     if args.oracle:
         from . import oracle
 
-        total = group.order ** graph.n
-        if total > oracle.DEFAULT_SIZE_CAP:
-            _info(
-                f"warning: oracle skipped, instance size {total} exceeds cap "
-                f"{oracle.DEFAULT_SIZE_CAP}"
-            )
+        try:
+            oracle.check_size(graph, group)
+        except ValueError as exc:
+            _info(f"warning: oracle skipped: {exc}")
             payload["oracle"] = {"checked": 0, "skipped": "size cap exceeded"}
         else:
             iso = oracle.build_isometry(graph, group)
@@ -243,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="verdict for one error configuration")
     _add_graph_flags(p)
+    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
     p.add_argument("--group", default="2",
                    help="comma-separated cyclic factors (default: 2)")
     p.add_argument("--config", required=True, metavar="LIST",
@@ -251,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep all configurations up to a size")
     _add_graph_flags(p)
+    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
     p.add_argument("--group", default="2",
                    help="comma-separated cyclic factors (default: 2)")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("subdets", help="off-diagonal block determinant report")
-    _add_graph_flags(p, with_inputs=False)
+    _add_graph_flags(p)
     p.add_argument("--inputs", metavar="LIST", default=None,
                    help="restrict to partitions keeping these input vertices together")
     p.set_defaults(handler=_cmd_subdets)
@@ -287,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="dump the code matrix as CSV plus a JSON header")
     _add_graph_flags(p)
+    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
     p.add_argument("--group", default="2",
                    help="comma-separated cyclic factors (default: 2)")
     p.add_argument("--out", required=True, metavar="FILE", help="CSV output path")

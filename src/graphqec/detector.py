@@ -102,7 +102,7 @@ class SweepReport:
     max_size: int
     errors: int | None
     sizes: tuple[SizeSummary, ...]
-    elapsed_s: float
+    elapsed_s: float  # wall time of the sweep, for diagnostics; not in to_dict
 
     @property
     def all_detected(self) -> bool:
@@ -112,7 +112,7 @@ class SweepReport:
     def undetected(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cfg for s in self.sizes for cfg in s.undetected)
 
-    def to_dict(self, include_elapsed: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "graph": self.graph_id,
             "inputs": list(self.graph_inputs),
@@ -132,8 +132,6 @@ class SweepReport:
         }
         if self.errors is not None:
             out["errors"] = self.errors
-        if include_elapsed:
-            out["elapsed_s"] = self.elapsed_s
         return out
 
 
@@ -228,13 +226,6 @@ def detects(
         detected=True,
         certificate=tuple(certificate),
     )
-
-
-def strong_detects(graph: WeightedGraph, group: FiniteAbelianGroup, config) -> bool:
-    """The stricter condition: the detection system has trivial kernel
-    modulo every cyclic factor (implies ``detects``)."""
-    checks = _kernel_checks(graph, group, [validated_config(graph, config)])
-    return not any(gens.any() for gens, _, _ in checks.values())
 
 
 def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bool:

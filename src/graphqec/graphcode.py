@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 IntMatrix = list[list[int]]
 
+# Largest vertex count a graph file may declare: n**2 = 2**22 matrix entries,
+# the bound of the sweep and oracle caps.
+MAX_VERTICES = 2048
+
 
 def symmetric_matrix(matrix, name: str = "gamma") -> tuple[tuple[int, ...], ...]:
     """The rows of a square, symmetric integer matrix with zero diagonal, as
@@ -55,15 +59,6 @@ class WeightedGraph:
         taken = set(self.inputs)
         return tuple(v for v in range(self.n) if v not in taken)
 
-    def weight(self, u: int, v: int) -> int:
-        return self.gamma[u][v]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(self.n) if self.gamma[v][u] != 0)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edges(self) -> list[tuple[int, int, int]]:
         """Edges as (u, v, weight) with u < v, lexicographic."""
         return [
@@ -77,12 +72,8 @@ class WeightedGraph:
         """The block gamma[rows, cols] in the given vertex orders."""
         return [[self.gamma[k][l] for l in cols] for k in rows]
 
-    def with_inputs(self, new_inputs, name: str | None = None) -> "WeightedGraph":
-        return WeightedGraph(
-            self.gamma,
-            tuple(new_inputs),
-            name=self.name if name is None else name,
-        )
+    def with_inputs(self, new_inputs) -> "WeightedGraph":
+        return WeightedGraph(self.gamma, tuple(new_inputs), name=self.name)
 
     @classmethod
     def from_edges(cls, n: int, edges, inputs, name: str = "") -> "WeightedGraph":
@@ -118,7 +109,8 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
     Line 1: ``vertices: <n>``.  Line 2: ``inputs: <comma-separated 0-based
     indices>`` (may be empty).  Every further line is one undirected edge
     ``<u> <v> <w>`` with u < v and a nonzero integer weight; unlisted pairs
-    have weight 0.  ``#`` starts a comment.
+    have weight 0.  ``#`` starts a comment.  A vertex count above
+    MAX_VERTICES is refused before anything is allocated.
     """
     lines: list[str] = []
     for raw in text.splitlines():
@@ -133,8 +125,8 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
         n = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ValueError(f"bad vertex count in {lines[0]!r}") from None
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     if not lines[1].startswith("inputs:"):
         raise ValueError(f"expected 'inputs: <indices>', got {lines[1]!r}")
     inputs_text = lines[1].split(":", 1)[1].strip()

@@ -24,8 +24,10 @@ import numpy as np
 from .abelian import FiniteAbelianGroup
 from .graphcode import WeightedGraph, describe, validated_config
 
-DEFAULT_SIZE_CAP = 2**22
-DEFAULT_TOL = 1e-8
+# Largest code matrix built, in |G|^n entries (the sweep cap, 2**22).
+SIZE_CAP = 2**22
+# Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,27 +61,26 @@ def _assignment_codes(count: int, positions: int, order: int) -> np.ndarray:
     return codes
 
 
-def _check_cap(graph: WeightedGraph, group: FiniteAbelianGroup, size_cap: int) -> None:
+def check_size(graph: WeightedGraph, group: FiniteAbelianGroup) -> None:
+    """ValueError when the instance exceeds SIZE_CAP; the oracle runs only
+    on instances that pass."""
     total = group.order ** graph.n
-    if total > size_cap:
+    if total > SIZE_CAP:
         raise ValueError(
             f"oracle instance size |G|^(n) = {group.order}^{graph.n} = {total} "
-            f"exceeds the cap {size_cap}"
+            f"exceeds the cap {SIZE_CAP}"
         )
 
 
-def build_isometry(
-    graph: WeightedGraph,
-    group: FiniteAbelianGroup,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> CodeIsometry:
+def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsometry:
     """Materialize the code map as a |G|^|Y| x |G|^|X| complex matrix.
 
     Each entry is |G|^(-|Y|/2) times a root of unity whose exact rational
     exponent is accumulated per cyclic factor over all weighted vertex pairs;
-    floats enter only in the final exponential.
+    floats enter only in the final exponential.  Instances failing
+    ``check_size`` are refused before anything is allocated.
     """
-    _check_cap(graph, group, size_cap)
+    check_size(graph, group)
     xs, ys = graph.inputs, graph.outputs
     order = group.order
     n_rows = order ** len(ys)
@@ -118,11 +119,11 @@ def build_isometry(
     )
 
 
-def check_isometry(isometry: CodeIsometry, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the columns are orthonormal within ``tol`` entrywise."""
+def check_isometry(isometry: CodeIsometry) -> bool:
+    """True iff the columns are orthonormal within TOL entrywise."""
     v = isometry.matrix
     gram = v.conj().T @ v
-    return bool(np.abs(gram - np.eye(v.shape[1])).max() < tol)
+    return bool(np.abs(gram - np.eye(v.shape[1])).max() < TOL)
 
 
 def _error_leg_matrix(
@@ -143,14 +144,11 @@ def _error_leg_matrix(
 
 
 def _isometry_for(
-    graph: WeightedGraph,
-    group: FiniteAbelianGroup,
-    size_cap: int,
-    isometry: CodeIsometry | None,
+    graph: WeightedGraph, group: FiniteAbelianGroup, isometry: CodeIsometry | None
 ) -> CodeIsometry:
     """Build the isometry, or check that a given one belongs to (graph, group)."""
     if isometry is None:
-        return build_isometry(graph, group, size_cap=size_cap)
+        return build_isometry(graph, group)
     if isometry.group != group:
         raise ValueError(
             f"isometry is over the group {list(isometry.group.factors)}, "
@@ -184,71 +182,39 @@ def _compressions(
         yield block.reshape(hi - lo, cols, n_e, cols).transpose(0, 2, 1, 3)
 
 
-def _all_scalar(compressed: np.ndarray, tol: float) -> bool:
+def _all_scalar(compressed: np.ndarray) -> bool:
     """True iff every matrix in the stack is a multiple of the identity:
-    off-diagonal entries below ``tol`` and diagonal entries mutually within
-    ``tol``."""
+    off-diagonal entries below TOL and diagonal entries mutually within
+    TOL."""
     cols = compressed.shape[-1]
     off_mask = ~np.eye(cols, dtype=bool)
-    if np.abs(compressed[..., off_mask]).max(initial=0.0) >= tol:
+    if np.abs(compressed[..., off_mask]).max(initial=0.0) >= TOL:
         return False
     diag = np.einsum("abcc->abc", compressed)
     spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(initial=0.0)
-    return bool(spread < tol)
+    return bool(spread < TOL)
 
 
 def kl_detects(
     graph: WeightedGraph,
     group: FiniteAbelianGroup,
     config,
-    tol: float = DEFAULT_TOL,
-    size_cap: int = DEFAULT_SIZE_CAP,
     isometry: CodeIsometry | None = None,
 ) -> bool:
     """Knill-Laflamme check over all rank-one operators localized in config.
 
     For every pair of error-leg assignments (a, b) the compressed operator
     M = V* (|a><b| (x) id) V must be a scalar multiple of the identity:
-    off-diagonal entries below ``tol`` and diagonal entries mutually within
-    ``tol``.  Rank-one operators span everything localized in the
+    off-diagonal entries below TOL and diagonal entries mutually within
+    TOL.  Rank-one operators span everything localized in the
     configuration, so this is exhaustive.  ``isometry`` must have been built
     for ``graph`` and ``group`` (ValueError otherwise).
     """
     cfg = validated_config(graph, config)
-    isometry = _isometry_for(graph, group, size_cap, isometry)
+    isometry = _isometry_for(graph, group, isometry)
     if isometry.cols <= 1:
         return True  # any 1x1 compression is a scalar multiple of identity
-    return all(_all_scalar(m, tol) for m in _compressions(isometry, cfg))
-
-
-def omega_table(
-    graph: WeightedGraph,
-    group: FiniteAbelianGroup,
-    config,
-    tol: float = DEFAULT_TOL,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    isometry: CodeIsometry | None = None,
-) -> dict:
-    """Observed proportionality scalars, keyed by pairs of error-leg
-    assignments (tuples of group elements).  Raises if the configuration is
-    not detected, or if ``isometry`` was not built for ``graph`` and
-    ``group``."""
-    cfg = validated_config(graph, config)
-    isometry = _isometry_for(graph, group, size_cap, isometry)
-    assignments = list(
-        itertools.product(itertools.product(*(range(d) for d in group.factors)),
-                          repeat=len(cfg))
-    )
-    table: dict = {}
-    rows = iter(assignments)
-    for compressed in _compressions(isometry, cfg):
-        if not _all_scalar(compressed, tol):
-            raise ValueError(f"configuration {cfg} is not detected")
-        lam = np.einsum("abcc->abc", compressed).mean(axis=2)
-        for lam_a, a in zip(lam, rows):
-            for b, value in zip(assignments, lam_a):
-                table[(a, b)] = complex(value)
-    return table
+    return all(_all_scalar(m) for m in _compressions(isometry, cfg))
 
 
 def isometry_header(isometry: CodeIsometry) -> dict:

@@ -20,16 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcode import symmetric_matrix
-from .zmodlinalg import det_batch, det_fits_int64
+from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors
 
-# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
-# (Sorenson and Webster, Math. Comp. 86, 2017); larger numbers that pass
-# every base cannot be certified prime here.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-# Pollard rho steps before a cofactor counts as unfactorable: several times
-# the expected count for a factor below the square root of _MR_EXACT_BELOW.
-_RHO_STEPS = 1 << 22
 # Largest number of half-half partitions a report or search lists: 2**21
 # admits up to 24 vertices (1,352,078 partitions) and refuses 26 (5,200,300).
 MAX_PARTITIONS = 1 << 21
@@ -37,10 +29,10 @@ MAX_PARTITIONS = 1 << 21
 
 def certifiable_bound(m: int, bound: int) -> bool:
     """True when every m x m block with entries of absolute value at most
-    ``bound`` has a determinant below _MR_EXACT_BELOW, so that
+    ``bound`` has a determinant below MR_EXACT_BELOW, so that
     ``prime_factors`` can certify its factors.  Hadamard's inequality bounds
     a block determinant by m**(m/2) * bound**m."""
-    return m**m * bound ** (2 * m) < _MR_EXACT_BELOW**2
+    return m**m * bound ** (2 * m) < MR_EXACT_BELOW**2
 
 
 def largest_certifiable_bound(m: int) -> int:
@@ -52,101 +44,6 @@ def largest_certifiable_bound(m: int) -> int:
         mid = (low + high) // 2
         low, high = (mid, high) if certifiable_bound(m, mid) else (low, mid)
     return low
-
-
-def is_prime(d: int) -> bool:
-    """Deterministic Miller-Rabin test.
-
-    Raises ValueError for a number of at least 3.3e24 that passes every base,
-    since its primality cannot be certified.
-    """
-    d = int(d)
-    if d < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if d % p == 0:
-            return d == p
-    odd = d - 1
-    twos = 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, odd, d)
-        if x in (1, d - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % d
-            if x == d - 1:
-                break
-        else:
-            return False
-    if d >= _MR_EXACT_BELOW:
-        raise ValueError(
-            f"cannot certify that {d} is prime: it passes Miller-Rabin to the "
-            f"first 13 prime bases, which is proven only below {_MR_EXACT_BELOW}"
-        )
-    return True
-
-
-def _rho_divisor(n: int) -> int:
-    """A proper divisor of the composite n, by Brent's variant of Pollard's
-    rho; raises ValueError past _RHO_STEPS steps."""
-    steps = 0
-    for c in itertools.count(1):
-        y, power, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(power):
-                y = (y * y + c) % n
-            done = 0
-            while done < power and g == 1:
-                saved = y
-                for _ in range(min(128, power - done)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                done += 128
-            steps += 2 * power
-            if steps > _RHO_STEPS:
-                raise ValueError(f"cannot factor {n} within {_RHO_STEPS} Pollard rho steps")
-            power *= 2
-        if g == n:
-            # The batched product hit 0 mod n: redo the last batch one step
-            # at a time.
-            g = 1
-            while g == 1:
-                saved = (saved * saved + c) % n
-                g = math.gcd(abs(x - saved), n)
-        if g != n:
-            return g
-
-
-def prime_factors(n: int) -> frozenset[int]:
-    """Prime divisors of |n| for nonzero n; 0 and +-1 yield the empty set.
-
-    Small primes by trial division, then Pollard rho split until every
-    cofactor passes ``is_prime``.  Raises ValueError when a cofactor can be
-    neither certified prime nor split within the step limit.
-    """
-    n = abs(int(n))
-    out: set[int] = set()
-    if n <= 1:
-        return frozenset()
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-    pending = [n] if n > 1 else []
-    while pending:
-        c = pending.pop()
-        if is_prime(c):
-            out.add(c)
-        else:
-            f = _rho_divisor(c)
-            pending += [f, c // f]
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -222,7 +119,10 @@ def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> 
 
 def _report(rows, m, partitions) -> DeterminantReport:
     blocks, comps = _partition_arrays(partitions, m)
-    gamma = np.array(rows, dtype=object)
+    # int64 weights let det_batch read its guard bound with numpy; only
+    # weights past int64 need Python ints.
+    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
+    gamma = np.array(rows, dtype=np.int64 if fits else object)
     # Batches of at most _STACK_ENTRIES block entries bound the memory of
     # the stacked blocks, which hold Python ints past the int64 guard.
     step = max(1, _STACK_ENTRIES // (m * m))
@@ -280,14 +180,6 @@ def restricted_subdets(gamma, fixed_inputs) -> DeterminantReport:
         if fixed_set <= set(block) or fixed_set <= set(comp)
     ]
     return _report(rows, m, relevant)
-
-
-def restricted_bad_primes(gamma, fixed_inputs) -> frozenset[int]:
-    """Bad primes over the partitions relevant for the given input set."""
-    report = restricted_subdets(gamma, fixed_inputs)
-    if report.has_zero_det:
-        raise ValueError("a relevant block determinant is zero: every prime is bad")
-    return report.bad_primes
 
 
 @dataclass(frozen=True)

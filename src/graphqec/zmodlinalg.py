@@ -2,7 +2,9 @@
 
 ``kernel_mod_batch`` decides a whole batch of systems at once by numpy
 elimination over each prime-power factor Z_{p^k} of the modulus, combined by
-CRT.  Moduli too large for int64 arithmetic go through a Smith normal form on
+CRT; ``prime_factors`` (Pollard rho with certified Miller-Rabin) splits the
+modulus and also serves the bad-prime sets of determinant reports.  Moduli
+too large for int64 arithmetic go through a Smith normal form on
 arbitrary-precision Python integers instead; it tracks only the column
 transform the kernel is read off.  ``det_batch`` computes exact determinants
 of a stack by one vectorized fraction-free Bareiss loop, in int64 when the
@@ -14,6 +16,7 @@ explicit column count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,23 +174,123 @@ def fits_int64(d: int, n: int) -> bool:
     return max(n, 1) * (d - 1) ** 2 < 2**63
 
 
+# Miller-Rabin to the first 13 prime bases is exact below MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger numbers that pass
+# every base cannot be certified prime here.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# Pollard rho steps before a cofactor counts as unfactorable: several times
+# the expected count for a factor below the square root of MR_EXACT_BELOW.
+_RHO_STEPS = 1 << 22
+
+
+def is_prime(d: int) -> bool:
+    """Deterministic Miller-Rabin test.
+
+    Raises ValueError for a number of at least 3.3e24 that passes every base,
+    since its primality cannot be certified.
+    """
+    d = int(d)
+    if d < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if d % p == 0:
+            return d == p
+    odd = d - 1
+    twos = 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, d)
+        if x in (1, d - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
+            return False
+    if d >= MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot certify that {d} is prime: it passes Miller-Rabin to the "
+            f"first 13 prime bases, which is proven only below {MR_EXACT_BELOW}"
+        )
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, by Brent's variant of Pollard's
+    rho; raises ValueError past _RHO_STEPS steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, power, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            steps += 2 * power
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n} within {_RHO_STEPS} Pollard rho steps")
+            power *= 2
+        if g == n:
+            # The batched product hit 0 mod n: redo the last batch one step
+            # at a time.
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def prime_factors(n: int) -> frozenset[int]:
+    """Prime divisors of |n| for nonzero n; 0 and +-1 yield the empty set.
+
+    Small primes by trial division, then Pollard rho split until every
+    cofactor passes ``is_prime``.  Raises ValueError when a cofactor can be
+    neither certified prime nor split within the step limit.
+    """
+    n = abs(int(n))
+    out: set[int] = set()
+    if n <= 1:
+        return frozenset()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        c = pending.pop()
+        if is_prime(c):
+            out.add(c)
+        else:
+            f = _rho_divisor(c)
+            pending += [f, c // f]
+    return frozenset(out)
+
+
 @functools.lru_cache(maxsize=256)
 def prime_powers(d: int) -> tuple[tuple[int, int], ...]:
-    """(p, k) for every prime power p**k exactly dividing d, by trial division."""
+    """(p, k) for every prime power p**k exactly dividing d, in increasing p."""
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     out = []
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            k = 0
-            while d % p == 0:
-                d //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if d > 1:
-        out.append((d, 1))
+    for p in sorted(prime_factors(d)):
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        out.append((p, k))
     return tuple(out)
 
 
@@ -231,10 +334,9 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
     batch, m, n = a.shape
     basis = np.tile(np.eye(n, dtype=np.int64), (batch, 1, 1))  # basis[b, j] = column j
     scale = np.ones((batch, n), dtype=np.int64)
-    free = np.ones((batch, m, n), dtype=bool)  # rows and columns not yet pivots
     at = np.arange(batch)
     for _ in range(min(m, n)):
-        flat = np.where(free, _valuation(a, p, k), k).reshape(batch, -1)
+        flat = _valuation(a, p, k).reshape(batch, -1)
         pos = flat.argmin(axis=1)
         v = flat[at, pos].astype(np.int64)
         found = v < k
@@ -252,17 +354,15 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
         f = a[at, :, c] // pv[:, None] * inv[:, None] % q
         f[at, r] = 0
         a = (a - f[:, :, None] * pivot_row[:, None, :]) % q
-        # Column operations clear row r; in the matrix they only zero the
-        # row's other entries, in the transform they act on the basis.
+        # Column operations clear row r; in the transform they act on the
+        # basis.  In the matrix the pivot row is zeroed, pivot included:
+        # column c is already zero elsewhere, so a finished row and column
+        # read as zero and never compete again.
         g = pivot_row // pv[:, None] * inv[:, None] % q
         g[at, c] = 0
         basis = (basis - g[:, :, None] * basis[at, c][:, None, :]) % q
-        b, r, c = at[found], r[found], c[found]
-        a[b, r] = 0
-        a[b, r, c] = pivot_row[found, c]
-        free[b, r, :] = False
-        free[b, :, c] = False
-        scale[b, c] = p ** (k - v[found]) % q  # 0, not q, when v = 0
+        a[at, r] = 0
+        scale[at[found], c[found]] = p ** (k - v[found]) % q  # 0, not q, when v = 0
     return basis * scale[:, :, None] % q
 
 

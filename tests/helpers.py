@@ -1,5 +1,5 @@
-"""Shared test utilities: random instances, reference kernels and
-determinants, and verdict re-verification."""
+"""Shared test utilities: random instances, reference kernels, strong
+detection and determinants, and verdict re-verification."""
 
 from __future__ import annotations
 
@@ -29,6 +29,13 @@ def kernel_mod(a, d: int, ncols: int | None = None) -> tuple[tuple[int, ...], ..
 def kernel_trivial(a, d: int, ncols: int | None = None) -> bool:
     """True iff the only solution of A x = 0 (mod d) is x = 0."""
     return not kernel_mod(a, d, ncols=ncols)
+
+
+def strong_detects(graph, group, config) -> bool:
+    """Reference for the stricter condition: the detection system has
+    trivial kernel modulo every cyclic factor (implies detection)."""
+    _, cols, system = detection_system(graph, config)
+    return all(kernel_trivial(system, d, ncols=len(cols)) for d in group.factors)
 
 
 def det_exact(a) -> int:

@@ -146,4 +146,5 @@ class TestNondegeneracy:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            build_isometry(EDGE, make_group([5, 5]), size_cap=10)
+            # (5 * 5)**5 > 2**22, the oracle's size cap
+            build_isometry(WeightedGraph.from_edges(5, [(0, 1, 1)], (0,)), make_group([5, 5]))

@@ -283,6 +283,19 @@ def test_partition_cap_exit_two(capsys, monkeypatch, tmp_path, command):
     assert "5200300 half-half partitions" in err and "2097152" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("detect", "--config", "1", "--graph"), ("subdets", "--graph"), ("search", "--skeleton")],
+)
+def test_vertex_cap_exit_two(capsys, tmp_path, command):
+    path = tmp_path / "huge.graph"
+    path.write_text("vertices: 1000000000\ninputs: 0\n0 1 1\n")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "vertex count must be in 1..2048" in err
+
+
 class TestSearchCommand:
     def test_builtin_skeleton_search(self, capsys):
         code, payload = run_json(

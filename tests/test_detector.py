@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from helpers import random_graph, verify_certificate, verify_witness
+from helpers import random_graph, strong_detects, verify_certificate, verify_witness
 
 from graphqec.abelian import make_group
 from graphqec.detector import (
@@ -17,7 +17,6 @@ from graphqec.detector import (
     detects_errors,
     input_exchange_check,
     is_isometry_condition,
-    strong_detects,
     worker_count,
 )
 from graphqec.graphcode import WeightedGraph, matrix19_code
@@ -267,16 +266,13 @@ class TestSweeps:
         assert payload["mode"] == "correct"
         assert payload["errors"] == 1
         assert payload["all_detected"] is True
-        assert "elapsed_s" in payload
-        assert "elapsed_s" not in report.to_dict(include_elapsed=False)
+        assert "elapsed_s" not in payload
         assert [s["checked"] for s in payload["sizes"]] == [1, 5, 10]
 
     def test_workers_match_serial(self, wheel, z3):
         serial = corrects_errors(wheel, z3, 1)
         parallel = corrects_errors(wheel, z3, 1, workers=2)
-        assert serial.to_dict(include_elapsed=False) == parallel.to_dict(
-            include_elapsed=False
-        )
+        assert serial.to_dict() == parallel.to_dict()
 
 
     def test_sweep_cap_refused_before_work(self):
@@ -306,7 +302,7 @@ class TestSweeps:
         ]
         assert expected and list(report.undetected) == expected
         parallel = detects_errors(graph, group, 5, workers=2)
-        assert parallel.to_dict(include_elapsed=False) == report.to_dict(include_elapsed=False)
+        assert parallel.to_dict() == report.to_dict()
 
 
 class TestWorkerCount:

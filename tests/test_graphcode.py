@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphqec import graphcode
+from graphqec.abelian import parse_group
+from graphqec.cli import _parse_vertex_list
 from graphqec.graphcode import (
+    MAX_VERTICES,
     WeightedGraph,
     matrix19_code,
     parse_graph,
     serialize_graph,
 )
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 WHEEL_FILE = """\
 # hub-and-pentagon code graph
@@ -24,6 +32,41 @@ inputs: 0
 3 4 1
 4 5 1
 """
+
+
+def neighbors(graph, v):
+    return tuple(u for u in range(graph.n) if graph.gamma[v][u])
+
+
+def degree(graph, v):
+    return len(neighbors(graph, v))
+
+
+@st.composite
+def graphs(draw):
+    """Graphs on 1..6 vertices with 0-3 inputs and weights past int64."""
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    edges = [
+        (u, v, w)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (w := draw(weight))
+    ]
+    inputs = draw(st.sets(st.integers(0, n - 1), max_size=min(3, n - 1)))
+    return WeightedGraph.from_edges(n, edges, inputs)
+
+
+# fragments of the graph and group formats plus junk, joined at random
+# after a prefix that gets part of the way through a graph file
+TOKENS = st.sampled_from(
+    ["vertices:", "inputs:", "0", "1", "2", "3", "-1", "4096", "1000000000",
+     str(2**70), ",", " ", "\n", "#", ":", "x", "1e3", "0x1", "1_0", "+2", "\u0663"]
+)
+SOUP = st.tuples(
+    st.sampled_from(["", "vertices: ", "vertices: 3\ninputs: ", "vertices: 4\ninputs: 0\n"]),
+    st.lists(TOKENS, max_size=30),
+).map(lambda parts: parts[0] + "".join(parts[1]))
 
 
 class TestValidation:
@@ -70,6 +113,33 @@ class TestParseSerialize:
         g = WeightedGraph.from_edges(4, [(0, 1, -3), (2, 3, 7)], (0, 2))
         assert parse_graph(serialize_graph(g)) == g
 
+    @PROPERTY
+    @given(graphs())
+    def test_round_trip_property(self, graph):
+        assert parse_graph(serialize_graph(graph)) == graph
+
+    @PROPERTY
+    @given(SOUP)
+    def test_token_soup_raises_only_value_error(self, text):
+        for parse in (parse_graph, parse_group, _parse_vertex_list):
+            try:
+                parse(text)
+            except ValueError:
+                pass
+
+    def test_vertex_cap_refused_before_allocating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("graph allocated past the vertex cap")
+
+        monkeypatch.setattr(graphcode.WeightedGraph, "from_edges", fail)
+        with pytest.raises(ValueError, match="vertex count"):
+            parse_graph("vertices: 1000000000\ninputs: 0\n0 1 1\n")
+
+    def test_vertex_cap_accepts_limit(self):
+        assert MAX_VERTICES == 2048
+        g = parse_graph(f"vertices: {MAX_VERTICES}\ninputs: 0\n0 2047 5\n")
+        assert g.n == MAX_VERTICES and g.gamma[2047][0] == 5
+
     def test_serialization_is_lexicographic(self, wheel):
         lines = serialize_graph(wheel).strip().splitlines()
         edges = [tuple(map(int, line.split()[:2])) for line in lines[2:]]
@@ -78,11 +148,11 @@ class TestParseSerialize:
     def test_comments_and_blanks_ignored(self):
         text = "vertices: 2\n\n# full comment\ninputs: 0\n0 1 1  # trailing\n"
         g = parse_graph(text)
-        assert g.weight(0, 1) == 1
+        assert g.gamma[0][1] == 1
 
     def test_duplicate_edge_consistent_ok(self):
         g = parse_graph("vertices: 2\ninputs: 0\n0 1 1\n0 1 1\n")
-        assert g.weight(0, 1) == 1
+        assert g.gamma[0][1] == 1
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -130,10 +200,10 @@ class TestSubmatrix:
 
 class TestWheel:
     def test_hub_degree(self, wheel):
-        assert wheel.degree(0) == 5
+        assert degree(wheel, 0) == 5
 
     def test_ring_degrees(self, wheel):
-        assert all(wheel.degree(v) == 3 for v in range(1, 6))
+        assert all(degree(wheel, v) == 3 for v in range(1, 6))
 
     def test_nonadjacent_ring_pair(self, wheel):
         assert wheel.gamma[1][3] == 0
@@ -145,11 +215,11 @@ class TestWheel:
 
 class TestTenfold:
     def test_neighbor_sets(self, tenfold):
-        assert tenfold.neighbors(2) == (0, 1, 3, 4, 9, 10)
-        assert tenfold.neighbors(6) == (0, 3, 4, 5, 7, 8)
+        assert neighbors(tenfold, 2) == (0, 1, 3, 4, 9, 10)
+        assert neighbors(tenfold, 6) == (0, 3, 4, 5, 7, 8)
 
     def test_all_outputs_degree_six(self, tenfold):
-        assert all(tenfold.degree(v) == 6 for v in tenfold.outputs)
+        assert all(degree(tenfold, v) == 6 for v in tenfold.outputs)
 
     def test_partition(self, tenfold):
         assert tenfold.inputs == (0,)

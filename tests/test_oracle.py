@@ -12,6 +12,7 @@ from helpers import mat_vec_mod, random_graph
 from graphqec.abelian import make_group
 from graphqec.detector import detects
 from graphqec.graphcode import WeightedGraph, wheel_code
+from graphqec import oracle
 from graphqec.oracle import (
     _compressions,
     build_isometry,
@@ -19,13 +20,45 @@ from graphqec.oracle import (
     export_isometry_csv,
     isometry_header,
     kl_detects,
-    omega_table,
 )
 
 
 @pytest.fixture(scope="module")
 def wheel_iso_z2(wheel, z2):
     return build_isometry(wheel, z2)
+
+
+def leg_slices(graph, iso, config):
+    """Rows of the code matrix grouped by error-leg assignment a (a tuple of
+    group elements, lexicographic), each group ordered by the other legs."""
+    elements = list(itertools.product(*(range(d) for d in iso.group.factors)))
+    e_pos = [graph.outputs.index(v) for v in config]
+    slices = {a: [] for a in itertools.product(elements, repeat=len(config))}
+    digits_of_rows = itertools.product(range(len(elements)), repeat=len(graph.outputs))
+    for row, digits in enumerate(digits_of_rows):
+        slices[tuple(elements[digits[p]] for p in e_pos)].append(iso.matrix[row])
+    return {a: np.array(rows) for a, rows in slices.items()}
+
+
+def scalar_table(graph, iso, config):
+    """The Knill-Laflamme scalars of a detected configuration, computed
+    directly: V* (|a><b| (x) id) V = W_a^H W_b = lambda_ab * id for the row
+    slices W_a of V."""
+    w = leg_slices(graph, iso, config)
+    table = {}
+    for a, b in itertools.product(w, repeat=2):
+        compressed = w[a].conj().T @ w[b]
+        scalar = compressed[0, 0]
+        assert np.abs(compressed - scalar * np.eye(iso.cols)).max() < 1e-12, (a, b)
+        table[(a, b)] = scalar
+    return table
+
+
+def refuse_before_allocating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("code matrix built past the size cap")
+
+    monkeypatch.setattr(oracle, "_assignment_codes", fail)
 
 
 class TestBuildIsometry:
@@ -58,9 +91,11 @@ class TestBuildIsometry:
         assert np.allclose(iso.matrix, 1 / math.sqrt(2), atol=1e-12)
         assert not check_isometry(iso)
 
-    def test_size_cap_enforced(self, tenfold):
-        with pytest.raises(ValueError):
-            build_isometry(tenfold, make_group([2]), size_cap=1000)
+    def test_size_cap_enforced(self, tenfold, z5, monkeypatch):
+        # 5**11 > 2**22 = oracle.SIZE_CAP
+        refuse_before_allocating(monkeypatch)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            build_isometry(tenfold, z5)
 
     def test_no_inputs_gives_single_column(self, z2):
         graph = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], ())
@@ -123,20 +158,19 @@ class TestKnillLaflamme:
         with pytest.raises(ValueError):
             kl_detects(wheel, z2, (0,), isometry=wheel_iso_z2)
 
-    def test_size_cap_enforced(self, tenfold, z2):
-        with pytest.raises(ValueError):
-            kl_detects(tenfold, z2, (1,), size_cap=100)
+    def test_size_cap_enforced(self, tenfold, z5, monkeypatch):
+        refuse_before_allocating(monkeypatch)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            kl_detects(tenfold, z5, (1,))
 
     def test_rejects_isometry_of_other_group(self, wheel, z3, wheel_iso_z2):
-        for check in (kl_detects, omega_table):
-            with pytest.raises(ValueError, match="group"):
-                check(wheel, z3, (1, 2), isometry=wheel_iso_z2)
+        with pytest.raises(ValueError, match="group"):
+            kl_detects(wheel, z3, (1, 2), isometry=wheel_iso_z2)
 
     def test_rejects_isometry_of_other_partition(self, wheel, z2, wheel_iso_z2):
         moved = wheel.with_inputs((3,))
-        for check in (kl_detects, omega_table):
-            with pytest.raises(ValueError, match="inputs"):
-                check(moved, z2, (1, 2), isometry=wheel_iso_z2)
+        with pytest.raises(ValueError, match="inputs"):
+            kl_detects(moved, z2, (1, 2), isometry=wheel_iso_z2)
 
     def test_agrees_with_kernel_criterion_on_builtins(
         self, wheel, tenfold, z2, z3, z5
@@ -169,13 +203,15 @@ class TestKnillLaflamme:
 
 
 class TestOmegaTable:
-    def test_empty_config_scalar_one(self, wheel, z2, wheel_iso_z2):
-        table = omega_table(wheel, z2, (), isometry=wheel_iso_z2)
+    """The Knill-Laflamme scalars lambda_ab of detected configurations."""
+
+    def test_empty_config_scalar_one(self, wheel, wheel_iso_z2):
+        table = scalar_table(wheel, wheel_iso_z2, ())
         assert set(table) == {((), ())}
         assert table[((), ())] == pytest.approx(1)
 
-    def test_diagonal_scalars_equal(self, wheel, z2, wheel_iso_z2):
-        table = omega_table(wheel, z2, (1, 2), isometry=wheel_iso_z2)
+    def test_diagonal_scalars_equal(self, wheel, wheel_iso_z2):
+        table = scalar_table(wheel, wheel_iso_z2, (1, 2))
         diag = [table[(a, b)] for (a, b) in table if a == b]
         assert len(diag) == 4
         assert max(abs(x - diag[0]) for x in diag) < 1e-12
@@ -184,7 +220,7 @@ class TestOmegaTable:
         # scalar vanishes exactly where the difference is not annihilated by
         # the untouched-output rows; on the support the modulus is constant
         config = (1, 2)
-        table = omega_table(wheel, z2, config, isometry=wheel_iso_z2)
+        table = scalar_table(wheel, wheel_iso_z2, config)
         rows = tuple(v for v in wheel.outputs if v not in config)
         linking = wheel.submatrix(rows, config)
         on_support_modulus = 1 / z2.order ** len(config)
@@ -195,14 +231,10 @@ class TestOmegaTable:
             else:
                 assert abs(lam) < 1e-12
 
-    def test_undetected_config_raises(self, wheel, z2, wheel_iso_z2):
-        with pytest.raises(ValueError):
-            omega_table(wheel, z2, (1, 2, 3), isometry=wheel_iso_z2)
-
     def test_qutrit_support_condition(self, wheel, z3):
         iso = build_isometry(wheel, z3)
         config = (2, 5)
-        table = omega_table(wheel, z3, config, isometry=iso)
+        table = scalar_table(wheel, iso, config)
         rows = tuple(v for v in wheel.outputs if v not in config)
         linking = wheel.submatrix(rows, config)
         for (a, b), lam in table.items():
@@ -210,13 +242,12 @@ class TestOmegaTable:
             on_support = not any(mat_vec_mod(linking, diff, 3))
             assert (abs(lam) > 1e-12) == on_support
 
-
     @pytest.mark.parametrize(
         "graph, config",
         [
             (wheel_code(), (2, 5)),
             # twin outputs 1 and 2 joined by an edge: some scalars with a != b
-            # are not real, so a slip between a and b changes the table
+            # are not real, so a slip between a and b changes the stack
             (
                 WeightedGraph.from_edges(
                     5,
@@ -230,22 +261,16 @@ class TestOmegaTable:
         ids=["wheel", "twins"],
     )
     def test_qutrit_scalars_match_direct_compression(self, z3, graph, config):
+        # the blocked Gram stacks kl_detects reads hold M_ab at [a, b]
         iso = build_isometry(graph, z3)
-        table = omega_table(graph, z3, config, isometry=iso)
-        # rows of V grouped by error-leg assignment, ordered by the rest
-        e_pos = [graph.outputs.index(v) for v in config]
-        slices: dict = {}
-        digits_of_rows = itertools.product(range(3), repeat=len(graph.outputs))
-        for row, digits in enumerate(digits_of_rows):
-            a = tuple((digits[p],) for p in e_pos)
-            slices.setdefault(a, []).append(iso.matrix[row])
-        w = {a: np.array(rows) for a, rows in slices.items()}
-        assert len(table) == len(w) ** 2 == 81
-        for a, b in itertools.product(w, repeat=2):
+        stack = np.concatenate(list(_compressions(iso, config)))
+        w = leg_slices(graph, iso, config)
+        assert stack.shape == (len(w), len(w), iso.cols, iso.cols) == (9, 9, 3, 3)
+        for (i, a), (j, b) in itertools.product(enumerate(w), repeat=2):
             compressed = w[a].conj().T @ w[b]
-            scalar = compressed[0, 0]
-            assert np.abs(compressed - scalar * np.eye(iso.cols)).max() < 1e-12
-            assert abs(table[(a, b)] - scalar) < 1e-12, (a, b)
+            assert np.abs(compressed - compressed[0, 0] * np.eye(iso.cols)).max() < 1e-12
+            assert np.abs(stack[i, j] - compressed).max() < 1e-12, (a, b)
+
 
 class TestExport:
     def test_header_and_csv(self, wheel, z2, wheel_iso_z2, tmp_path):

@@ -7,13 +7,14 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from helpers import det_exact
+from helpers import det_exact, strong_detects
 
 from graphqec.abelian import make_group
-from graphqec.detector import detects_errors, strong_detects
-from graphqec.zmodlinalg import det_fits_int64
-from graphqec import singleton
+from graphqec.detector import detects_errors
+from graphqec.zmodlinalg import det_fits_int64, is_prime, prime_factors
+from graphqec import singleton, zmodlinalg
 from graphqec.graphcode import matrix19_code, wheel_code
 from graphqec.singleton import (
     SEARCH_CHUNK,
@@ -21,11 +22,8 @@ from graphqec.singleton import (
     adjacency_bits,
     canonical_bits,
     graph_census,
-    is_prime,
     is_strongly_ec,
     offdiag_subdets,
-    prime_factors,
-    restricted_bad_primes,
     restricted_subdets,
     search_weights,
 )
@@ -156,7 +154,7 @@ class TestPrimes:
             prime_factors(6 * (2**89 - 1))
 
     def test_unsplittable_cofactor_rejected(self, monkeypatch):
-        monkeypatch.setattr(singleton, "_RHO_STEPS", 1000)
+        monkeypatch.setattr(zmodlinalg, "_RHO_STEPS", 1000)
         with pytest.raises(ValueError, match="cannot factor"):
             prime_factors((2**31 - 1) * (2**61 - 1))
 
@@ -194,6 +192,23 @@ class TestOffdiagSubdets:
         with pytest.raises(ValueError):
             offdiag_subdets([[1, 1], [1, 0]])
 
+    def test_stack_dtype_follows_weights(self, matrix19, monkeypatch):
+        # int64 weights give det_batch an int64 stack, whose guard bound numpy
+        # reads; only weights past int64 need an object stack
+        dtypes = []
+
+        def spy(blocks):
+            dtypes.append(blocks.dtype)
+            return det_batch(blocks)
+
+        det_batch = singleton.det_batch
+        monkeypatch.setattr(singleton, "det_batch", spy)
+        assert offdiag_subdets(matrix19.gamma).det_set == PUBLISHED_DET_SET
+        assert dtypes == [np.int64]
+        w = 2**70
+        assert offdiag_subdets([[0, w], [w, 0]]).dets == (w,)
+        assert dtypes == [np.int64, object]
+
     def test_report_dict(self, matrix19):
         payload = offdiag_subdets(matrix19.gamma).to_dict()
         assert payload["m"] == 4
@@ -213,6 +228,12 @@ class TestStronglyEc:
     def test_rejects_non_prime(self, matrix19):
         with pytest.raises(ValueError):
             is_strongly_ec(matrix19.gamma, 6)
+
+
+def restricted_bad_primes(gamma, fixed_inputs):
+    report = restricted_subdets(gamma, fixed_inputs)
+    assert not report.has_zero_det
+    return report.bad_primes
 
 
 class TestRestricted:

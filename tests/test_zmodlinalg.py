@@ -14,6 +14,7 @@ from graphqec.zmodlinalg import (
     det_batch,
     det_fits_int64,
     fits_int64,
+    is_prime,
     kernel_mod_batch,
     prime_powers,
     smith_normal_form,
@@ -295,6 +296,13 @@ class TestKernelModBatch:
         assert prime_powers(360) == ((2, 3), (3, 2), (5, 1))
         assert prime_powers(97) == ((97, 1),)
         assert prime_powers(2) == ((2, 1),)
+        assert prime_powers(2**61 - 1) == ((2**61 - 1, 1),)
+        assert prime_powers(43**2 * (2**31 - 1)) == ((43, 2), (2**31 - 1, 1))
+        for d in range(2, 2000):
+            pairs = prime_powers(d)
+            primes = [p for p in range(2, d + 1) if d % p == 0 and is_prime(p)]
+            assert [p for p, _ in pairs] == primes
+            assert math.prod(p**k for p, k in pairs) == d
         with pytest.raises(ValueError):
             prime_powers(1)
 
