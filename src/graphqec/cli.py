@@ -7,9 +7,13 @@ vertices, sweeps over more than 2**22 configurations, reports and searches
 over more than 2**21 vertex partitions, and search bounds too large to
 certify the bad primes of a hit.  A sweep's --oracle cross-check is skipped,
 with a warning, on instances over the oracle's size cap.  JSON goes to
-stdout, diagnostics to stderr.  The only environment knob is
-GRAPHQEC_WORKERS, an optional worker count for sweeps (clamped to the CPU
-count and to the sweep's number of chunks); identical inputs always produce
+stdout, diagnostics to stderr; a sweep's stderr line reports its wall time,
+configurations checked, configurations decided by pruning and workers used.
+The only environment knob is GRAPHQEC_WORKERS, an optional worker count for
+sweeps.  It is clamped to the CPU count and to the sweep's configuration
+count divided by ``detector.MIN_CONFIGS_PER_WORKER`` (20,000), so a pool,
+whose spawned workers take a few hundred milliseconds to start, runs only
+on sweeps large enough to repay it.  Identical inputs always produce
 byte-identical stdout.
 """
 
@@ -107,7 +111,11 @@ def _cmd_sweep(args) -> int:
         report = detector.detects_errors(graph, group, args.detect, workers=workers)
     else:
         report = detector.corrects_errors(graph, group, args.correct, workers=workers)
-    _info(f"sweep finished in {report.elapsed_s:.3f}s")
+    checked = sum(summary.checked for summary in report.sizes)
+    _info(
+        f"sweep finished in {report.elapsed_s:.3f}s: {checked} configurations "
+        f"checked, {report.pruned} decided by pruning, {report.workers} worker(s)"
+    )
     payload = report.to_dict()
 
     exit_code = EXIT_OK if report.all_detected else EXIT_CLAIM_FAILS

@@ -14,10 +14,21 @@ product of cyclic groups.
 Single verdicts and sweeps share one engine: configurations of one size are
 decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
 both conditions are checked on all their generators at once.
+
+A sweep decides its sizes in increasing order and prunes, because detection
+is downward-closed (Knill and Laflamme, PRA 55, 900, 1997).  For
+E' = E + {e} the detection system loses row e and gains column e, so a
+kernel vector for E padded with a zero at e is a kernel vector for E' with
+the same input part and the same image under gamma[X, E']: if it violates a
+condition for E, it violates it for E'.  A configuration with an undetected
+subset one smaller is therefore undetected, and the sweep records it without
+elimination; the report is the one every configuration decided on its own
+gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -39,6 +50,11 @@ FAILED_COUPLING = "error_action_on_inputs"
 CHUNK = 256
 # Largest sweep accepted, in configurations (the oracle's size cap, 2**22).
 MAX_SWEEP_CONFIGS = 2**22
+# Fewest configurations each worker process must get before a pool starts:
+# their serial elimination time has to cover a worker's spawn start-up.  On
+# a 2-vCPU VM a spawned worker took about 300 ms to start and a configuration
+# about 16.5 us to decide, so a worker pays from about 18,600 configurations.
+MIN_CONFIGS_PER_WORKER = 20_000
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,11 @@ class SweepReport:
     max_size: int
     errors: int | None
     sizes: tuple[SizeSummary, ...]
-    elapsed_s: float  # wall time of the sweep, for diagnostics; not in to_dict
+    # Diagnostics for the stderr summary, not in to_dict: wall time of the
+    # sweep, configurations decided by pruning and workers used.
+    elapsed_s: float
+    pruned: int
+    workers: int
 
     @property
     def all_detected(self) -> bool:
@@ -145,17 +165,24 @@ def detection_system(graph: WeightedGraph, config):
     return rows, cols, graph.submatrix(rows, cols)
 
 
-def _residues(graph: WeightedGraph, d: int) -> np.ndarray:
-    """gamma modulo d, reduced on Python ints; int64 when the engine's
-    arithmetic modulo d fits in it, else Python ints in an object array."""
-    dtype = np.int64 if fits_int64(d, graph.n) else object
-    return np.array([[x % d for x in row] for row in graph.gamma], dtype=dtype)
+def _residues(graph: WeightedGraph, group: FiniteAbelianGroup) -> dict:
+    """gamma modulo each distinct cyclic factor d, reduced on Python ints;
+    int64 when the engine's arithmetic modulo d fits in it, else Python ints
+    in an object array."""
+    return {
+        d: np.array(
+            [[x % d for x in row] for row in graph.gamma],
+            dtype=np.int64 if fits_int64(d, graph.n) else object,
+        )
+        for d in dict.fromkeys(group.factors)
+    }
 
 
-def _kernel_checks(graph: WeightedGraph, group: FiniteAbelianGroup, configs) -> dict:
+def _kernel_checks(graph: WeightedGraph, residues: dict, configs) -> dict:
     """Kernel generators and condition checks for a batch of configurations
     of one size, per distinct cyclic factor d.
 
+    ``residues`` is ``_residues(graph, group)``.
     Columns are ordered inputs first, then errors.  Returns
     ``{d: (gens, bad_input, bad_coupling)}``: ``gens`` is the (N, n, n)
     generator array of ``kernel_mod_batch``; ``bad_input[b, j]`` says
@@ -173,8 +200,7 @@ def _kernel_checks(graph: WeightedGraph, group: FiniteAbelianGroup, configs) -> 
     )
     cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
     checks = {}
-    for d in dict.fromkeys(group.factors):
-        gamma = _residues(graph, d)
+    for d, gamma in residues.items():
         gens = kernel_mod_batch(gamma[rows[:, :, None], cols[:, None, :]], d)
         bad_input = (gens[:, :, : len(inputs)] != 0).any(axis=2)
         cross = gamma[inputs[None, :, None], errs[:, None, :]]
@@ -198,7 +224,7 @@ def detects(
             out[pos] = int(x)
         return tuple(out)
 
-    checks = _kernel_checks(graph, group, [cfg])
+    checks = _kernel_checks(graph, _residues(graph, group), [cfg])
     certificate = []
     for d in group.factors:
         gens, bad_input, bad_coupling = (x[0] for x in checks[d])
@@ -234,26 +260,71 @@ def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bo
     return detects(graph, group, ()).detected
 
 
-def worker_count(requested: int, cpus: int | None, chunks: int) -> int:
+def worker_count(requested: int, cpus: int | None, configs: int) -> int:
     """Workers a sweep uses: never more than requested, than the machine's
-    CPUs or than there are chunks to hand out; a pool starts only above 1."""
-    return max(1, min(requested, cpus or 1, chunks))
+    CPUs, or than leaves each worker MIN_CONFIGS_PER_WORKER of the sweep's
+    configurations; a pool starts only above 1."""
+    return max(1, min(requested, cpus or 1, configs // MIN_CONFIGS_PER_WORKER))
 
 
-def _chunks(graph: WeightedGraph, sizes):
-    """Configurations of each size in lexicographic order, CHUNK at a time."""
-    for size in sizes:
-        configs = itertools.combinations(graph.outputs, size)
-        while chunk := list(itertools.islice(configs, CHUNK)):
-            yield chunk
+def _colex(positions: np.ndarray, binom: np.ndarray):
+    """Colex ranks of configurations given as (N, s) ascending output
+    positions, and (N, s) ranks of their (s - 1)-subsets, the one without
+    position j in column j.
+
+    The rank of c_1 < ... < c_s is the sum of C(c_i, i); it is below
+    C(|outputs|, s), so within the sweep cap.
+    """
+    size = positions.shape[1]
+    up = binom[positions, np.arange(1, size + 1)]  # C(c_i, i)
+    down = binom[positions, np.arange(size)]  # C(c_i, i - 1): c_i moved down a slot
+    before = np.cumsum(up, axis=1) - up
+    after = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
+    return up.sum(axis=1), before + after
 
 
-def _undetected(graph: WeightedGraph, group: FiniteAbelianGroup, chunk):
-    """Configuration size, length and undetected configurations of a chunk."""
-    failing = np.zeros(len(chunk), dtype=bool)
-    for _, bad_input, bad_coupling in _kernel_checks(graph, group, chunk).values():
+def _rechunk(arrays):
+    """The rows of a stream of arrays regrouped CHUNK at a time."""
+    held, count = [], 0
+    for rows in arrays:
+        held.append(rows)
+        count += len(rows)
+        while count >= CHUNK:
+            rows = np.concatenate(held)
+            yield rows[:CHUNK]
+            held, count = [rows[CHUNK:]], count - CHUNK
+    if count:
+        yield np.concatenate(held)
+
+
+def _survivors(outputs: np.ndarray, size: int, previous: np.ndarray, binom, inherited: list):
+    """Error vertices of the configurations of one size that need
+    elimination, in lexicographic order and in arrays of up to CHUNK rows.
+
+    ``previous`` holds the sorted colex ranks of the undetected
+    configurations one size smaller.  A configuration with a subset among
+    them is undetected (see the module docstring) and goes to ``inherited``
+    instead.
+    """
+    configs = itertools.combinations(range(len(outputs)), size)
+    while chunk := list(itertools.islice(configs, CHUNK)):
+        positions = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+        if len(previous):
+            _, subsets = _colex(positions, binom)
+            at = np.searchsorted(previous, subsets).clip(max=len(previous) - 1)
+            hit = (previous[at] == subsets).any(axis=1)
+            inherited.extend(map(tuple, outputs[positions[hit]].tolist()))
+            positions = positions[~hit]
+        yield outputs[positions]
+
+
+def _undetected(graph: WeightedGraph, residues: dict, errs: np.ndarray):
+    """Undetected configurations, as tuples in order, of an (N, size) batch
+    of error vertices."""
+    failing = np.zeros(len(errs), dtype=bool)
+    for _, bad_input, bad_coupling in _kernel_checks(graph, residues, errs).values():
         failing |= (bad_input | bad_coupling).any(axis=1)
-    return len(chunk[0]), len(chunk), [cfg for cfg, bad in zip(chunk, failing) if bad]
+    return list(map(tuple, errs[failing].tolist()))
 
 
 def _sweep(
@@ -266,40 +337,51 @@ def _sweep(
 ) -> SweepReport:
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
-    sizes = range(min(max_size, len(graph.outputs)) + 1)
-    total = sum(math.comb(len(graph.outputs), size) for size in sizes)
+    outputs = np.array(graph.outputs, dtype=np.intp)
+    sizes = range(min(max_size, len(outputs)) + 1)
+    total = sum(math.comb(len(outputs), size) for size in sizes)
     if total > MAX_SWEEP_CONFIGS:
         raise ValueError(
             f"sweep would check {total} configurations, more than the cap of "
             f"{MAX_SWEEP_CONFIGS}; lower the size bound"
         )
     start = time.perf_counter()
-    chunks = _chunks(graph, sizes)
-    decide = partial(_undetected, graph, group)
-    n_chunks = sum(-(-math.comb(len(graph.outputs), size) // CHUNK) for size in sizes)
-    workers = worker_count(workers, os.cpu_count(), n_chunks)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(decide, chunks))
-    else:
-        results = [decide(chunk) for chunk in chunks]
-
-    checked = dict.fromkeys(sizes, 0)
-    undetected: dict[int, list] = {size: [] for size in sizes}
-    for size, n_checked, bad in results:
-        checked[size] += n_checked
-        undetected[size] += bad
-    summaries = tuple(
-        SizeSummary(
-            size=size,
-            checked=checked[size],
-            detected=checked[size] - len(undetected[size]),
-            undetected=tuple(undetected[size]),
-        )
-        for size in sizes
+    workers = worker_count(workers, os.cpu_count(), total)
+    decide = partial(_undetected, graph, _residues(graph, group))
+    binom = np.array(
+        [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
+        dtype=np.int64,
     )
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # spawn, not fork: numpy has started threads in this process.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            ))
+            decide_all = partial(pool.map, decide)
+        else:
+            decide_all = partial(map, decide)
+        summaries = []
+        pruned = 0
+        previous = np.zeros(0, dtype=np.int64)
+        for size in sizes:
+            inherited: list[tuple[int, ...]] = []
+            batches = _rechunk(_survivors(outputs, size, previous, binom, inherited))
+            found = [cfg for bad in decide_all(batches) for cfg in bad]
+            undetected = sorted(inherited + found)
+            pruned += len(inherited)
+            checked = math.comb(len(outputs), size)
+            summaries.append(SizeSummary(size, checked, checked - len(undetected),
+                                         tuple(undetected)))
+            # sorted colex ranks of this size's undetected, for the next size
+            previous = np.zeros(0, dtype=np.int64)
+            if undetected and size < sizes[-1]:
+                positions = np.searchsorted(outputs, np.array(undetected, dtype=np.intp))
+                ranks, _ = _colex(positions.reshape(len(undetected), size), binom)
+                previous = np.sort(ranks)
     return SweepReport(
         graph_id=describe(graph),
         graph_inputs=graph.inputs,
@@ -307,8 +389,10 @@ def _sweep(
         mode=mode,
         max_size=max_size,
         errors=errors,
-        sizes=summaries,
+        sizes=tuple(summaries),
         elapsed_s=time.perf_counter() - start,
+        pruned=pruned,
+        workers=workers,
     )
 
 

@@ -294,6 +294,26 @@ def prime_powers(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _residue_dtype(q: int):
+    """Narrowest signed integer dtype in which elimination modulo q runs
+    exactly: the widest intermediate is a product of two residues, at most
+    (q - 1)**2, subtracted from a residue before it is reduced."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if (q - 1) ** 2 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _reduce(x: np.ndarray, p: int, q: int) -> np.ndarray:
+    """x modulo q = p**k, in place; a mask when q is a power of two (two's
+    complement makes it exact for negative x too)."""
+    if p == 2:
+        x &= q - 1
+    else:
+        x %= q
+    return x
+
+
 def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
     """p-adic valuation of residues modulo p**k, with k for zero."""
     if k == 1:
@@ -302,20 +322,21 @@ def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
     pe = 1
     for _ in range(k):
         pe *= p
-        val += a % pe == 0
+        val += (a & (pe - 1) if p == 2 else a % pe) == 0
     return val
 
 
 def _unit_inverse(u: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Inverse of units modulo q = p**k as u**(phi(q) - 1), by squaring."""
+    """Inverse of unit residues modulo q = p**k as u**(phi(q) - 1), by
+    squaring."""
     q = p**k
     e = p ** (k - 1) * (p - 1) - 1
     out = np.ones_like(u)
-    base = u % q
+    base = u
     while e:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out = _reduce(out * base, p, q)
+        base = _reduce(base * base, p, q)
         e >>= 1
     return out
 
@@ -329,16 +350,23 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
     pass clears its row and column.  Only the column transform is tracked.
     Pivot column j of valuation v yields p**(k - v) times transform column
     j; a column without a pivot yields the transform column itself.
+
+    The elimination runs in the narrowest signed dtype of
+    ``_residue_dtype(q)`` (int8 up to q = 12, int16 up to 182, int32 up to
+    46,341): every residue product is formed and reduced before the next one,
+    so the result, returned as int64, does not depend on the width.
     """
     q = p**k
+    dtype = _residue_dtype(q)
+    a = a.astype(dtype)
     batch, m, n = a.shape
-    basis = np.tile(np.eye(n, dtype=np.int64), (batch, 1, 1))  # basis[b, j] = column j
+    basis = np.tile(np.eye(n, dtype=dtype), (batch, 1, 1))  # basis[b, j] = column j
     scale = np.ones((batch, n), dtype=np.int64)
     at = np.arange(batch)
     for _ in range(min(m, n)):
         flat = _valuation(a, p, k).reshape(batch, -1)
         pos = flat.argmin(axis=1)
-        v = flat[at, pos].astype(np.int64)
+        v = flat[at, pos].astype(dtype)
         found = v < k
         if not found.any():
             break
@@ -351,19 +379,21 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
         inv = _unit_inverse(pivot_row[at, c] // pv, p, k) * found
         # Row operations clear column c outside the pivot row.  Residue
         # products stay below q**2, so one reduction after subtracting.
-        f = a[at, :, c] // pv[:, None] * inv[:, None] % q
+        f = _reduce(a[at, :, c] // pv[:, None] * inv[:, None], p, q)
         f[at, r] = 0
-        a = (a - f[:, :, None] * pivot_row[:, None, :]) % q
+        a -= f[:, :, None] * pivot_row[:, None, :]
+        _reduce(a, p, q)
         # Column operations clear row r; in the transform they act on the
         # basis.  In the matrix the pivot row is zeroed, pivot included:
         # column c is already zero elsewhere, so a finished row and column
         # read as zero and never compete again.
-        g = pivot_row // pv[:, None] * inv[:, None] % q
+        g = _reduce(pivot_row // pv[:, None] * inv[:, None], p, q)
         g[at, c] = 0
-        basis = (basis - g[:, :, None] * basis[at, c][:, None, :]) % q
+        basis -= g[:, :, None] * basis[at, c][:, None, :]
+        _reduce(basis, p, q)
         a[at, r] = 0
         scale[at[found], c[found]] = p ** (k - v[found]) % q  # 0, not q, when v = 0
-    return basis * scale[:, :, None] % q
+    return _reduce(basis * scale[:, :, None], p, q)
 
 
 def kernel_mod_batch(systems, d: int) -> np.ndarray:
@@ -374,8 +404,9 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     generator read off column j, and all-zero rows are not generators.  The
     nonzero rows of system b generate {x in Z_d^n : A_b x = 0 (mod d)}.
 
-    Moduli passing ``fits_int64`` run batched in int64, one elimination per
-    prime power q of d, lifted to Z_d by CRT.  Larger moduli run one Smith
+    Moduli passing ``fits_int64`` run batched, one elimination per prime
+    power q of d in the narrowest dtype that holds it, lifted to Z_d by CRT
+    in int64.  Larger moduli run one Smith
     normal form per system on Python integers and return an object array.
     """
     if d < 2:
@@ -392,11 +423,10 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     out = np.zeros((batch, n, n), dtype=np.int64)
     for p, k in prime_powers(d):
         q = p**k
-        # Weights are arbitrary Python ints: reduce before any int64 cast.
-        residues = (systems % q).astype(np.int64)
         rest = d // q
         idempotent = rest * pow(rest, -1, q) % d  # 1 mod q, 0 mod d / q
-        out = (out + _local_kernel(residues, p, k) * idempotent % d) % d
+        # Weights are arbitrary Python ints: reduce before any narrowing cast.
+        out = (out + _local_kernel(systems % q, p, k) * idempotent % d) % d
     return out
 
 

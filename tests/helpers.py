@@ -1,7 +1,9 @@
-"""Shared test utilities: random instances, reference kernels, strong
-detection and determinants, and verdict re-verification."""
+"""Shared test utilities: random instances, reference and brute-force
+kernels, strong detection and determinants, and verdict re-verification."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from graphqec.detector import FAILED_COUPLING, FAILED_INPUT, detection_system
 from graphqec.graphcode import WeightedGraph
@@ -24,6 +26,20 @@ def kernel_mod(a, d: int, ncols: int | None = None) -> tuple[tuple[int, ...], ..
     """Reference kernel: generators of {x : A x = 0 (mod d)} read off one
     Smith normal form over Z."""
     return kernel_from_snf(smith_normal_form(a, ncols=ncols), d)
+
+
+def all_vectors(d: int, n: int) -> np.ndarray:
+    """Every vector of Z_d^n as the rows of a (d**n, n) array."""
+    return np.indices((d,) * n, dtype=np.int64).reshape(n, d**n).T
+
+
+def brute_force_kernel(a, d: int, ncols: int) -> set[tuple[int, ...]]:
+    """Independent kernel oracle: every x in Z_d^n with A x = 0 (mod d), by
+    enumerating all of Z_d^n."""
+    reduced = np.array([[x % d for x in row] for row in a], dtype=np.int64)
+    vecs = all_vectors(d, ncols)
+    hits = (vecs @ reduced.reshape(len(a), ncols).T % d == 0).all(axis=1)
+    return set(map(tuple, vecs[hits].tolist()))
 
 
 def kernel_trivial(a, d: int, ncols: int | None = None) -> bool:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -183,8 +184,23 @@ class TestSweepCommand:
         args = ("sweep", "--builtin", "wheel", "--group", "2", "--correct", "1")
         _, serial, _ = run_cli(capsys, *args)
         monkeypatch.setenv("GRAPHQEC_WORKERS", "2")
-        _, parallel, _ = run_cli(capsys, *args)
+        _, parallel, err = run_cli(capsys, *args)
         assert serial == parallel
+        # 16 configurations cannot repay a worker's start-up
+        assert err.endswith("16 configurations checked, 0 decided by pruning, 1 worker(s)\n")
+
+    def test_stderr_counts_pruned_configurations(self, capsys):
+        # every size-3 configuration is undetected, so size 4 needs no elimination
+        code, out, err = run_cli(
+            capsys, "sweep", "--builtin", "wheel", "--group", "2", "--correct", "2"
+        )
+        assert code == 1
+        assert [len(s["undetected"]) for s in json.loads(out)["sizes"]] == [0, 0, 0, 10, 5]
+        assert re.fullmatch(
+            r"sweep finished in \d+\.\d{3}s: 31 configurations checked, "
+            r"5 decided by pruning, 1 worker\(s\)\n",
+            err,
+        )
 
     def test_sweep_over_cap_exit_two(self, capsys, monkeypatch, tmp_path):
         # 23 edgeless outputs, sizes <= 12: more than 2**22 configurations

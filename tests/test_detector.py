@@ -2,15 +2,26 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 
 import pytest
-from helpers import random_graph, strong_detects, verify_certificate, verify_witness
+from helpers import (
+    brute_force_kernel,
+    random_graph,
+    strong_detects,
+    verify_certificate,
+    verify_witness,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphqec import detector
 from graphqec.abelian import make_group
 from graphqec.detector import (
     CHUNK,
     MAX_SWEEP_CONFIGS,
+    MIN_CONFIGS_PER_WORKER,
     corrects_errors,
     detection_system,
     detects,
@@ -33,6 +44,23 @@ def snf_detected(graph, group, config) -> bool:
     cross = graph.submatrix(graph.inputs, config)
     for d in group.factors:
         for vec in kernel_from_snf(snf, d):
+            if any(vec[p] for p in input_pos):
+                return False
+            if any(sum(c * vec[p] for c, p in zip(row, error_pos)) % d for row in cross):
+                return False
+    return True
+
+
+def brute_force_detected(graph, group, config) -> bool:
+    """Reference verdict by enumeration: no vector of Z_d^n in the kernel of
+    the detection system, for any factor d, is nonzero on the inputs or
+    outside the kernel of gamma[X, E]."""
+    _, cols, system = detection_system(graph, config)
+    cross = graph.submatrix(graph.inputs, config)
+    input_pos = [i for i, c in enumerate(cols) if c in graph.inputs]
+    error_pos = [i for i, c in enumerate(cols) if c not in graph.inputs]
+    for d in group.factors:
+        for vec in brute_force_kernel(system, d, len(cols)):
             if any(vec[p] for p in input_pos):
                 return False
             if any(sum(c * vec[p] for c, p in zip(row, error_pos)) % d for row in cross):
@@ -282,7 +310,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match="cap"):
             detects_errors(graph, make_group([2]), 12)
 
-    def test_sizes_spanning_several_chunks(self):
+    def test_sizes_spanning_several_chunks(self, monkeypatch):
+        # A 13-vertex graph over Z6; a 14-vertex sparse graph over Z2xZ4 shaped
+        # like the benchmark's, where over a fifth of the configurations have an
+        # undetected subset one smaller; and 71 outputs to size 2, where the
+        # undetected outputs 64 and 70 sit past the 63 bits of a bitmask.
         rng = random.Random(77)
         edges = [
             (u, v, rng.choice((1, 2, 3)))
@@ -290,32 +322,70 @@ class TestSweeps:
             for v in range(u + 1, 13)
             if rng.random() < 0.6
         ]
-        graph = WeightedGraph.from_edges(13, edges, (0,))
-        group = make_group([6])
-        report = detects_errors(graph, group, 5)
-        assert report.sizes[5].checked == math.comb(12, 5) > 2 * CHUNK
-        expected = [
-            cfg
-            for size in range(6)
-            for cfg in itertools.combinations(graph.outputs, size)
-            if not snf_detected(graph, group, cfg)
+        dense = WeightedGraph.from_edges(13, edges, (0,))
+        rng = random.Random(3)
+        edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
+        sparse = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,))
+        rng = random.Random(70)
+        edges = [
+            (u, v, rng.choice((1, 2, 3)))
+            for u in range(1, 72)
+            for v in range(u + 1, 72)
+            if rng.random() < 0.08 and not {u, v} & {64, 70}
         ]
-        assert expected and list(report.undetected) == expected
-        parallel = detects_errors(graph, group, 5, workers=2)
-        assert parallel.to_dict() == report.to_dict()
+        edges += [(0, v, 1) for v in range(1, 72) if v in (64, 70) or rng.random() < 0.5]
+        wide = WeightedGraph.from_edges(72, edges, (0,))
+        reports = {}
+        for name, graph, group, max_size in (
+            ("dense", dense, make_group([6]), 5),
+            ("sparse", sparse, make_group([2, 4]), 5),
+            ("wide", wide, make_group([3]), 2),
+        ):
+            report = detects_errors(graph, group, max_size)
+            expected = [
+                cfg
+                for size in range(max_size + 1)
+                for cfg in itertools.combinations(graph.outputs, size)
+                if not snf_detected(graph, group, cfg)
+            ]
+            assert expected and list(report.undetected) == expected
+            reports[name] = report
+        assert reports["dense"].sizes[5].checked == math.comb(12, 5) > 2 * CHUNK
+        total = sum(s.checked for s in reports["sparse"].sizes)
+        assert reports["sparse"].pruned > 0.2 * total
+        # undetected configurations of the last size fall in several chunks
+        last = dict.fromkeys(reports["sparse"].sizes[5].undetected)
+        indices = [i for i, cfg in enumerate(itertools.combinations(sparse.outputs, 5))
+                   if cfg in last]
+        assert len({i // CHUNK for i in indices}) > 2
+        assert reports["wide"].pruned > 0
+        assert (64, 70) in reports["wide"].sizes[2].undetected
+
+        # A real pool of spawned workers, forced on the small sweep, gives
+        # the serial report.
+        monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parallel = detects_errors(sparse, make_group([2, 4]), 5, workers=2)
+        assert parallel.workers == 2 and reports["sparse"].workers == 1
+        assert parallel.pruned == reports["sparse"].pruned
+        assert parallel.to_dict() == reports["sparse"].to_dict()
 
 
 class TestWorkerCount:
-    def test_clamped_to_cpus_and_chunks(self):
-        assert worker_count(100_000, 2, 14) == 2
-        assert worker_count(100_000, 64, 3) == 3
-        assert worker_count(4, 8, 14) == 4
+    def test_clamped_to_cpus_and_configs(self):
+        many = 100 * MIN_CONFIGS_PER_WORKER
+        assert worker_count(100_000, 2, many) == 2
+        assert worker_count(100_000, 64, 3 * MIN_CONFIGS_PER_WORKER) == 3
+        assert worker_count(100_000, 64, 4 * MIN_CONFIGS_PER_WORKER - 1) == 3
+        assert worker_count(4, 8, many) == 4
 
     def test_one_means_no_pool(self):
-        assert worker_count(1, 8, 14) == 1
-        assert worker_count(8, 8, 1) == 1
-        assert worker_count(8, None, 14) == 1
-        assert worker_count(0, 8, 14) == 1
+        many = 100 * MIN_CONFIGS_PER_WORKER
+        assert worker_count(1, 8, many) == 1
+        assert worker_count(8, 8, 2 * MIN_CONFIGS_PER_WORKER - 1) == 1
+        assert worker_count(8, 8, 2517) == 1
+        assert worker_count(8, None, many) == 1
+        assert worker_count(0, 8, many) == 1
 
 
 class TestBatchedEngine:
@@ -324,7 +394,7 @@ class TestBatchedEngine:
     def test_sweeps_match_per_configuration_snf(self):
         rng = random.Random(8000)
         weights = (-3, -1, 0, 1, 2, 5, 2**63 + 1, -(2**64) + 3)
-        groups = ([2], [3], [4], [6], [9], [12], [2, 4], [3, 9], [2, 2, 6], [7], [2**61 - 1])
+        groups = ([2], [3], [4], [6], [8], [9], [12], [2, 4], [3, 9], [2, 2, 6], [7], [2**61 - 1])
         seen = set()
         for _ in range(120):
             graph = random_partitioned_graph(rng, weights)
@@ -345,6 +415,11 @@ class TestBatchedEngine:
                 if not snf_detected(graph, group, cfg)
             ]
             assert list(report.undetected) == expected
+            # the premise of pruning, on the reference verdicts: one more
+            # error never makes an undetected configuration detected
+            for cfg in expected:
+                for v in set(graph.outputs) - set(cfg):
+                    assert tuple(sorted((*cfg, v))) in expected
             size = rng.randint(0, len(graph.outputs))
             for cfg in itertools.combinations(graph.outputs, size):
                 verdict = detects(graph, group, cfg)
@@ -356,7 +431,27 @@ class TestBatchedEngine:
         assert {
             ("inputs", 0), ("inputs", 1), ("inputs", 2), ("negative", True),
             ("huge", True), ("factors", (7,)), ("factors", (2**61 - 1,)),
+            ("factors", (2,)), ("factors", (4,)), ("factors", (6,)), ("factors", (8,)),
+            ("factors", (9,)), ("factors", (2, 4)),
         } <= seen
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sweeps_match_brute_force_property(self, data):
+        n = data.draw(st.integers(2, 6))
+        weights = st.integers(-3, 3)
+        edges = [(u, v, data.draw(weights)) for u in range(n) for v in range(u + 1, n)]
+        inputs = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+        graph = WeightedGraph.from_edges(n, [e for e in edges if e[2]], tuple(inputs))
+        group = make_group(data.draw(st.sampled_from([[2], [3], [4], [6], [2, 2], [2, 3]])))
+        report = detects_errors(graph, group, len(graph.outputs))
+        expected = [
+            cfg
+            for size in range(len(graph.outputs) + 1)
+            for cfg in itertools.combinations(graph.outputs, size)
+            if not brute_force_detected(graph, group, cfg)
+        ]
+        assert list(report.undetected) == expected
 
     def test_all_outputs_zero_row_system(self, wheel, z2):
         rows, _, _ = detection_system(wheel, wheel.outputs)

@@ -39,10 +39,12 @@ sys.exit(code)
 UNUSED = {"fractions", "decimal", "cmath", "networkx"}
 
 
-def loaded_modules(code: str, *argv: str) -> set[str]:
+def loaded_modules(code: str, *argv: str, workers: str | None = None) -> set[str]:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("GRAPHQEC_WORKERS", None)
+    if workers is not None:
+        env["GRAPHQEC_WORKERS"] = workers
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -76,6 +78,13 @@ def test_one_worker_sweep_skips_singleton_and_pool():
     assert "graphqec.detector" in modules
     assert not {"graphqec.singleton", "graphqec.oracle", "concurrent.futures"} & modules
     assert not UNUSED & modules
+
+
+def test_small_sweep_at_two_workers_starts_no_pool():
+    # 32 configurations are far below what repays a worker's start-up
+    modules = loaded_modules(RUN_CLI, "sweep", "--builtin", "wheel", "--detect", "5", workers="2")
+    assert "graphqec.detector" in modules
+    assert not {"concurrent.futures", "multiprocessing"} & modules
 
 
 def test_every_public_name_resolves():

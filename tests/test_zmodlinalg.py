@@ -6,11 +6,12 @@ import random
 
 import numpy as np
 import pytest
-from helpers import det_exact, kernel_mod, kernel_trivial
+from helpers import all_vectors, brute_force_kernel, det_exact, kernel_mod, kernel_trivial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqec.zmodlinalg import (
+    _residue_dtype,
     det_batch,
     det_fits_int64,
     fits_int64,
@@ -39,26 +40,34 @@ def cofactor_det(m):
     return total
 
 
-def brute_force_kernel(a, d, ncols):
-    """Independent kernel oracle: enumerate all of Z_d^n."""
-    hits = []
-    for vec in itertools.product(range(d), repeat=ncols):
-        if all(sum(c * x for c, x in zip(row, vec)) % d == 0 for row in a):
-            hits.append(vec)
-    return set(hits)
-
-
 def spanned_set(generators, d, ncols):
+    """Every combination of the generators modulo d, by enumeration."""
     if not generators:
         return {(0,) * ncols}
-    out = set()
-    for coeffs in itertools.product(range(d), repeat=len(generators)):
-        vec = [0] * ncols
-        for c, gen in zip(coeffs, generators):
-            for i, x in enumerate(gen):
-                vec[i] = (vec[i] + c * x) % d
-        out.add(tuple(vec))
-    return out
+    gens = np.array(generators, dtype=np.int64).reshape(len(generators), ncols) % d
+    return set(map(tuple, (all_vectors(d, len(generators)) @ gens % d).tolist()))
+
+
+def span_order(generators, d, ncols):
+    """Order of the subgroup of Z_d^n the generators span: d**n over the
+    index in Z^n of the lattice they span together with d Z^n, which is the
+    product of that lattice's invariant factors."""
+    lattice = [list(g) for g in generators]
+    lattice += [[d if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    return d**ncols // math.prod(smith_normal_form(lattice, ncols=ncols).diagonal)
+
+
+# Vectors the brute-force checks may enumerate.
+BRUTE_FORCE_LIMIT = 2**15
+
+# The elimination dtype of ``kernel_mod_batch`` per prime power, on each side
+# of every width switch: residue products reach (q - 1)**2.
+RESIDUE_WIDTH = {
+    7: np.int8, 11: np.int8, 13: np.int16, 181: np.int16, 191: np.int32,
+    46337: np.int32, 46349: np.int64,
+    2**3: np.int8, 2**4: np.int16, 2**7: np.int16, 2**8: np.int32,
+    2**15: np.int32, 2**16: np.int64, 3**5: np.int32,
+}
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -207,12 +216,20 @@ def batch_generators(gens_array):
 
 
 class TestKernelModBatch:
-    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12, 30])
+    @pytest.mark.parametrize(
+        "d", [2, 3, 4, 6, 8, 9, 12, 30, 11, 13, 16, 2**7, 181, 191, 2**8, 3**5, 2**15, 2**16]
+    )
     def test_spans_brute_force_kernel(self, d):
         rng = random.Random(5000 + d)
-        for _ in range(6):
-            rows, cols = rng.randint(0, 3), rng.randint(1, 3 if d < 12 else 2)
-            batch = [random_matrix(rng, rows, cols) for _ in range(4)]
+        widest = max((c for c in (2, 3) if d**c <= BRUTE_FORCE_LIMIT), default=1)
+        for _ in range(6 if d < 2**15 else 2):  # fewer rounds where Z_d alone is large
+            rows, cols = rng.randint(0, 3), rng.randint(1, widest)
+            # entries +-(d - 1) reach the widest residue product
+            batch = [
+                [[rng.choice((rng.randint(-3, 3), d - 1, 1 - d)) for _ in range(cols)]
+                 for _ in range(rows)]
+                for _ in range(4)
+            ]
             gens = kernel_mod_batch(np.array(batch, dtype=np.int64).reshape(4, rows, cols), d)
             assert gens.shape == (4, cols, cols)
             for a, block in zip(batch, gens):
@@ -247,22 +264,30 @@ class TestKernelModBatch:
         assert not fits_int64(3_000_000_000, 2)
         assert not fits_int64(2**61 - 1, 1)
 
-    @pytest.mark.parametrize("d", [7, 2**61 - 1])
+    @pytest.mark.parametrize("d", [7, 2**61 - 1, *sorted(set(RESIDUE_WIDTH) - {7})])
     def test_factor_on_each_side_of_the_switch(self, d):
+        # int64 and object sides of fits_int64, and every prime power of
+        # RESIDUE_WIDTH on each side of an elimination width switch
+        if d in RESIDUE_WIDTH:
+            assert _residue_dtype(d) == RESIDUE_WIDTH[d]
         rng = random.Random(d)
         for _ in range(10):
             rows, cols = rng.randint(1, 4), rng.randint(1, 3)
-            a = [[rng.choice([0, 1, -1, 3, 2**62]) for _ in range(cols)] for _ in range(rows)]
+            a = [[rng.choice([0, 1, -1, 3, 2**62, d - 1, 1 - d]) for _ in range(cols)]
+                 for _ in range(rows)]
             block = kernel_mod_batch(np.array([a], dtype=object), d)[0]
             gens = batch_generators(block)
             for gen in gens:
                 assert all(0 <= x < d for x in gen)
                 assert all(sum(c * x for c, x in zip(row, gen)) % d == 0 for row in a)
             reference = kernel_mod(a, d)
-            if d == 7:
+            if fits_int64(d, cols):
                 assert block.dtype == np.int64
-                assert spanned_set(gens, d, cols) == brute_force_kernel(a, d, cols)
-                assert spanned_set(reference, d, cols) == brute_force_kernel(a, d, cols)
+                # generators inside the kernel spanning a group of its order
+                assert span_order(gens, d, cols) == span_order(reference, d, cols)
+                if d**cols <= BRUTE_FORCE_LIMIT:
+                    assert spanned_set(gens, d, cols) == brute_force_kernel(a, d, cols)
+                    assert spanned_set(reference, d, cols) == brute_force_kernel(a, d, cols)
             else:
                 # above the switch the batch runs one SNF per system
                 assert block.dtype == object
