@@ -13,7 +13,11 @@ product of cyclic groups.
 
 Single verdicts and sweeps share one engine: configurations of one size are
 decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
-both conditions are checked on all their generators at once.
+both conditions are checked on all their generators at once.  A sweep
+eliminates only modulo the cyclic factors that divide no other factor: a
+violating kernel vector x modulo a divisor m of M gives the violating vector
+(M/m) x modulo M, so detection modulo M implies detection modulo m, while
+``detects`` keeps every factor because its certificate lists them all.
 
 A sweep decides its sizes in increasing order and prunes, because detection
 is downward-closed (Knill and Laflamme, PRA 55, 900, 1997).  For
@@ -165,16 +169,16 @@ def detection_system(graph: WeightedGraph, config):
     return rows, cols, graph.submatrix(rows, cols)
 
 
-def _residues(graph: WeightedGraph, group: FiniteAbelianGroup) -> dict:
-    """gamma modulo each distinct cyclic factor d, reduced on Python ints;
-    int64 when the engine's arithmetic modulo d fits in it, else Python ints
-    in an object array."""
+def _residues(graph: WeightedGraph, factors) -> dict:
+    """gamma modulo each distinct factor d, reduced on Python ints; int64
+    when the engine's arithmetic modulo d fits in it, else Python ints in an
+    object array."""
     return {
         d: np.array(
             [[x % d for x in row] for row in graph.gamma],
             dtype=np.int64 if fits_int64(d, graph.n) else object,
         )
-        for d in dict.fromkeys(group.factors)
+        for d in dict.fromkeys(factors)
     }
 
 
@@ -182,7 +186,7 @@ def _kernel_checks(graph: WeightedGraph, residues: dict, configs) -> dict:
     """Kernel generators and condition checks for a batch of configurations
     of one size, per distinct cyclic factor d.
 
-    ``residues`` is ``_residues(graph, group)``.
+    ``residues`` is ``_residues(graph, factors)``.
     Columns are ordered inputs first, then errors.  Returns
     ``{d: (gens, bad_input, bad_coupling)}``: ``gens`` is the (N, n, n)
     generator array of ``kernel_mod_batch``; ``bad_input[b, j]`` says
@@ -224,7 +228,7 @@ def detects(
             out[pos] = int(x)
         return tuple(out)
 
-    checks = _kernel_checks(graph, _residues(graph, group), [cfg])
+    checks = _kernel_checks(graph, _residues(graph, group.factors), [cfg])
     certificate = []
     for d in group.factors:
         gens, bad_input, bad_coupling = (x[0] for x in checks[d])
@@ -327,6 +331,21 @@ def _undetected(graph: WeightedGraph, residues: dict, errs: np.ndarray):
     return list(map(tuple, errs[failing].tolist()))
 
 
+# (graph, residues) of the sweep a pool worker serves: set by
+# ``_start_worker`` in each worker process only, so they cross to a worker
+# once rather than with every batch.
+_worker_sweep = None
+
+
+def _start_worker(graph: WeightedGraph, residues: dict) -> None:
+    global _worker_sweep
+    _worker_sweep = (graph, residues)
+
+
+def _undetected_in_worker(errs: np.ndarray):
+    return _undetected(*_worker_sweep, errs)
+
+
 def _sweep(
     graph: WeightedGraph,
     group: FiniteAbelianGroup,
@@ -347,7 +366,10 @@ def _sweep(
         )
     start = time.perf_counter()
     workers = worker_count(workers, os.cpu_count(), total)
-    decide = partial(_undetected, graph, _residues(graph, group))
+    # the factors that divide no other factor (see the module docstring)
+    factors = group.factors
+    residues = _residues(graph, [d for d in factors
+                                 if not any(e % d == 0 and e != d for e in factors)])
     binom = np.array(
         [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
         dtype=np.int64,
@@ -359,11 +381,12 @@ def _sweep(
 
             # spawn, not fork: numpy has started threads in this process.
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_start_worker, initargs=(graph, residues),
             ))
-            decide_all = partial(pool.map, decide)
+            decide_all = partial(pool.map, _undetected_in_worker)
         else:
-            decide_all = partial(map, decide)
+            decide_all = partial(map, partial(_undetected, graph, residues))
         summaries = []
         pruned = 0
         previous = np.zeros(0, dtype=np.int64)

@@ -28,6 +28,9 @@ from .graphcode import WeightedGraph, describe, validated_config
 SIZE_CAP = 2**22
 # Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
 TOL = 1e-8
+# Fewest bytes a Gram row block or conjugated row chunk of the oracle may
+# hold before it is split: layouts this small are checked in one product.
+MIN_BLOCK_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,6 @@ class CodeIsometry:
         return float(self.group.order) ** (-len(self.outputs) / 2)
 
 
-def _assignment_codes(count: int, positions: int, order: int) -> np.ndarray:
-    """Element indices for all assignments, last position varying fastest."""
-    idx = np.arange(count, dtype=np.int64)
-    codes = np.empty((count, positions), dtype=np.int64)
-    for pos in range(positions - 1, -1, -1):
-        codes[:, pos] = idx % order
-        idx //= order
-    return codes
-
-
 def check_size(graph: WeightedGraph, group: FiniteAbelianGroup) -> None:
     """ValueError when the instance exceeds SIZE_CAP; the oracle runs only
     on instances that pass."""
@@ -72,50 +65,62 @@ def check_size(graph: WeightedGraph, group: FiniteAbelianGroup) -> None:
         )
 
 
+def _edge_phases(residues: tuple[int, ...], group: FiniteAbelianGroup) -> np.ndarray:
+    """(order, order) table of the phase numerator, modulo the exponent, that
+    an edge with these weight residues (one per cyclic factor) adds between
+    the element assignments of its two ends."""
+    rank, lcm = group.rank, group.exponent
+    table = np.zeros(group.factors * 2, dtype=np.int64)
+    for i, (d, w) in enumerate(zip(group.factors, residues)):
+        res = np.arange(d, dtype=np.int64)
+        shape = [1] * (2 * rank)
+        shape[i] = shape[rank + i] = d
+        table += (lcm // d) * (np.multiply.outer(res * w % d, res) % d).reshape(shape)
+    return table.reshape(group.order, group.order) % lcm
+
+
 def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsometry:
     """Materialize the code map as a |G|^|Y| x |G|^|X| complex matrix.
 
     Each entry is |G|^(-|Y|/2) times a root of unity whose exact rational
-    exponent is accumulated per cyclic factor over all weighted vertex pairs;
-    floats enter only in the final exponential.  Instances failing
-    ``check_size`` are refused before anything is allocated.
+    exponent is accumulated over all weighted vertex pairs: the numerator
+    lives in a tensor with one axis per vertex (outputs, then inputs), in
+    the narrowest unsigned type that holds its sum, and each edge adds its
+    table of weight residues modulo every cyclic factor, reduced on Python
+    ints, by broadcasting.  Floats enter only in the final lookup of scaled
+    roots of unity, so the code matrix is the only complex allocation.
+    Instances failing ``check_size`` are refused before anything is
+    allocated.
     """
     check_size(graph, group)
     xs, ys = graph.inputs, graph.outputs
-    order = group.order
-    n_rows = order ** len(ys)
-    n_cols = order ** len(xs)
-    lcm = group.exponent
+    order, lcm = group.order, group.exponent
+    axes = ys + xs
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    edges = []
+    for a, b in itertools.combinations(range(len(axes)), 2):
+        residues = tuple(graph.gamma[axes[a]][axes[b]] % d for d in group.factors)
+        if any(residues):
+            if residues not in tables:
+                tables[residues] = _edge_phases(residues, group)
+            edges.append((a, b, tables[residues]))
 
-    elems = np.array(
-        list(itertools.product(*(range(d) for d in group.factors))), dtype=np.int64
-    ).reshape(order, group.rank)
-    codes_y = _assignment_codes(n_rows, len(ys), order)
-    codes_x = _assignment_codes(n_cols, len(xs), order)
+    # the dtype holds lcm itself and the sum of one table entry per edge
+    dtype = np.min_scalar_type(lcm * max(1, len(edges)))
+    phase = np.zeros((order,) * len(axes), dtype=dtype)
+    for a, b, table in edges:
+        shape = [1] * len(axes)
+        shape[a] = shape[b] = order
+        phase += table.astype(dtype).reshape(shape)
+    phase %= lcm
 
-    gyy = np.array(graph.submatrix(ys, ys), dtype=np.int64)
-    gyx = np.array(graph.submatrix(ys, xs), dtype=np.int64).reshape(len(ys), len(xs))
-    gxx = np.array(graph.submatrix(xs, xs), dtype=np.int64).reshape(len(xs), len(xs))
-
-    phase_num = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for i, d in enumerate(group.factors):
-        ay = elems[:, i][codes_y]  # (rows, |Y|) residues of factor i
-        ax = elems[:, i][codes_x]  # (cols, |X|)
-        # pair sums: a.T gamma a double-counts every unordered pair, halve it
-        qyy = np.einsum("rv,vw,rw->r", ay, gyy, ay) // 2
-        qxx = np.einsum("cv,vw,cw->c", ax, gxx, ax) // 2
-        qxy = ay @ gyx @ ax.T
-        phase_num += (lcm // d) * ((qyy[:, None] + qxx[None, :] + qxy) % d)
-    phase_num %= lcm
-
-    roots = np.exp(2j * np.pi * np.arange(lcm) / lcm)
-    matrix = roots[phase_num] * (float(order) ** (-len(ys) / 2))
+    roots = np.exp(2j * np.pi * np.arange(lcm) / lcm) * (float(order) ** (-len(ys) / 2))
     return CodeIsometry(
         group=group,
         graph_id=describe(graph),
         inputs=xs,
         outputs=ys,
-        matrix=matrix,
+        matrix=roots[phase.reshape(order ** len(ys), order ** len(xs))],
     )
 
 
@@ -170,15 +175,23 @@ def _compressions(
     of shape (h, |G|^|E|, cols, cols) over consecutive ranges of a.
 
     With A from ``_error_leg_matrix``, entry ((a, c), (b, d)) of A^H A is
-    M_ab[c, d].  Each stack is one row block of that Gram matrix, at most as
-    many bytes as V itself (but at least one assignment high).
+    M_ab[c, d].  Each stack is one row block of that Gram matrix, summed in
+    place over row chunks of A so that only one chunk at a time is
+    conjugated.  Blocks and chunks hold at most a quarter of V's bytes, or
+    MIN_BLOCK_BYTES, whichever is more (but at least one assignment high
+    and one row deep).
     """
     a_mat, n_e = _error_leg_matrix(isometry, config)
     cols = isometry.cols
-    height = max(1, a_mat.shape[0] // cols)
+    budget = max(isometry.matrix.nbytes // 4, MIN_BLOCK_BYTES)
+    height = max(1, budget // (a_mat.itemsize * cols * a_mat.shape[1]))
     for lo in range(0, n_e, height):
         hi = min(n_e, lo + height)
-        block = a_mat[:, lo * cols:hi * cols].conj().T @ a_mat
+        left = a_mat[:, lo * cols:hi * cols]
+        depth = max(1, budget // (left.itemsize * left.shape[1]))
+        block = left[:depth].conj().T @ a_mat[:depth]
+        for r in range(depth, len(a_mat), depth):
+            block += left[r:r + depth].conj().T @ a_mat[r:r + depth]
         yield block.reshape(hi - lo, cols, n_e, cols).transpose(0, 2, 1, 3)
 
 
@@ -186,10 +199,11 @@ def _all_scalar(compressed: np.ndarray) -> bool:
     """True iff every matrix in the stack is a multiple of the identity:
     off-diagonal entries below TOL and diagonal entries mutually within
     TOL."""
-    cols = compressed.shape[-1]
-    off_mask = ~np.eye(cols, dtype=bool)
-    if np.abs(compressed[..., off_mask]).max(initial=0.0) >= TOL:
+    magnitude = np.abs(compressed)
+    np.einsum("abcc->abc", magnitude)[...] = 0.0  # leaves the off-diagonal
+    if magnitude.max(initial=0.0) >= TOL:
         return False
+    del magnitude  # before the spread's block-sized temporaries
     diag = np.einsum("abcc->abc", compressed)
     spread = np.abs(diag[..., :, None] - diag[..., None, :]).max(initial=0.0)
     return bool(spread < TOL)

@@ -10,7 +10,7 @@ import pytest
 
 from graphqec import singleton
 from graphqec.cli import main
-from graphqec.graphcode import serialize_graph, wheel_code
+from graphqec.graphcode import WeightedGraph, serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -429,6 +429,44 @@ class TestExportCommand:
         )
         assert code == 2
         assert "cap" in err
+
+
+class TestWeightsPastInt64:
+    """Weights act modulo the group however large they are: a graph and the
+    same graph with its weights reduced give the same oracle and export."""
+
+    @staticmethod
+    def write_wheel(tmp_path, weight) -> str:
+        wheel = wheel_code()
+        path = tmp_path / f"wheel-{weight}.txt"
+        graph = WeightedGraph.from_edges(
+            wheel.n, [(u, v, weight) for u, v, _ in wheel.edges()], wheel.inputs
+        )
+        path.write_text(serialize_graph(graph))
+        return str(path)
+
+    @pytest.mark.parametrize("weight", [2**60 + 1, 2**64 + 1])
+    def test_sweep_oracle_agrees(self, capsys, tmp_path, weight):
+        heavy, light = self.write_wheel(tmp_path, weight), self.write_wheel(tmp_path, weight % 7)
+        args = ("sweep", "--group", "7", "--detect", "3", "--oracle")
+        code, payload = run_json(capsys, *args, "--graph", heavy)
+        light_code, light_payload = run_json(capsys, *args, "--graph", light)
+        assert payload["oracle"] == {"checked": 26, "disagreements": []}
+        del payload["graph"], light_payload["graph"]  # the file names differ
+        assert (code, payload) == (light_code, light_payload)
+
+    @pytest.mark.parametrize("weight", [2**60 + 1, 2**64 + 1])
+    def test_export_matches_reduced_graph(self, capsys, tmp_path, weight):
+        csvs = []
+        for w in (weight, weight % 3):
+            out = tmp_path / f"{w}.csv"
+            code, _ = run_json(
+                capsys, "export", "--graph", self.write_wheel(tmp_path, w), "--group", "3",
+                "--out", str(out),
+            )
+            assert code == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
 
 class TestHelp:

@@ -363,9 +363,19 @@ class TestSweeps:
 
         # A real pool of spawned workers, forced on the small sweep, gives
         # the serial report.
+        # The graph goes to each worker once, not with every batch: its
+        # pickles are counted here, where the pool sends them.
         monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pickles = []
+
+        def counted_reduce(graph, protocol):
+            pickles.append(protocol)
+            return WeightedGraph, (graph.gamma, graph.inputs, graph.name)
+
+        monkeypatch.setattr(WeightedGraph, "__reduce_ex__", counted_reduce, raising=False)
         parallel = detects_errors(sparse, make_group([2, 4]), 5, workers=2)
+        assert 1 <= len(pickles) <= parallel.workers
         assert parallel.workers == 2 and reports["sparse"].workers == 1
         assert parallel.pruned == reports["sparse"].pruned
         assert parallel.to_dict() == reports["sparse"].to_dict()

@@ -4,14 +4,17 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import mat_vec_mod, random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects
-from graphqec.graphcode import WeightedGraph, wheel_code
+from graphqec.graphcode import BUILTIN_GRAPHS, WeightedGraph, wheel_code
 from graphqec import oracle
 from graphqec.oracle import (
     _compressions,
@@ -21,6 +24,10 @@ from graphqec.oracle import (
     isometry_header,
     kl_detects,
 )
+
+
+# Weights of the property tests: small ones, and ones past int64.
+WEIGHTS = st.one_of(st.integers(-3, 3), st.sampled_from([2**60 + 1, -(2**60 + 1), 2**70]))
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +62,60 @@ def scalar_table(graph, iso, config):
 
 
 def refuse_before_allocating(monkeypatch):
-    def fail(*args):
-        raise AssertionError("code matrix built past the size cap")
+    """Make any numpy use by the oracle fail: a refusal must come first."""
 
-    monkeypatch.setattr(oracle, "_assignment_codes", fail)
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"oracle reached numpy.{name} past the size cap")
+
+    monkeypatch.setattr(oracle, "np", NoNumpy())
+
+
+def draw_instance(data, max_entries=6**6):
+    """A graph of 2-6 vertices with 0-2 inputs over a small group, with at
+    most ``max_entries`` code matrix entries."""
+    group = make_group(data.draw(st.sampled_from([[2], [3], [4], [6], [2, 2], [2, 3]])))
+    top = max(n for n in range(2, 7) if group.order**n <= max_entries)
+    n = data.draw(st.integers(2, top))
+    edges = [(u, v, data.draw(WEIGHTS)) for u in range(n) for v in range(u + 1, n)]
+    inputs = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    return WeightedGraph.from_edges(n, [e for e in edges if e[2]], tuple(inputs)), group
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result, and the most bytes it held at once beyond what was
+    allocated before the call (tracemalloc must be running)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn(*args, **kwargs)
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def reduced(graph, modulus):
+    """The graph with every weight reduced modulo ``modulus``."""
+    return WeightedGraph.from_edges(
+        graph.n, [(u, v, w % modulus) for u, v, w in graph.edges()], graph.inputs
+    )
+
+
+def reference_matrix(graph, group):
+    """The code matrix entry by entry: each phase numerator summed exactly
+    on Python ints over the vertex pairs, per cyclic factor."""
+    elements = list(itertools.product(*(range(d) for d in group.factors)))
+    lcm = group.exponent
+    scale = group.order ** (-len(graph.outputs) / 2)
+    rows = []
+    for ys in itertools.product(elements, repeat=len(graph.outputs)):
+        row = []
+        for xs in itertools.product(elements, repeat=len(graph.inputs)):
+            value = dict(zip(graph.outputs + graph.inputs, ys + xs))
+            phase = sum(
+                lcm // d * sum(w * value[u][i] * value[v][i] for u, v, w in graph.edges())
+                for i, d in enumerate(group.factors)
+            )
+            row.append(cmath.exp(2j * math.pi * (phase % lcm) / lcm) * scale)
+        rows.append(row)
+    return np.array(rows)
 
 
 class TestBuildIsometry:
@@ -112,6 +169,16 @@ class TestBuildIsometry:
         assert np.allclose(
             build_isometry(light, z3).matrix, build_isometry(heavy, z3).matrix
         )
+
+    @pytest.mark.parametrize("n, edges, factors", [
+        (2, [(0, 1, 1)], [256]),  # exponent past the uint8 the phase sum needs
+        (1, [], [2**11]),
+    ])
+    def test_exponent_past_narrow_types(self, n, edges, factors):
+        graph = WeightedGraph.from_edges(n, edges, ())
+        group = make_group(factors)
+        expected = reference_matrix(graph, group)
+        assert np.abs(build_isometry(graph, group).matrix - expected).max() < 1e-12
 
     def test_column_indexing_lexicographic(self, z3):
         # kernel value for input g, output h is exp(2 pi i g h / 3) / sqrt(3)
@@ -190,16 +257,88 @@ class TestKnillLaflamme:
                     assert kernel == oracle, (graph.name, group.factors, config)
 
     @pytest.mark.parametrize("order", [2, 3])
-    def test_agrees_across_gram_block_sizes(self, wheel, order):
+    def test_agrees_across_gram_block_sizes(self, wheel, order, monkeypatch):
         group = make_group([order])
         iso = build_isometry(wheel, group)
-        for size in range(len(wheel.outputs) + 1):
+        # Without the floor, blocks and row chunks hold a quarter of V, so
+        # many configurations are split; with it, only large Gram matrices.
+        for min_bytes in (0, oracle.MIN_BLOCK_BYTES):
+            monkeypatch.setattr(oracle, "MIN_BLOCK_BYTES", min_bytes)
+            budget = max(iso.matrix.nbytes // 4, min_bytes)
+            split = 0
+            for size in range(len(wheel.outputs) + 1):
+                for config in itertools.combinations(wheel.outputs, size):
+                    stacks = list(_compressions(iso, config))
+                    gram_row = 16 * iso.cols * order**size  # bytes of one Gram row
+                    # the whole Gram matrix is one block iff it fits the budget
+                    gram = gram_row * order**size * iso.cols
+                    assert (len(stacks) == 1) == (gram <= budget), config
+                    assert all(m.nbytes <= max(budget, iso.cols * gram_row) for m in stacks)
+                    split += len(stacks) > 1
+                    if size <= 3:
+                        w = list(leg_slices(wheel, iso, config).values())
+                        direct = np.array([[a.conj().T @ b for b in w] for a in w])
+                        assert np.abs(np.concatenate(stacks) - direct).max() < 1e-12
+                    kernel = detects(wheel, group, config).detected
+                    assert kl_detects(wheel, group, config, isometry=iso) == kernel
+            if min_bytes == 0:
+                assert split
+
+
+class TestExactness:
+    """Weights act modulo the group, however large, and the memory the
+    oracle takes stays a small multiple of the code matrix."""
+
+    @pytest.mark.parametrize("weight", [2**60 + 1, 2**64 + 1])
+    @pytest.mark.parametrize("factors", [[7], [2, 3]])
+    def test_weights_past_int64(self, wheel, weight, factors):
+        group = make_group(factors)
+        heavy = WeightedGraph.from_edges(
+            wheel.n, [(u, v, weight * w) for u, v, w in wheel.edges()], wheel.inputs
+        )
+        light = reduced(heavy, group.exponent)
+        iso = build_isometry(heavy, group)
+        light_iso = build_isometry(light, group)
+        assert np.array_equal(iso.matrix, light_iso.matrix)
+        for size in range(4):
             for config in itertools.combinations(wheel.outputs, size):
-                blocks = sum(1 for _ in _compressions(iso, config))
-                # the whole Gram matrix is one block iff |E| + |X| <= |I|
-                assert (blocks == 1) == (size + 1 <= 5 - size), config
-                kernel = detects(wheel, group, config).detected
-                assert kl_detects(wheel, group, config, isometry=iso) == kernel
+                verdict = kl_detects(heavy, group, config, isometry=iso)
+                assert verdict == kl_detects(light, group, config, isometry=light_iso)
+                assert verdict == detects(heavy, group, config).detected
+
+    @pytest.mark.parametrize(
+        "name, factors, sizes",
+        [("tenfold", [3], (1, 3)), ("wheel", [6], (2,)), ("matrix19", [5], (3,))],
+    )
+    def test_peak_memory_within_two_and_a_half_code_matrices(self, name, factors, sizes):
+        graph, group = BUILTIN_GRAPHS[name](), make_group(factors)
+        tracemalloc.start()
+        try:
+            iso, peak = traced_peak(build_isometry, graph, group)
+            bound = 2.5 * iso.matrix.nbytes
+            assert peak <= bound
+            for size in sizes:
+                configs = list(itertools.combinations(graph.outputs, size))
+                for config in configs[:: max(1, len(configs) // 8)]:
+                    _, peak = traced_peak(kl_detects, graph, group, config, isometry=iso)
+                    assert peak <= bound, config
+        finally:
+            tracemalloc.stop()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_kl_matches_kernel_property(self, data):
+        graph, group = draw_instance(data)
+        config = data.draw(st.sets(st.sampled_from(graph.outputs)))
+        verdict = kl_detects(graph, group, config)
+        assert verdict == detects(graph, group, config).detected
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matrix_matches_exact_phases_property(self, data):
+        graph, group = draw_instance(data, max_entries=2**12)
+        iso = build_isometry(graph, group)
+        assert np.abs(iso.matrix - reference_matrix(graph, group)).max() < 1e-12
 
 
 class TestOmegaTable:
