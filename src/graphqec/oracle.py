@@ -1,11 +1,22 @@
 """Brute-force ground truth for small instances.
 
-The code map is materialized as a dense complex matrix with rows indexed by
-output assignments and columns by input assignments, both in lexicographic
-element order.  Detection is then checked directly through the
+The code map is a dense matrix with rows indexed by output assignments and
+columns by input assignments, both in lexicographic element order.  Every
+entry is the same modulus times a root of unity, so it is stored as its
+exact phase exponent, modulo the group exponent, in the narrowest unsigned
+type (one byte per entry up to exponent 256), beside the pre-scaled roots:
+entry (r, c) is ``roots[phase[r, c]]``.  No complex copy of the whole
+matrix is kept.  Detection is then checked directly through the
 Knill-Laflamme factorization: for every rank-one error operator localized in
 the configuration, the compressed operator on the input space must be a
-multiple of the identity.
+multiple of the identity.  Each check allocates a copy of the phases in
+its error-leg layout (the same narrow type), one buffer for the indices,
+operands and product of a row chunk, and the Gram tile being summed; only
+a row chunk at a time is expanded into complex numbers, and chunks and
+tiles stay within the budget of ``_compressions``, a quarter of the
+complex matrix's bytes.  With V = 16 |G|^n bytes, ``tracemalloc`` measures
+the build at under 0.08 V and a check at 0.7-1.8 V on tenfold over Z3,
+wheel over Z6 and matrix19 over Z5.
 
 Normalization is the counting measure: basis vectors indexed by group
 elements are orthonormal, so every matrix entry has modulus
@@ -14,7 +25,6 @@ elements are orthonormal, so every matrix entry has modulus
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -35,19 +45,28 @@ MIN_BLOCK_BYTES = 2**16
 
 @dataclass(frozen=True)
 class CodeIsometry:
+    """The code map as exact phases: entry (r, c) is ``roots[phase[r, c]]``,
+    with ``roots`` the exponent-th roots of unity scaled by |G|^(-|Y|/2)."""
+
     group: FiniteAbelianGroup
     graph_id: str
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
-    matrix: np.ndarray
+    phase: np.ndarray
+    roots: np.ndarray
 
     @property
     def rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.phase.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.matrix.shape[1]
+        return self.phase.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix, built anew on every access."""
+        return self.roots.take(self.phase)
 
     @property
     def entry_modulus(self) -> float:
@@ -80,17 +99,17 @@ def _edge_phases(residues: tuple[int, ...], group: FiniteAbelianGroup) -> np.nda
 
 
 def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsometry:
-    """Materialize the code map as a |G|^|Y| x |G|^|X| complex matrix.
+    """The code map as the |G|^|Y| x |G|^|X| phases of its entries.
 
     Each entry is |G|^(-|Y|/2) times a root of unity whose exact rational
     exponent is accumulated over all weighted vertex pairs: the numerator
     lives in a tensor with one axis per vertex (outputs, then inputs), in
     the narrowest unsigned type that holds its sum, and each edge adds its
     table of weight residues modulo every cyclic factor, reduced on Python
-    ints, by broadcasting.  Floats enter only in the final lookup of scaled
-    roots of unity, so the code matrix is the only complex allocation.
-    Instances failing ``check_size`` are refused before anything is
-    allocated.
+    ints, by broadcasting.  The sum is reduced modulo the exponent and kept
+    in the narrowest type that holds the exponent; no complex array larger
+    than the exponent's roots is built.  Instances failing ``check_size``
+    are refused before anything is allocated.
     """
     check_size(graph, group)
     xs, ys = graph.inputs, graph.outputs
@@ -120,29 +139,32 @@ def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsome
         graph_id=describe(graph),
         inputs=xs,
         outputs=ys,
-        matrix=roots[phase.reshape(order ** len(ys), order ** len(xs))],
+        phase=phase.astype(np.min_scalar_type(lcm - 1), copy=False).reshape(
+            order ** len(ys), order ** len(xs)
+        ),
+        roots=roots,
     )
 
 
 def check_isometry(isometry: CodeIsometry) -> bool:
     """True iff the columns are orthonormal within TOL entrywise."""
-    v = isometry.matrix
-    gram = v.conj().T @ v
-    return bool(np.abs(gram - np.eye(v.shape[1])).max() < TOL)
+    (gram,) = _compressions(isometry, ())  # one (1, 1, cols, cols) tile
+    return bool(np.abs(gram - np.eye(isometry.cols)).max() < TOL)
 
 
-def _error_leg_matrix(
+def _error_leg_phases(
     isometry: CodeIsometry, config: tuple[int, ...]
 ) -> tuple[np.ndarray, int]:
-    """Lay the matrix out as A of shape (|G|^|I|, |G|^|E| * cols): column
-    (a, c) holds column c of V restricted to the rows whose E legs read a."""
+    """Lay the phases out as A of shape (|G|^|I|, |G|^|E| * cols): column
+    (a, c) holds the phases of column c of V on the rows whose E legs read
+    a."""
     order = isometry.group.order
     ys = isometry.outputs
     pos = {v: i for i, v in enumerate(ys)}
     e_axes = [pos[v] for v in config]
     i_axes = [i for i in range(len(ys)) if ys[i] not in set(config)]
     cols = isometry.cols
-    tensor = isometry.matrix.reshape((order,) * len(ys) + (cols,))
+    tensor = isometry.phase.reshape((order,) * len(ys) + (cols,))
     tensor = tensor.transpose(tuple(i_axes) + tuple(e_axes) + (len(ys),))
     n_e = order ** len(config)
     return tensor.reshape(order ** len(i_axes), n_e * cols), n_e
@@ -171,28 +193,61 @@ def _isometry_for(
 def _compressions(
     isometry: CodeIsometry, config: tuple[int, ...]
 ) -> Iterator[np.ndarray]:
-    """Yield every compressed operator M_ab = V* (|a><b| (x) id) V, as stacks
-    of shape (h, |G|^|E|, cols, cols) over consecutive ranges of a.
+    """Yield the compressed operators M_ab = V* (|a><b| (x) id) V with
+    a <= b, as tiles of shape (h, w, cols, cols) over consecutive ranges of a
+    and of b, row by row.  M_ba is the adjoint of M_ab, so it is a multiple
+    of the identity exactly when M_ab is.
 
-    With A from ``_error_leg_matrix``, entry ((a, c), (b, d)) of A^H A is
-    M_ab[c, d].  Each stack is one row block of that Gram matrix, summed in
-    place over row chunks of A so that only one chunk at a time is
-    conjugated.  Blocks and chunks hold at most a quarter of V's bytes, or
-    MIN_BLOCK_BYTES, whichever is more (but at least one assignment high
-    and one row deep).
+    With A the complex matrix of the phases from ``_error_leg_phases``,
+    entry ((a, c), (b, d)) of A^H A is M_ab[c, d].  A tile is summed in place
+    over row chunks of A; each chunk is expanded from the phases once per
+    tile, and the left operand is a conjugated slice of it unless a Gram row
+    does not fit the budget (then tiles are one a high).  Tiles and chunks
+    hold at most a quarter of V's complex bytes, or MIN_BLOCK_BYTES,
+    whichever is more (but at least one M_ab and one row), and one buffer
+    allocated per call holds every chunk's indices, operands and product.
     """
-    a_mat, n_e = _error_leg_matrix(isometry, config)
-    cols = isometry.cols
-    budget = max(isometry.matrix.nbytes // 4, MIN_BLOCK_BYTES)
-    height = max(1, budget // (a_mat.itemsize * cols * a_mat.shape[1]))
+    phases, n_e = _error_leg_phases(isometry, config)
+    cols, roots = isometry.cols, isometry.roots
+    budget = max(roots.itemsize * phases.size // 4, MIN_BLOCK_BYTES)
+    pair = roots.itemsize * cols * cols  # bytes of one M_ab
+    width = min(n_e, max(1, budget // pair))
+    height = max(1, budget // (pair * n_e)) if width == n_e else 1
+    # One allocation per call holds the indices, operands and product of
+    # every chunk: arrays made afresh for each chunk went back to the system
+    # and were page-faulted in again on every chunk.
+    entries = min(phases.size, max(budget // roots.itemsize, width * cols))
+    largest_tile = min(height, n_e) * width * cols * cols
+    work = np.empty((entries + 1) // 2 + 2 * entries + largest_tile, dtype=roots.dtype)
+    index = work[:(entries + 1) // 2].view(np.intp)
+    right_rows, left_rows = work[(entries + 1) // 2:-largest_tile].reshape(2, entries)
+    product = work[-largest_tile:]
+
+    def expand(chunk, table, out):
+        """table[chunk] in ``out``, shaped like the chunk of phases.  Phases
+        are below the exponent, so "clip" never clips; unlike "raise", it
+        lets ``take`` write into ``out`` directly."""
+        idx = index[:chunk.size].reshape(chunk.shape)
+        np.copyto(idx, chunk)
+        return table.take(idx, out=out[:chunk.size].reshape(chunk.shape), mode="clip")
+
     for lo in range(0, n_e, height):
         hi = min(n_e, lo + height)
-        left = a_mat[:, lo * cols:hi * cols]
-        depth = max(1, budget // (left.itemsize * left.shape[1]))
-        block = left[:depth].conj().T @ a_mat[:depth]
-        for r in range(depth, len(a_mat), depth):
-            block += left[r:r + depth].conj().T @ a_mat[r:r + depth]
-        yield block.reshape(hi - lo, cols, n_e, cols).transpose(0, 2, 1, 3)
+        for b_lo in range(lo, n_e, width):
+            b_hi = min(n_e, b_lo + width)
+            depth = max(1, budget // (roots.itemsize * (b_hi - b_lo) * cols))
+            block = np.zeros(((hi - lo) * cols, (b_hi - b_lo) * cols), dtype=roots.dtype)
+            prod = product[:block.size].reshape(block.shape)
+            for r in range(0, len(phases), depth):
+                chunk = phases[r:r + depth]
+                right = expand(chunk[:, b_lo * cols:b_hi * cols], roots, right_rows)
+                if b_lo == lo:
+                    left = right[:, :(hi - lo) * cols]
+                    left = np.conjugate(left, out=left_rows[:left.size].reshape(left.shape))
+                else:
+                    left = expand(chunk[:, lo * cols:hi * cols], roots.conj(), left_rows)
+                block += np.matmul(left.T, right, out=prod)
+            yield block.reshape(hi - lo, cols, b_hi - b_lo, cols).transpose(0, 2, 1, 3)
 
 
 def _all_scalar(compressed: np.ndarray) -> bool:
@@ -242,12 +297,11 @@ def isometry_header(isometry: CodeIsometry) -> dict:
 
 
 def export_isometry_csv(isometry: CodeIsometry, path) -> dict:
-    """Write (row, col, real, imag) lines in lexicographic order; returns the
-    JSON-ready header describing the dump."""
+    """Write (row, col, real, imag) lines in lexicographic order, as
+    ``csv.writer`` would; returns the JSON-ready header describing the dump.
+    Each root of unity is formatted once."""
+    tails = [f",{float(z.real)!r},{float(z.imag)!r}\r\n" for z in isometry.roots]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for r in range(isometry.rows):
-            for c in range(isometry.cols):
-                entry = isometry.matrix[r, c]
-                writer.writerow([r, c, repr(float(entry.real)), repr(float(entry.imag))])
+        for r, row in enumerate(isometry.phase):
+            fh.write("".join([f"{r},{c}{tails[k]}" for c, k in enumerate(row.tolist())]))
     return isometry_header(isometry)

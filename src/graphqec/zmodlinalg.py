@@ -306,11 +306,13 @@ def _residue_dtype(q: int):
 
 def _reduce(x: np.ndarray, p: int, q: int) -> np.ndarray:
     """x modulo q = p**k, in place; a mask when q is a power of two (two's
-    complement makes it exact for negative x too)."""
+    complement makes it exact for negative x too).  Otherwise x - x // q * q,
+    which numpy vectorizes where ``%`` does not; it is exact even where
+    x // q * q wraps, since the true result lies in [0, q)."""
     if p == 2:
         x &= q - 1
     else:
-        x %= q
+        x -= x // q * q
     return x
 
 
@@ -322,7 +324,7 @@ def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
     pe = 1
     for _ in range(k):
         pe *= p
-        val += (a & (pe - 1) if p == 2 else a % pe) == 0
+        val += (a & (pe - 1) if p == 2 else a - a // pe * pe) == 0
     return val
 
 

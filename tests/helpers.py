@@ -1,7 +1,10 @@
 """Shared test utilities: random instances, reference and brute-force
-kernels, strong detection and determinants, and verdict re-verification."""
+kernels, strong detection and determinants, verdict re-verification and the
+export format written by `csv.writer`."""
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -20,6 +23,16 @@ def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:
             if w:
                 edges.append((u, v, w))
     return WeightedGraph.from_edges(n, edges, (rng.randrange(n),))
+
+
+def reference_csv(matrix, path) -> None:
+    """The export format written entry by entry with ``csv.writer``: one
+    (row, col, real, imag) line per entry, rows outer, floats by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for r, row in enumerate(matrix):
+            for c, entry in enumerate(row):
+                writer.writerow([r, c, repr(float(entry.real)), repr(float(entry.imag))])
 
 
 def kernel_mod(a, d: int, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:

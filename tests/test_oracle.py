@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import mat_vec_mod, random_graph
+from helpers import mat_vec_mod, random_graph, reference_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +42,9 @@ def leg_slices(graph, iso, config):
     e_pos = [graph.outputs.index(v) for v in config]
     slices = {a: [] for a in itertools.product(elements, repeat=len(config))}
     digits_of_rows = itertools.product(range(len(elements)), repeat=len(graph.outputs))
+    matrix = iso.matrix
     for row, digits in enumerate(digits_of_rows):
-        slices[tuple(elements[digits[p]] for p in e_pos)].append(iso.matrix[row])
+        slices[tuple(elements[digits[p]] for p in e_pos)].append(matrix[row])
     return {a: np.array(rows) for a, rows in slices.items()}
 
 
@@ -59,6 +60,34 @@ def scalar_table(graph, iso, config):
         assert np.abs(compressed - scalar * np.eye(iso.cols)).max() < 1e-12, (a, b)
         table[(a, b)] = scalar
     return table
+
+
+def direct_gram(graph, iso, config):
+    """Every M_ab = W_a^H W_b at [a, b], from the row slices W_a of V."""
+    w = np.array(list(leg_slices(graph, iso, config).values()))
+    return np.einsum("arc,brd->abcd", w.conj(), w)
+
+
+def gram_from_tiles(tiles, n_e):
+    """The (n_e, n_e, cols, cols) stack of every M_ab from the tiles of
+    ``_compressions`` (ranges of a, each with ranges of b from a's first,
+    row by row), with M_ba = M_ab^H where no tile holds it."""
+    cols = tiles[0].shape[-1]
+    gram = np.full((n_e, n_e, cols, cols), np.nan, dtype=complex)
+    lo = b = 0
+    for tile in tiles:
+        h, w = tile.shape[:2]
+        assert np.isnan(gram[lo:lo + h, b:b + w]).all()
+        gram[lo:lo + h, b:b + w] = tile
+        b += w
+        if b == n_e:
+            lo += h
+            b = lo
+    assert lo == n_e
+    missing = np.isnan(gram)
+    gram[missing] = gram.transpose(1, 0, 3, 2).conj()[missing]
+    assert not np.isnan(gram).any()
+    return gram
 
 
 def refuse_before_allocating(monkeypatch):
@@ -247,6 +276,7 @@ class TestKnillLaflamme:
             (wheel, make_group([7]), 2),
             (tenfold, z2, 3),
             (tenfold, z3, 3),
+            (BUILTIN_GRAPHS["matrix19"](), z5, 3),
         ]
         for graph, group, max_size in cases:
             iso = build_isometry(graph, group)
@@ -260,29 +290,32 @@ class TestKnillLaflamme:
     def test_agrees_across_gram_block_sizes(self, wheel, order, monkeypatch):
         group = make_group([order])
         iso = build_isometry(wheel, group)
-        # Without the floor, blocks and row chunks hold a quarter of V, so
-        # many configurations are split; with it, only large Gram matrices.
+        # Without the floor, tiles and row chunks hold a quarter of V, so
+        # many configurations are split, the larger ones into tiles one a
+        # high and narrower than a Gram row; with it, only large Gram
+        # matrices are split.
         for min_bytes in (0, oracle.MIN_BLOCK_BYTES):
             monkeypatch.setattr(oracle, "MIN_BLOCK_BYTES", min_bytes)
-            budget = max(iso.matrix.nbytes // 4, min_bytes)
-            split = 0
+            budget = max(16 * iso.rows * iso.cols // 4, min_bytes)
+            split = narrow = 0
             for size in range(len(wheel.outputs) + 1):
+                n_e = order**size
                 for config in itertools.combinations(wheel.outputs, size):
-                    stacks = list(_compressions(iso, config))
-                    gram_row = 16 * iso.cols * order**size  # bytes of one Gram row
-                    # the whole Gram matrix is one block iff it fits the budget
-                    gram = gram_row * order**size * iso.cols
-                    assert (len(stacks) == 1) == (gram <= budget), config
-                    assert all(m.nbytes <= max(budget, iso.cols * gram_row) for m in stacks)
-                    split += len(stacks) > 1
-                    if size <= 3:
-                        w = list(leg_slices(wheel, iso, config).values())
-                        direct = np.array([[a.conj().T @ b for b in w] for a in w])
-                        assert np.abs(np.concatenate(stacks) - direct).max() < 1e-12
+                    tiles = list(_compressions(iso, config))
+                    gram = 16 * (n_e * iso.cols) ** 2
+                    # the whole Gram matrix is one tile iff it fits the budget
+                    assert (len(tiles) == 1) == (gram <= budget), config
+                    assert all(m.nbytes <= max(budget, 16 * iso.cols**2) for m in tiles)
+                    split += len(tiles) > 1
+                    if 16 * iso.cols**2 * n_e > budget:  # a Gram row does not fit
+                        assert all(m.shape[0] == 1 and m.nbytes <= budget for m in tiles)
+                        narrow += 1
+                    stack = gram_from_tiles(tiles, n_e)
+                    assert np.abs(stack - direct_gram(wheel, iso, config)).max() < 1e-12
                     kernel = detects(wheel, group, config).detected
                     assert kl_detects(wheel, group, config, isometry=iso) == kernel
             if min_bytes == 0:
-                assert split
+                assert split and narrow
 
 
 class TestExactness:
@@ -308,20 +341,23 @@ class TestExactness:
 
     @pytest.mark.parametrize(
         "name, factors, sizes",
-        [("tenfold", [3], (1, 3)), ("wheel", [6], (2,)), ("matrix19", [5], (3,))],
+        [("tenfold", [3], (1, 3, 9, 10)), ("wheel", [6], (2,)), ("matrix19", [5], (3,))],
     )
     def test_peak_memory_within_two_and_a_half_code_matrices(self, name, factors, sizes):
+        # V = 16 |G|^n bytes is what the complex code matrix would take;
+        # the build holds phases only, and every check at most 2.5 V, also
+        # for configurations that touch nine or all ten outputs of tenfold.
         graph, group = BUILTIN_GRAPHS[name](), make_group(factors)
+        code_matrix = 16 * group.order**graph.n
         tracemalloc.start()
         try:
             iso, peak = traced_peak(build_isometry, graph, group)
-            bound = 2.5 * iso.matrix.nbytes
-            assert peak <= bound
+            assert peak <= 0.25 * code_matrix
             for size in sizes:
                 configs = list(itertools.combinations(graph.outputs, size))
                 for config in configs[:: max(1, len(configs) // 8)]:
                     _, peak = traced_peak(kl_detects, graph, group, config, isometry=iso)
-                    assert peak <= bound, config
+                    assert peak <= 2.5 * code_matrix, config
         finally:
             tracemalloc.stop()
 
@@ -400,9 +436,9 @@ class TestOmegaTable:
         ids=["wheel", "twins"],
     )
     def test_qutrit_scalars_match_direct_compression(self, z3, graph, config):
-        # the blocked Gram stacks kl_detects reads hold M_ab at [a, b]
+        # the Gram tiles kl_detects reads hold M_ab at [a, b]
         iso = build_isometry(graph, z3)
-        stack = np.concatenate(list(_compressions(iso, config)))
+        stack = gram_from_tiles(list(_compressions(iso, config)), 9)
         w = leg_slices(graph, iso, config)
         assert stack.shape == (len(w), len(w), iso.cols, iso.cols) == (9, 9, 3, 3)
         for (i, a), (j, b) in itertools.product(enumerate(w), repeat=2):
@@ -428,7 +464,18 @@ class TestExport:
         # lexicographic: rows outer, cols inner
         keys = [tuple(int(x) for x in line.split(",")[:2]) for line in lines]
         assert keys == [(r, c) for r in range(32) for c in range(2)]
+        matrix = wheel_iso_z2.matrix
         for line in lines:
             r, c, re_part, im_part = line.split(",")
             value = complex(float(re_part), float(im_part))
-            assert value == wheel_iso_z2.matrix[int(r), int(c)]
+            assert value == matrix[int(r), int(c)]
+
+    @pytest.mark.parametrize("name, factors", [
+        ("wheel", [2]), ("wheel", [6]), ("wheel", [2, 3]),
+        ("matrix19", [3]), ("tenfold", [2]),
+    ])
+    def test_csv_bytes_match_csv_writer(self, name, factors, tmp_path):
+        iso = build_isometry(BUILTIN_GRAPHS[name](), make_group(factors))
+        export_isometry_csv(iso, tmp_path / "fast.csv")
+        reference_csv(iso.matrix, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

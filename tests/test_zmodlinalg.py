@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqec.zmodlinalg import (
+    _reduce,
     _residue_dtype,
+    _valuation,
     det_batch,
     det_fits_int64,
     fits_int64,
@@ -292,6 +294,31 @@ class TestKernelModBatch:
                 # above the switch the batch runs one SNF per system
                 assert block.dtype == object
                 assert gens == list(reference)
+
+    @pytest.mark.parametrize("q", [11, 13, 181, 183, 46337, 46349])
+    def test_reduce_matches_remainder_at_each_width(self, q):
+        # Odd moduli on each side of a width switch, in the elimination
+        # dtype, over the residue products' range +-(q - 1)**2: all of it
+        # for small q, else both ends, the middle and a seeded sample.
+        dtype = _residue_dtype(q)
+        top = (q - 1) ** 2
+        if top <= 2**16:
+            x = np.arange(-top, top + 1, dtype=np.int64)
+        else:
+            ends = np.arange(4 * q, dtype=np.int64)
+            sample = np.random.default_rng(q).integers(-top, top + 1, 2**16)
+            x = np.concatenate([-top + ends, ends - 2 * q, top - ends, sample])
+        p = next(f for f in range(3, q + 1, 2) if q % f == 0)
+        reduced = _reduce(x.astype(dtype), p, q)
+        assert reduced.dtype == dtype
+        assert np.array_equal(reduced, x % q)
+
+    @pytest.mark.parametrize("p, k", [(3, 5), (5, 3), (7, 2), (2, 4)])
+    def test_valuation_of_every_residue(self, p, k):
+        q = p**k
+        residues = np.arange(q).astype(_residue_dtype(q))
+        expected = [k if x == 0 else next(v for v in range(k) if x % p ** (v + 1)) for x in range(q)]
+        assert _valuation(residues, p, k).tolist() == expected
 
     @PROPERTY
     @given(
