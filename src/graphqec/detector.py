@@ -14,10 +14,12 @@ product of cyclic groups.
 Single verdicts and sweeps share one engine: configurations of one size are
 decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
 both conditions are checked on all their generators at once.  A sweep
-eliminates only modulo the cyclic factors that divide no other factor: a
-violating kernel vector x modulo a divisor m of M gives the violating vector
-(M/m) x modulo M, so detection modulo M implies detection modulo m, while
-``detects`` keeps every factor because its certificate lists them all.
+eliminates once, modulo the group exponent L (the lcm of the factors), while
+``detects`` keeps every factor because its certificate lists them all.  The
+two agree: a violating kernel vector x modulo a factor d gives the violating
+vector (L/d) x modulo L; and by CRT a violation modulo L shows modulo some
+maximal prime power p^k of L, where p^k divides a factor d, so the same
+vector times d/p^k violates modulo d.
 
 A sweep decides its sizes in increasing order and prunes, because detection
 is downward-closed (Knill and Laflamme, PRA 55, 900, 1997).  For
@@ -366,10 +368,7 @@ def _sweep(
         )
     start = time.perf_counter()
     workers = worker_count(workers, os.cpu_count(), total)
-    # the factors that divide no other factor (see the module docstring)
-    factors = group.factors
-    residues = _residues(graph, [d for d in factors
-                                 if not any(e % d == 0 and e != d for e in factors)])
+    residues = _residues(graph, [group.exponent])  # see the module docstring
     binom = np.array(
         [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
         dtype=np.int64,

@@ -2,15 +2,16 @@
 
 ``kernel_mod_batch`` decides a whole batch of systems at once by numpy
 elimination over each prime-power factor Z_{p^k} of the modulus, combined by
-CRT; ``prime_factors`` (Pollard rho with certified Miller-Rabin) splits the
-modulus and also serves the bad-prime sets of determinant reports.  Moduli
-too large for int64 arithmetic go through a Smith normal form on
-arbitrary-precision Python integers instead; it tracks only the column
-transform the kernel is read off.  ``det_batch`` computes exact determinants
-of a stack by one vectorized fraction-free Bareiss loop, in int64 when the
-entries allow and on Python integers otherwise.  Matrices are plain lists of
-row lists; operations that must work on matrices with zero rows take an
-explicit column count.
+CRT, for every modulus: residues live in the narrowest signed integer dtype
+that holds a product of two of them, and on Python integers in an object
+array once that no longer fits int64.  ``prime_powers`` splits the modulus,
+but factors only cofactors small enough for a fixed-width dtype; a larger
+cofactor is eliminated over as if it were prime, and a pivot that is not a
+unit splits it.  ``prime_factors`` (Pollard rho with certified Miller-Rabin)
+also serves the bad-prime sets of determinant reports.  ``det_batch``
+computes exact determinants of a stack by one vectorized fraction-free
+Bareiss loop, in int64 when the entries allow and on Python integers
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,147 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-def _ncols_of(a, ncols: int | None) -> int:
-    if a:
-        widths = {len(row) for row in a}
-        if len(widths) != 1:
-            raise ValueError("ragged matrix")
-        width = widths.pop()
-        if ncols is not None and ncols != width:
-            raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-        return width
-    if ncols is None:
-        raise ValueError("matrix with zero rows needs an explicit ncols")
-    return ncols
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """The invariant factors of A and the inverse column transform.
-
-    A = U * S * V with U, V unimodular and S in Smith normal form; ``diagonal``
-    is the diagonal of S and ``v_inv`` the inverse of V.  Kernels are read off
-    through it: x solves A x = 0 (mod d) exactly when x = v_inv * y for y with
-    S y = 0 (mod d).
-    """
-
-    diagonal: tuple[int, ...]
-    v_inv: tuple[tuple[int, ...], ...]
-    ncols: int
-
-
-def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
-    """Smith normal form with deterministic pivoting.
-
-    Pivot rule: smallest nonzero absolute value in the remaining block, ties
-    broken by lowest (row, col).  The divisibility chain s_1 | s_2 | ... is
-    enforced and diagonal entries are normalized to be nonnegative.  Row
-    operations act on the working matrix only; column operations also act on
-    ``v_inv``.
-    """
-    n = _ncols_of(a, ncols)
-    s = [[int(x) for x in row] for row in a]
-    m = len(s)
-    v_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_addmul(i, k, c):
-        # row_i += c * row_k
-        si, sk = s[i], s[k]
-        for j in range(n):
-            si[j] += c * sk[j]
-
-    def col_swap(j, l):
-        for row in s:
-            row[j], row[l] = row[l], row[j]
-        for row in v_inv:
-            row[j], row[l] = row[l], row[j]
-
-    def col_addmul(j, l, c):
-        # col_j += c * col_l
-        for row in s:
-            row[j] += c * row[l]
-        for row in v_inv:
-            row[j] += c * row[l]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pivot = find_pivot(t)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            s[t], s[pivot[0]] = s[pivot[0]], s[t]
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            # Euclidean clearing of column t then row t; a nonzero remainder
-            # becomes the new, strictly smaller pivot.
-            i = next((i for i in range(t + 1, m) if s[i][t]), None)
-            if i is not None:
-                q = s[i][t] // s[t][t]
-                row_addmul(i, t, -q)
-                if s[i][t]:
-                    s[t], s[i] = s[i], s[t]
-                continue
-            j = next((j for j in range(t + 1, n) if s[t][j]), None)
-            if j is not None:
-                q = s[t][j] // s[t][t]
-                col_addmul(j, t, -q)
-                if s[t][j]:
-                    col_swap(t, j)
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                 if s[i][j] % s[t][t]),
-                None,
-            )
-            if bad is not None:
-                # Fold the offending row into row t; the next round shrinks
-                # the pivot to a divisor of both.
-                row_addmul(t, bad[0], 1)
-                continue
-            break
-        t += 1
-
-    return SmithDecomposition(
-        diagonal=tuple(abs(s[i][i]) for i in range(min(m, n))),
-        v_inv=tuple(tuple(r) for r in v_inv),
-        ncols=n,
-    )
-
-
-def kernel_from_snf(snf: SmithDecomposition, d: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of {x in Z_d^n : A x = 0 mod d}, read off a precomputed
-    decomposition of A."""
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
-    n = snf.ncols
-    diag = snf.diagonal
-    generators: list[tuple[int, ...]] = []
-    for j in range(n):
-        if j < len(diag) and diag[j] != 0:
-            step = d // math.gcd(diag[j], d)
-            if step % d == 0:
-                continue
-        else:
-            step = 1
-        vec = tuple((step * snf.v_inv[i][j]) % d for i in range(n))
-        if any(vec):
-            generators.append(vec)
-    return tuple(generators)
 
 
 def fits_int64(d: int, n: int) -> bool:
@@ -281,11 +143,25 @@ def prime_factors(n: int) -> frozenset[int]:
 
 @functools.lru_cache(maxsize=256)
 def prime_powers(d: int) -> tuple[tuple[int, int], ...]:
-    """(p, k) for every prime power p**k exactly dividing d, in increasing p."""
+    """(p, k) for every prime power p**k exactly dividing d, in increasing p,
+    except that the cofactor free of the primes below 43 comes last and
+    whole, as (c, 1), when it is too large for a fixed-width
+    ``_residue_dtype``.
+
+    Such a cofactor is not factored: Pollard rho can stall on it and
+    Miller-Rabin cannot always certify it.  ``kernel_mod_batch`` eliminates
+    modulo it as if it were prime and splits it at the first pivot that is
+    not a unit.
+    """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
+    cofactor = d
+    for p in _SMALL_PRIMES:
+        while cofactor % p == 0:
+            cofactor //= p
+    large = [cofactor] if _residue_dtype(cofactor) is object else []
     out = []
-    for p in sorted(prime_factors(d)):
+    for p in sorted(prime_factors(d // math.prod(large))) + large:
         k = 0
         while d % p == 0:
             d //= p
@@ -297,11 +173,12 @@ def prime_powers(d: int) -> tuple[tuple[int, int], ...]:
 def _residue_dtype(q: int):
     """Narrowest signed integer dtype in which elimination modulo q runs
     exactly: the widest intermediate is a product of two residues, at most
-    (q - 1)**2, subtracted from a residue before it is reduced."""
-    for dtype in (np.int8, np.int16, np.int32):
+    (q - 1)**2, subtracted from a residue before it is reduced.  Past int64,
+    ``object``: Python integers."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
         if (q - 1) ** 2 <= np.iinfo(dtype).max:
             return dtype
-    return np.int64
+    return object
 
 
 def _reduce(x: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -320,7 +197,7 @@ def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
     """p-adic valuation of residues modulo p**k, with k for zero."""
     if k == 1:
         return (a == 0).astype(np.int8)
-    val = np.zeros(a.shape, dtype=np.int8)
+    val = np.zeros(a.shape, dtype=np.int8 if k <= 127 else np.int64)
     pe = 1
     for _ in range(k):
         pe *= p
@@ -328,10 +205,29 @@ def _valuation(a: np.ndarray, p: int, k: int) -> np.ndarray:
     return val
 
 
+class _NonUnitPivot(ArithmeticError):
+    """A nonzero pivot that is not a unit modulo p**k; the argument is its gcd
+    with p, a proper divisor of p, so p is not prime."""
+
+
 def _unit_inverse(u: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Inverse of unit residues modulo q = p**k as u**(phi(q) - 1), by
-    squaring."""
+    """Inverse of unit residues modulo q = p**k, and 0 for 0.
+
+    Fixed-width residues have a prime p, since ``prime_powers`` factors every
+    modulus that small, and take u**(phi(q) - 1) by squaring.  Python-int
+    residues take ``pow(u, -1, q)``, which fails exactly on non-units: p need
+    not be prime there, and a nonzero non-unit raises ``_NonUnitPivot``.
+    """
     q = p**k
+    if u.dtype == object:
+        try:
+            return np.array([pow(x, -1, q) if x else 0 for x in u.tolist()], dtype=object)
+        except ValueError:
+            # gcd(x, p) is p only for x = 0: a nonzero pivot of valuation v
+            # is p**v times a residue that p does not divide.
+            raise _NonUnitPivot(
+                next(g for x in u.tolist() if (g := math.gcd(x, p)) not in (1, p))
+            ) from None
     e = p ** (k - 1) * (p - 1) - 1
     out = np.ones_like(u)
     base = u
@@ -353,17 +249,23 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
     Pivot column j of valuation v yields p**(k - v) times transform column
     j; a column without a pivot yields the transform column itself.
 
-    The elimination runs in the narrowest signed dtype of
-    ``_residue_dtype(q)`` (int8 up to q = 12, int16 up to 182, int32 up to
-    46,341): every residue product is formed and reduced before the next one,
-    so the result, returned as int64, does not depend on the width.
+    The elimination is exact for any p, prime or not, as long as every
+    normalised pivot is a unit: a pivot of least valuation v divides every
+    entry of its block, and p**v x = 0 (mod p**k) exactly when p**(k - v)
+    divides x.  ``_unit_inverse`` raises ``_NonUnitPivot`` otherwise.
+
+    The elimination runs in the narrowest dtype of ``_residue_dtype(q)``
+    (int8 up to q = 12, int16 up to 182, int32 up to 46,341, int64 up to
+    about 3.04e9, then Python ints): every residue product is formed and
+    reduced before the next one, so the result, returned as int64 or on
+    Python ints past int64, does not depend on the width.
     """
     q = p**k
     dtype = _residue_dtype(q)
     a = a.astype(dtype)
     batch, m, n = a.shape
     basis = np.tile(np.eye(n, dtype=dtype), (batch, 1, 1))  # basis[b, j] = column j
-    scale = np.ones((batch, n), dtype=np.int64)
+    scale = np.ones((batch, n), dtype=object if dtype is object else np.int64)
     at = np.arange(batch)
     for _ in range(min(m, n)):
         flat = _valuation(a, p, k).reshape(batch, -1)
@@ -406,29 +308,60 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     generator read off column j, and all-zero rows are not generators.  The
     nonzero rows of system b generate {x in Z_d^n : A_b x = 0 (mod d)}.
 
-    Moduli passing ``fits_int64`` run batched, one elimination per prime
-    power q of d in the narrowest dtype that holds it, lifted to Z_d by CRT
-    in int64.  Larger moduli run one Smith
-    normal form per system on Python integers and return an object array.
+    One batched elimination runs per factor p**k of ``prime_powers(d)``, in
+    the narrowest dtype that holds it, lifted to Z_d by CRT: in int64 when
+    ``fits_int64(d, n)`` holds, else on Python ints in an object array.  When
+    p is a cofactor that is not prime, a pivot that is not a unit exposes a
+    proper divisor g of p; p**k then splits by ``_coprime_split`` and each
+    part is eliminated anew.
     """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     systems = np.asarray(systems)
     batch, _, n = systems.shape
-    if not fits_int64(d, n):
-        out = np.zeros((batch, n, n), dtype=object)
-        for b, a in enumerate(systems):
-            gens = kernel_from_snf(smith_normal_form(a.tolist(), ncols=n), d)
-            if gens:
-                out[b, : len(gens)] = gens
-        return out
-    out = np.zeros((batch, n, n), dtype=np.int64)
-    for p, k in prime_powers(d):
+    dtype = np.int64 if fits_int64(d, n) else object
+    if dtype is object:
+        systems = systems.astype(object)  # a factor may exceed int64
+    out = np.zeros((batch, n, n), dtype=dtype)
+    factors = list(prime_powers(d))
+    while factors:
+        p, k = factors.pop()
         q = p**k
+        try:
+            # Weights are arbitrary Python ints: reduce before any narrowing cast.
+            local = _local_kernel(systems % q, p, k)
+        except _NonUnitPivot as exc:
+            factors += _coprime_split(p, k, *exc.args)
+            continue
         rest = d // q
         idempotent = rest * pow(rest, -1, q) % d  # 1 mod q, 0 mod d / q
-        # Weights are arbitrary Python ints: reduce before any narrowing cast.
-        out = (out + _local_kernel(systems % q, p, k) * idempotent % d) % d
+        out = (out + local.astype(dtype, copy=False) * idempotent % d) % d
+    return out
+
+
+def _coprime_split(p: int, k: int, g: int) -> list[tuple[int, int]]:
+    """The factors of p**k for ``kernel_mod_batch``, given a proper divisor g
+    of p.
+
+    p is a product of powers b**e of the pairwise coprime base that g and
+    p / g refine to (replace two elements sharing h = gcd by their quotients
+    and h until none do), and each b**(e k) goes through ``prime_powers``.
+    """
+    base = {g, p // g}
+    while pair := next(
+        ((x, y) for x, y in itertools.combinations(sorted(base), 2) if math.gcd(x, y) > 1),
+        None,
+    ):
+        h = math.gcd(*pair)
+        base = (base - set(pair)) | {pair[0] // h, h, pair[1] // h}
+        base.discard(1)
+    out = []
+    for b in sorted(base):
+        e = 0
+        while p % b == 0:
+            p //= b
+            e += 1
+        out += [(r, j * e * k) for r, j in prime_powers(b)]
     return out
 
 

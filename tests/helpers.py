@@ -1,16 +1,157 @@
-"""Shared test utilities: random instances, reference and brute-force
-kernels, strong detection and determinants, verdict re-verification and the
-export format written by `csv.writer`."""
+"""Shared test utilities: random instances, the reference Smith normal form
+and the kernels read off it, brute-force kernels, strong detection and
+determinants, verdict re-verification and the export format written by
+`csv.writer`.  Matrices are plain lists of row lists; operations that must
+work on matrices with zero rows take an explicit column count."""
 
 from __future__ import annotations
 
 import csv
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from graphqec.detector import FAILED_COUPLING, FAILED_INPUT, detection_system
 from graphqec.graphcode import WeightedGraph
-from graphqec.zmodlinalg import kernel_from_snf, smith_normal_form
+
+
+def _ncols_of(a, ncols: int | None) -> int:
+    if a:
+        widths = {len(row) for row in a}
+        if len(widths) != 1:
+            raise ValueError("ragged matrix")
+        width = widths.pop()
+        if ncols is not None and ncols != width:
+            raise ValueError(f"ncols={ncols} disagrees with row width {width}")
+        return width
+    if ncols is None:
+        raise ValueError("matrix with zero rows needs an explicit ncols")
+    return ncols
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """The invariant factors of A and the inverse column transform.
+
+    A = U * S * V with U, V unimodular and S in Smith normal form; ``diagonal``
+    is the diagonal of S and ``v_inv`` the inverse of V.  Kernels are read off
+    through it: x solves A x = 0 (mod d) exactly when x = v_inv * y for y with
+    S y = 0 (mod d).
+    """
+
+    diagonal: tuple[int, ...]
+    v_inv: tuple[tuple[int, ...], ...]
+    ncols: int
+
+
+def smith_normal_form(a, ncols: int | None = None) -> SmithDecomposition:
+    """Smith normal form with deterministic pivoting.
+
+    Pivot rule: smallest nonzero absolute value in the remaining block, ties
+    broken by lowest (row, col).  The divisibility chain s_1 | s_2 | ... is
+    enforced and diagonal entries are normalized to be nonnegative.  Row
+    operations act on the working matrix only; column operations also act on
+    ``v_inv``.
+    """
+    n = _ncols_of(a, ncols)
+    s = [[int(x) for x in row] for row in a]
+    m = len(s)
+    v_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_addmul(i, k, c):
+        # row_i += c * row_k
+        si, sk = s[i], s[k]
+        for j in range(n):
+            si[j] += c * sk[j]
+
+    def col_swap(j, l):
+        for row in s:
+            row[j], row[l] = row[l], row[j]
+        for row in v_inv:
+            row[j], row[l] = row[l], row[j]
+
+    def col_addmul(j, l, c):
+        # col_j += c * col_l
+        for row in s:
+            row[j] += c * row[l]
+        for row in v_inv:
+            row[j] += c * row[l]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = s[i][j]
+                if x and (best is None or abs(x) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            s[t], s[pivot[0]] = s[pivot[0]], s[t]
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            # Euclidean clearing of column t then row t; a nonzero remainder
+            # becomes the new, strictly smaller pivot.
+            i = next((i for i in range(t + 1, m) if s[i][t]), None)
+            if i is not None:
+                q = s[i][t] // s[t][t]
+                row_addmul(i, t, -q)
+                if s[i][t]:
+                    s[t], s[i] = s[i], s[t]
+                continue
+            j = next((j for j in range(t + 1, n) if s[t][j]), None)
+            if j is not None:
+                q = s[t][j] // s[t][t]
+                col_addmul(j, t, -q)
+                if s[t][j]:
+                    col_swap(t, j)
+                continue
+            bad = next(
+                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                 if s[i][j] % s[t][t]),
+                None,
+            )
+            if bad is not None:
+                # Fold the offending row into row t; the next round shrinks
+                # the pivot to a divisor of both.
+                row_addmul(t, bad[0], 1)
+                continue
+            break
+        t += 1
+
+    return SmithDecomposition(
+        diagonal=tuple(abs(s[i][i]) for i in range(min(m, n))),
+        v_inv=tuple(tuple(r) for r in v_inv),
+        ncols=n,
+    )
+
+
+def kernel_from_snf(snf: SmithDecomposition, d: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of {x in Z_d^n : A x = 0 mod d}, read off a precomputed
+    decomposition of A."""
+    if d < 2:
+        raise ValueError(f"modulus must be >= 2, got {d}")
+    n = snf.ncols
+    diag = snf.diagonal
+    generators: list[tuple[int, ...]] = []
+    for j in range(n):
+        if j < len(diag) and diag[j] != 0:
+            step = d // math.gcd(diag[j], d)
+            if step % d == 0:
+                continue
+        else:
+            step = 1
+        vec = tuple((step * snf.v_inv[i][j]) % d for i in range(n))
+        if any(vec):
+            generators.append(vec)
+    return tuple(generators)
 
 
 def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:

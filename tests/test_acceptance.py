@@ -241,3 +241,32 @@ def test_criterion_10_search_witness():
         assert good_primes, (
             f"no prime <= 50 avoids the witness determinants {report.det_set}"
         )
+
+
+def invariant_factor_groups(max_order: int) -> list[tuple[int, ...]]:
+    """Every finite abelian group of order at most max_order, once each, as
+    its invariant factors d_1 | d_2 | ... | d_r with d_1 >= 2."""
+
+    def chains(first, budget):
+        # chains starting at ``first`` whose product is at most ``budget``
+        yield (first,)
+        for following in range(first, budget // first + 1, first):
+            for rest in chains(following, budget // first):
+                yield (first, *rest)
+
+    return [chain for d in range(2, max_order + 1) for chain in chains(d, max_order)]
+
+
+def test_criterion_11_claims_over_every_small_group():
+    groups = invariant_factor_groups(200)
+    assert len(groups) == 388
+    wheel, tenfold = wheel_code(), tenfold_code()
+    failures = []
+    with stopwatch("criterion 11: criteria 1 and 6 over all 388 groups of order <= 200", 30.0):
+        for factors in groups:
+            group = make_group(factors)
+            if not corrects_errors(wheel, group, 1).all_detected:
+                failures.append(("wheel corrects 1 error", factors))
+            if not detects_errors(tenfold, group, 3).all_detected:
+                failures.append(("tenfold detects 3 errors", factors))
+    assert failures == []

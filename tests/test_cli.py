@@ -43,9 +43,15 @@ GOLDEN = {
         "sweep", "--builtin", "wheel", "--group", "2", "--correct", "1", "--oracle",
     ),
     "sweep-tenfold-detect-4": ("sweep", "--builtin", "tenfold", "--group", "2", "--detect", "4"),
+    # a modulus past int64 that is a strong pseudoprime to the first 13
+    # prime bases, on weights that make pivots non-units modulo it
+    "sweep-psi13-detect-4": (
+        "sweep", "--graph", str(GOLDEN_DIR / "psi13-hidden-factors.graph"),
+        "--group", "3317044064679887385961981", "--detect", "4",
+    ),
 }
 # exit code of each golden command that does not exit 0
-GOLDEN_EXIT = {"search-exhausted": 1, "sweep-tenfold-detect-4": 1}
+GOLDEN_EXIT = {"search-exhausted": 1, "sweep-tenfold-detect-4": 1, "sweep-psi13-detect-4": 1}
 
 
 def load_schema(name: str) -> dict:

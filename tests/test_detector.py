@@ -8,7 +8,9 @@ import random
 import pytest
 from helpers import (
     brute_force_kernel,
+    kernel_from_snf,
     random_graph,
+    smith_normal_form,
     strong_detects,
     verify_certificate,
     verify_witness,
@@ -31,7 +33,6 @@ from graphqec.detector import (
     worker_count,
 )
 from graphqec.graphcode import WeightedGraph, matrix19_code
-from graphqec.zmodlinalg import kernel_from_snf, smith_normal_form
 
 
 def snf_detected(graph, group, config) -> bool:
@@ -404,7 +405,10 @@ class TestBatchedEngine:
     def test_sweeps_match_per_configuration_snf(self):
         rng = random.Random(8000)
         weights = (-3, -1, 0, 1, 2, 5, 2**63 + 1, -(2**64) + 3)
-        groups = ([2], [3], [4], [6], [8], [9], [12], [2, 4], [3, 9], [2, 2, 6], [7], [2**61 - 1])
+        groups = (
+            [2], [3], [4], [6], [8], [9], [12], [2, 4], [3, 9], [2, 2, 6], [4, 6], [7],
+            [2**61 - 1], [2**89 - 1],
+        )
         seen = set()
         for _ in range(120):
             graph = random_partitioned_graph(rng, weights)
@@ -442,7 +446,8 @@ class TestBatchedEngine:
             ("inputs", 0), ("inputs", 1), ("inputs", 2), ("negative", True),
             ("huge", True), ("factors", (7,)), ("factors", (2**61 - 1,)),
             ("factors", (2,)), ("factors", (4,)), ("factors", (6,)), ("factors", (8,)),
-            ("factors", (9,)), ("factors", (2, 4)),
+            ("factors", (9,)), ("factors", (2, 4)), ("factors", (4, 6)),
+            ("factors", (2**89 - 1,)),
         } <= seen
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -6,10 +6,18 @@ import random
 
 import numpy as np
 import pytest
-from helpers import all_vectors, brute_force_kernel, det_exact, kernel_mod, kernel_trivial
+from helpers import (
+    all_vectors,
+    brute_force_kernel,
+    det_exact,
+    kernel_mod,
+    kernel_trivial,
+    smith_normal_form,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphqec import zmodlinalg
 from graphqec.zmodlinalg import (
     _reduce,
     _residue_dtype,
@@ -20,7 +28,6 @@ from graphqec.zmodlinalg import (
     is_prime,
     kernel_mod_batch,
     prime_powers,
-    smith_normal_form,
 )
 
 # Property tests draw from a fixed seed with a fixed example count, so every
@@ -66,10 +73,15 @@ BRUTE_FORCE_LIMIT = 2**15
 # of every width switch: residue products reach (q - 1)**2.
 RESIDUE_WIDTH = {
     7: np.int8, 11: np.int8, 13: np.int16, 181: np.int16, 191: np.int32,
-    46337: np.int32, 46349: np.int64,
+    46337: np.int32, 46349: np.int64, 3_037_000_493: np.int64, 3_037_000_507: object,
     2**3: np.int8, 2**4: np.int16, 2**7: np.int16, 2**8: np.int32,
-    2**15: np.int32, 2**16: np.int64, 3**5: np.int32,
+    2**15: np.int32, 2**16: np.int64, 2**31: np.int64, 2**32: object, 3**5: np.int32,
 }
+
+M89 = 2**89 - 1  # prime, but past what Miller-Rabin to 13 bases certifies
+# A strong pseudoprime to the first 13 prime bases, and its two factors.
+PSI13 = 3_317_044_064_679_887_385_961_981
+PSI13_FACTORS = (1_287_836_182_261, 2_575_672_364_521)
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -283,17 +295,66 @@ class TestKernelModBatch:
                 assert all(0 <= x < d for x in gen)
                 assert all(sum(c * x for c, x in zip(row, gen)) % d == 0 for row in a)
             reference = kernel_mod(a, d)
+            # generators inside the kernel spanning a group of its order
+            assert span_order(gens, d, cols) == span_order(reference, d, cols)
             if fits_int64(d, cols):
                 assert block.dtype == np.int64
-                # generators inside the kernel spanning a group of its order
-                assert span_order(gens, d, cols) == span_order(reference, d, cols)
                 if d**cols <= BRUTE_FORCE_LIMIT:
                     assert spanned_set(gens, d, cols) == brute_force_kernel(a, d, cols)
                     assert spanned_set(reference, d, cols) == brute_force_kernel(a, d, cols)
             else:
-                # above the switch the batch runs one SNF per system
                 assert block.dtype == object
-                assert gens == list(reference)
+
+    @pytest.mark.parametrize(
+        "d, hidden, splits",
+        [
+            pytest.param(2**61 - 1, (), False, id="2^61-1"),
+            pytest.param(M89, (), False, id="2^89-1"),
+            pytest.param(M89**2, (M89,), True, id="(2^89-1)^2"),
+            pytest.param(PSI13, PSI13_FACTORS, True, id="psi13"),
+            pytest.param(8 * M89, (2, 4, M89), False, id="8(2^89-1)"),
+            pytest.param(43**2 * (2**31 - 1), (43, 43 * (2**31 - 1), 2**31 - 1), True,
+                         id="43^2(2^31-1)"),
+        ],
+    )
+    def test_matches_reference_past_the_switch(self, monkeypatch, d, hidden, splits):
+        # Moduli whose residues need Python ints, on entries that are
+        # multiples of the factors ``prime_powers`` leaves unsplit: a
+        # cofactor that is not prime meets pivots that are not units, and
+        # the split must run.  The generators must lie in the kernel and
+        # span a group of the order of the Smith-form reference's kernel.
+        calls = []
+        split = zmodlinalg._coprime_split
+        monkeypatch.setattr(
+            zmodlinalg, "_coprime_split", lambda *args: calls.append(args) or split(*args)
+        )
+        rng = random.Random(d)
+        entries = [0, 1, -1, 3, d - 1, *hidden, *(h * rng.randint(2, 50) for h in hidden)]
+        for _ in range(12):
+            rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+            batch = [[[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+                     for _ in range(3)]
+            systems = np.zeros((3, rows, cols), dtype=object)
+            for b, a in enumerate(batch):
+                for i, row in enumerate(a):
+                    systems[b, i] = row
+            blocks = kernel_mod_batch(systems, d)
+            assert blocks.dtype == object
+            for a, block in zip(batch, blocks):
+                gens = batch_generators(block)
+                for gen in gens:
+                    assert all(0 <= x < d for x in gen)
+                    assert all(sum(c * x for c, x in zip(row, gen)) % d == 0 for row in a)
+                reference = kernel_mod(a, d, ncols=cols)
+                assert span_order(gens, d, cols) == span_order(reference, d, cols)
+        assert bool(calls) == splits
+        for p, k, g in calls:
+            assert 1 < g < p and p % g == 0
+
+    def test_int64_input_past_the_switch(self):
+        a = np.array([[[1, 2, 3], [4, 5, 6]], [[0, 0, 0], [2, 4, 6]]], dtype=np.int64)
+        for d in (M89, PSI13, M89**2):
+            assert np.array_equal(kernel_mod_batch(a, d), kernel_mod_batch(a.astype(object), d))
 
     @pytest.mark.parametrize("q", [11, 13, 181, 183, 46337, 46349])
     def test_reduce_matches_remainder_at_each_width(self, q):
@@ -348,8 +409,17 @@ class TestKernelModBatch:
         assert prime_powers(360) == ((2, 3), (3, 2), (5, 1))
         assert prime_powers(97) == ((97, 1),)
         assert prime_powers(2) == ((2, 1),)
+        assert prime_powers(43 * 47 * 53**2 * 59) == ((43, 1), (47, 1), (53, 2), (59, 1))
+        assert prime_powers(2**31 * 3**20 * 43) == ((2, 31), (3, 20), (43, 1))
+        # A cofactor free of the primes below 43 is factored while it fits a
+        # fixed-width dtype, and comes back whole past that, prime or not.
+        assert prime_powers(43 * 70_627_913) == ((43, 1), (70_627_913, 1))
+        assert prime_powers(43 * 70_627_919) == ((43 * 70_627_919, 1),)
         assert prime_powers(2**61 - 1) == ((2**61 - 1, 1),)
-        assert prime_powers(43**2 * (2**31 - 1)) == ((43, 2), (2**31 - 1, 1))
+        assert prime_powers(43**2 * (2**31 - 1)) == ((43**2 * (2**31 - 1), 1),)
+        assert prime_powers(PSI13) == ((PSI13, 1),)
+        assert prime_powers(M89**2) == ((M89**2, 1),)
+        assert prime_powers(2**5 * 3 * M89) == ((2, 5), (3, 1), (M89, 1))
         for d in range(2, 2000):
             pairs = prime_powers(d)
             primes = [p for p in range(2, d + 1) if d % p == 0 and is_prime(p)]
