@@ -14,10 +14,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # hashlib would load OpenSSL: 3.6 MB more resident memory per command
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .graphcode import symmetric_matrix
 from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors
@@ -249,44 +253,47 @@ class WeightSearchResult:
         return self.matrix is not None
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of a uint64 array, in place."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 def _draw_words(count: int) -> int:
-    """Raw 32-bit words read per attempt for ``count`` draws.  At least half
-    of all words are accepted, so a row rarely runs short."""
+    """Words read per attempt for ``count`` draws.  At least half of all
+    words are accepted, so a row rarely runs short."""
     return 2 * count + 32
 
 
-def _choice_draws(rng: random.Random, key: str, n: int, count: int) -> list[int]:
-    """The ``count`` indices below n that ``choice`` picks after seeding with
-    ``key``."""
-    rng.seed(key)
-    return [rng.choice(range(n)) for _ in range(count)]
+def _draws(key: np.uint64, attempts: range, n: int, count: int) -> np.ndarray:
+    """The first ``count`` accepted draws below n, 2 <= n < 2**63, of every
+    attempt, as a (len(attempts), count) int64 array.
 
-
-def _stream_draws(rng: random.Random, keys: list[str], n: int, count: int) -> np.ndarray:
-    """``_choice_draws`` for every key at once, as a (len(keys), count) int64
-    array, for 2 <= n < 2**32.
-
-    ``choice`` takes the top k = n.bit_length() bits of one 32-bit word per
-    try and rejects values >= n.  Each key's stream is read once as
-    ``_draw_words(count)`` words (``getrandbits`` fills its result from the
-    least significant word up), the rejection runs on all rows together, and
-    each row keeps its first ``count`` accepted values.  A row with fewer
-    accepted words is redrawn by ``_choice_draws``.
+    Word t of attempt a is _mix(_mix(key + (a + 1) G) + (t + 1) G), G the
+    64-bit golden ratio, so it depends only on (key, a, t).  A try is its
+    top n.bit_length() bits, rejected when >= n: exactly uniform on [0, n).
+    A row short of accepted words reads twice as many again from t = 0.
     """
-    words = _draw_words(count)
-    raw = bytearray()
-    for key in keys:
-        rng.seed(key)
-        raw += rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-    values = np.frombuffer(raw, dtype="<u4").reshape(len(keys), words) >> (32 - n.bit_length())
-    accepted = values < n
-    counts = accepted.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    full = counts >= count
-    out = np.empty((len(keys), count), dtype=np.int64)
-    out[full] = values[accepted][starts[full, None] + np.arange(count)]
-    for row in np.flatnonzero(~full).tolist():
-        out[row] = _choice_draws(rng, keys[row], n, count)
+    rows = _mix(key + (np.arange(attempts.start, attempts.stop, dtype=np.uint64) + 1) * _GOLDEN)
+    shift = np.uint64(64 - n.bit_length())
+    out = np.empty((len(rows), count), dtype=np.int64)
+    todo, words = np.arange(len(rows)), _draw_words(count)
+    while todo.size:
+        steps = (np.arange(words, dtype=np.uint64) + 1) * _GOLDEN
+        values = (_mix(rows[todo, None] + steps) >> shift).astype(np.int64)
+        accepted = values < n
+        counts = accepted.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        full = counts >= count
+        out[todo[full]] = values[accepted][starts[full, None] + np.arange(count)]
+        todo, words = todo[~full], 2 * words
     return out
 
 
@@ -297,19 +304,18 @@ def search_weights(
     nonzero.
 
     Attempt a draws weights uniformly from [-bound, bound] without 0 on the
-    skeleton's free positions, by ``choice`` from ``range(-bound, bound)``
-    (x >= 0 maps to x + 1) on a ``random.Random`` seeded with
-    ``f"{seed}:{a}"``, so runs are reproducible.  While ``det_fits_int64``
-    holds, attempts run in batches of ``SEARCH_CHUNK`` doubling up to
-    ``SEARCH_CHUNK_MAX``, and each batch's draws come from one raw read of
-    every attempt's stream (``_stream_draws``), which picks the same weights
-    as ``choice``; past the guard, attempts run one at a time with
-    ``choice``.  Partitions are checked in groups of 1, 2, 4, ... (each at
-    most ``_STACK_ENTRIES`` block entries over the attempts still alive),
-    dropping the attempts with a zero determinant after each group; the
-    first attempt left wins.  From the second batch on, the partitions that
-    zeroed the most determinants so far are checked first, which at bound 1
-    on matrix19 kills most attempts with the first block.  A skeleton row with fewer than m admissible
+    skeleton's free positions: ``_draws`` picks x below 2 * bound from the
+    attempt's own counter-based stream under the seed's key, and x >= 0 maps
+    to x + 1, so runs are reproducible and an attempt's weights do not
+    depend on the batch it runs in.  While ``det_fits_int64`` holds,
+    attempts run in batches of ``SEARCH_CHUNK`` doubling up to
+    ``SEARCH_CHUNK_MAX``; past the guard, one at a time.  Partitions are
+    checked in groups of 1, 2, 4, ... (each at most ``_STACK_ENTRIES`` block
+    entries over the attempts still alive), dropping the attempts with a
+    zero determinant after each group; the first attempt left wins.  From
+    the second batch on, the partitions that zeroed the most determinants so
+    far are checked first, which at bound 1 on matrix19 kills most attempts
+    with the first block.  A skeleton row with fewer than m admissible
     entries forces a zero determinant, so that case fails immediately
     without spending budget.
     """
@@ -324,8 +330,8 @@ def search_weights(
     positions = skeleton.free_positions
     rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
     blocks, comps = _partition_arrays(_partitions(size), m)
-    rng = random.Random()
-    # det_fits_int64 implies bound < 2**31, so every draw is one 32-bit word.
+    # An 8-byte blake2b digest of the decimal seed: every int has its own key.
+    key = np.uint64(int.from_bytes(blake2b(str(seed).encode(), digest_size=8).digest(), "little"))
     # Weights past the guard make det_batch eliminate on Python ints; one
     # attempt at a time then keeps that cost to the attempts actually needed.
     fits = det_fits_int64(m, weight_bound)
@@ -333,20 +339,13 @@ def search_weights(
     order = np.arange(len(blocks))
     zeros = np.zeros(len(blocks), dtype=np.int64)
     while start < budget:
-        keys = [f"{seed}:{attempt}" for attempt in range(start, min(start + chunk, budget))]
-        if fits:
-            draws = _stream_draws(rng, keys, 2 * weight_bound, len(positions))
-        else:
-            draws = np.array(
-                [_choice_draws(rng, key, 2 * weight_bound, len(positions)) for key in keys],
-                dtype=object,
-            )
-        weights = draws - weight_bound
-        weights = np.where(weights >= 0, weights + 1, weights)
-        gammas = np.zeros((len(keys), size, size), dtype=weights.dtype)
+        attempts = range(start, min(start + chunk, budget))
+        weights = _draws(key, attempts, 2 * weight_bound, len(positions)) - weight_bound
+        weights[weights >= 0] += 1
+        gammas = np.zeros((len(attempts), size, size), dtype=np.int64)
         gammas[:, rows, cols] = weights
         gammas[:, cols, rows] = weights
-        alive = np.arange(len(keys))
+        alive = np.arange(len(attempts))
         first, group = 0, 1
         while first < len(order) and alive.size:
             count = min(group, max(1, _STACK_ENTRIES // (alive.size * m * m)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -57,17 +58,45 @@ def trial_division_factors(n):
     return frozenset(out)
 
 
+MASK64 = 2**64 - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_mix(z):
+    """SplitMix64 finalizer on a Python int below 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def seed_key(seed):
+    """The stream key of a search seed."""
+    return int.from_bytes(hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "little")
+
+
+def reference_draws(seed, attempt, n, count):
+    """Reference: the first ``count`` tries below n of one attempt's word
+    stream, one word at a time on Python ints."""
+    row = reference_mix((seed_key(seed) + (attempt + 1) * GOLDEN_GAMMA) & MASK64)
+    out, t = [], 0
+    while len(out) < count:
+        t += 1
+        x = reference_mix((row + t * GOLDEN_GAMMA) & MASK64) >> (64 - n.bit_length())
+        if x < n:
+            out.append(x)
+    return out
+
+
 def reference_search(skeleton, weight_bound, seed, budget):
     """Reference: one attempt at a time, det_exact per block, early exit."""
     size = skeleton.size
     parts = list(singleton._partitions(size))
+    positions = skeleton.free_positions
     for attempt in range(budget):
-        rng = random.Random(f"{seed}:{attempt}")
+        draws = reference_draws(seed, attempt, 2 * weight_bound, len(positions))
         gamma = [[0] * size for _ in range(size)]
-        for i, j in skeleton.free_positions:
-            # choice() on the list -bound..-1, 1..bound, read by index
-            # rather than built (bounds reach 2**31 - 1)
-            r = rng.choice(range(2 * weight_bound))
+        for (i, j), r in zip(positions, draws):
+            # r indexes -bound..-1, 1..bound
             gamma[i][j] = gamma[j][i] = r - weight_bound + (r >= weight_bound)
         if all(
             det_exact([[gamma[i][j] for j in comp] for i in block]) != 0
@@ -372,7 +401,7 @@ class TestSearchWeights:
         assert bound2.success
         # pinned from the one-attempt-at-a-time search
         assert bound2.attempts == 1
-        assert bound2.matrix == ((0, -2, 1, -1), (-2, 0, 1, -2), (1, 1, 0, -1), (-1, -2, -1, 0))
+        assert bound2.matrix == ((0, -1, -1, -1), (-1, 0, 1, -1), (-1, 1, 0, 2), (-1, -1, 2, 0))
 
     @pytest.mark.parametrize(
         "name",
@@ -414,12 +443,13 @@ class TestSearchWeights:
             ("matrix19", 64, range(10), 20),  # 2 * bound = 2**7: half the words accepted
             ("matrix19", 107, range(10), 20),  # largest bound inside the int64 guard
             ("matrix19", 108, range(3), 5),  # smallest bound past it
-            ("two", 2**31 - 1, range(10), 3),  # k = 32: the whole word is the draw
+            ("two", 2**31 - 1, range(10), 3),  # k = 32, the largest bound inside the m = 1 guard
             ("two", 2**30, range(10), 3),
             # budgets ending on each side of the batch boundaries 32, 96, 224, 480
             *(("matrix19", 1, range(2), budget) for budget in (31, 33, 95, 97, 223, 225, 479, 481)),
-            ("matrix19", 2, [79073], 96),  # first hit at attempt 97
-            ("matrix19", 2, [79073], 97),
+            ("matrix19", 2, [79073, 94274], 96),  # 94274: first hit at attempt 97
+            ("matrix19", 2, [79073, 94274], 97),
+            ("two", 2**62 - 1, range(10), 3),  # 2 * bound < 2**63: 63-bit tries
         ],
     )
     def test_matches_one_attempt_at_a_time(self, graph, bound, seeds, budget):
@@ -442,29 +472,55 @@ class TestSearchWeights:
         assert det_fits_int64(1, 2**31 - 1) and not det_fits_int64(1, 2**31)
 
     @pytest.mark.parametrize("bound, spare", [(1, 16), (3, 4)])
-    def test_rows_out_of_words_redraw_with_choice(self, monkeypatch, matrix19, bound, spare):
+    def test_short_rows_reread_the_same_stream(self, monkeypatch, matrix19, bound, spare):
         # so few words per attempt that about half the rows run short
         monkeypatch.setattr(singleton, "_draw_words", lambda count: count + spare)
-        drawn, redrawn = [], []
-        stream_draws, choice_draws = singleton._stream_draws, singleton._choice_draws
+        widths = []
+        mix = singleton._mix
 
-        def streaming(rng, keys, n, count):
-            drawn.extend(keys)
-            return stream_draws(rng, keys, n, count)
+        def mixing(z):
+            if z.ndim == 2:
+                widths.extend([z.shape[1]] * z.shape[0])
+            return mix(z)
 
-        def choosing(rng, key, n, count):
-            redrawn.append(key)
-            return choice_draws(rng, key, n, count)
-
-        monkeypatch.setattr(singleton, "_stream_draws", streaming)
-        monkeypatch.setattr(singleton, "_choice_draws", choosing)
+        monkeypatch.setattr(singleton, "_mix", mixing)
         skeleton = Skeleton.from_matrix(matrix19.gamma)
         for seed in range(6):
             result = search_weights(skeleton, bound, seed, 100)
             assert (result.attempts, result.matrix) == reference_search(
                 skeleton, bound, seed, 100
             )
-        assert 0 < len(redrawn) < len(drawn)
+        first = len(skeleton.free_positions) + spare
+        reread = sum(width > first for width in widths)
+        assert 0 < reread < widths.count(first)
+
+    def test_draws_do_not_depend_on_the_batch(self):
+        key = np.uint64(seed_key(5))
+        whole = singleton._draws(key, range(0, 40), 7, 9)
+        assert whole.shape == (40, 9)
+        for cuts in ([0, 1, 40], [0, 17, 18, 40], [0, 13, 26, 39, 40]):
+            parts = [singleton._draws(key, range(a, b), 7, 9) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+        assert whole[3].tolist() == reference_draws(5, 3, 7, 9)
+
+    @pytest.mark.parametrize("n", [6, 2**62 + 3])
+    def test_draws_are_uniform(self, n):
+        draws = singleton._draws(np.uint64(seed_key(11)), range(600), n, 100)
+        assert draws.min() >= 0 and draws.max() < n
+        buckets = np.bincount((draws % 6).ravel(), minlength=6)
+        assert np.all(np.abs(buckets - 10_000) <= 300), buckets
+
+    def test_every_int_seed_has_its_own_stream(self):
+        # every attempt on one edge succeeds, so the first attempt shows
+        skeleton = Skeleton(((0, 1), (1, 0)))
+        seeds = (0, -1, 2**64 - 1, 2**64)
+        firsts = set()
+        for seed in seeds:
+            result = search_weights(skeleton, 2**40, seed, 1)
+            assert (result.attempts, result.matrix) == reference_search(skeleton, 2**40, seed, 1)
+            assert result.seed == seed
+            firsts.add(result.matrix)
+        assert len(firsts) == len(seeds)
 
     def test_huge_bound_draws_without_a_weight_list(self, matrix19):
         skeleton = Skeleton.from_matrix(matrix19.gamma)
