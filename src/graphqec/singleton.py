@@ -14,14 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+# Not hashlib, which would load OpenSSL: 3.6 MB more resident memory per command.
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # hashlib would load OpenSSL: 3.6 MB more resident memory per command
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
 
 from .graphcode import symmetric_matrix
 from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors

@@ -300,12 +300,6 @@ def _local_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
     return _reduce(basis * scale[:, :, None], p, q)
 
 
-# Factor lists of the moduli whose cofactor ``kernel_mod_batch`` has split,
-# for at most _MAX_SPLIT_MODULI moduli per process.
-_SPLIT_FACTORS: dict[int, tuple[tuple[int, int], ...]] = {}
-_MAX_SPLIT_MODULI = 256
-
-
 def kernel_mod_batch(systems, d: int) -> np.ndarray:
     """Kernel generators modulo d of every system in a batch.
 
@@ -319,10 +313,7 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     ``fits_int64(d, n)`` holds, else on Python ints in an object array.  When
     p is a cofactor that is not prime, a pivot that is not a unit exposes a
     proper divisor g of p; p**k then splits by ``_coprime_split`` and each
-    part is eliminated anew.  The split factors of d are kept in
-    ``_SPLIT_FACTORS``, so later batches modulo d start from them: which
-    generators a batch gets can then depend on earlier batches, but they
-    always generate the same kernel.
+    part is eliminated anew.
     """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
@@ -332,8 +323,7 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
     if dtype is object:
         systems = systems.astype(object)  # a factor may exceed int64
     out = np.zeros((batch, n, n), dtype=dtype)
-    factors = list(_SPLIT_FACTORS.get(d) or prime_powers(d))
-    done = []
+    factors = list(prime_powers(d))
     while factors:
         p, k = factors.pop()
         q = p**k
@@ -342,10 +332,7 @@ def kernel_mod_batch(systems, d: int) -> np.ndarray:
             local = _local_kernel(systems % q, p, k)
         except _NonUnitPivot as exc:
             factors += _coprime_split(p, k, *exc.args)
-            if d in _SPLIT_FACTORS or len(_SPLIT_FACTORS) < _MAX_SPLIT_MODULI:
-                _SPLIT_FACTORS[d] = tuple(done + factors)
             continue
-        done.append((p, k))
         rest = d // q
         idempotent = rest * pow(rest, -1, q) % d  # 1 mod q, 0 mod d / q
         out = (out + local.astype(dtype, copy=False) * idempotent % d) % d

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +17,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqec import detector, zmodlinalg
-from graphqec.abelian import make_group
-from graphqec.detector import detects_errors
-from graphqec.graphcode import parse_graph
+from graphqec import zmodlinalg
 from graphqec.zmodlinalg import (
     _reduce,
     _residue_dtype,
@@ -86,7 +82,6 @@ M89 = 2**89 - 1  # prime, but past what Miller-Rabin to 13 bases certifies
 # A strong pseudoprime to the first 13 prime bases, and its two factors.
 PSI13 = 3_317_044_064_679_887_385_961_981
 PSI13_FACTORS = (1_287_836_182_261, 2_575_672_364_521)
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -333,7 +328,6 @@ class TestKernelModBatch:
         monkeypatch.setattr(
             zmodlinalg, "_coprime_split", lambda *args: calls.append(args) or split(*args)
         )
-        monkeypatch.setattr(zmodlinalg, "_SPLIT_FACTORS", {})  # no split known yet
         rng = random.Random(d)
         entries = [0, 1, -1, 3, d - 1, *hidden, *(h * rng.randint(2, 50) for h in hidden)]
         for _ in range(12):
@@ -361,42 +355,6 @@ class TestKernelModBatch:
         a = np.array([[[1, 2, 3], [4, 5, 6]], [[0, 0, 0], [2, 4, 6]]], dtype=np.int64)
         for d in (M89, PSI13, M89**2):
             assert np.array_equal(kernel_mod_batch(a, d), kernel_mod_batch(a.astype(object), d))
-
-    def test_a_split_is_remembered_across_batches(self, monkeypatch):
-        # The psi13 golden graph swept in batches of 16 meets psi13's hidden
-        # factors in several batches; only the first pays a failed elimination.
-        monkeypatch.setattr(zmodlinalg, "_SPLIT_FACTORS", {})
-        monkeypatch.setattr(detector, "CHUNK", 16)
-        splits, batches = [], []
-        split, batch = zmodlinalg._coprime_split, zmodlinalg.kernel_mod_batch
-        monkeypatch.setattr(
-            zmodlinalg, "_coprime_split", lambda *args: splits.append(args) or split(*args)
-        )
-        monkeypatch.setattr(
-            detector, "kernel_mod_batch", lambda a, d: batches.append(len(a)) or batch(a, d)
-        )
-        graph = parse_graph((GOLDEN_DIR / "psi13-hidden-factors.graph").read_text())
-        report = detects_errors(graph, make_group([PSI13]), 4)
-        assert len(batches) > 5
-        assert splits == [(PSI13, 1, PSI13_FACTORS[0])]
-        assert sorted(zmodlinalg._SPLIT_FACTORS[PSI13]) == [(f, 1) for f in PSI13_FACTORS]
-        monkeypatch.setattr(zmodlinalg, "_SPLIT_FACTORS", {})
-        monkeypatch.setattr(detector, "CHUNK", 256)
-        assert detects_errors(graph, make_group([PSI13]), 4).sizes == report.sizes
-
-    def test_remembered_split_keeps_the_factors_already_done(self, monkeypatch):
-        # q3 splits off first and is eliminated before q1 splits q1 q2: the
-        # remembered list must keep q3 as well as q1 and q2.
-        monkeypatch.setattr(zmodlinalg, "_SPLIT_FACTORS", {})
-        q1, q2, q3 = 1_000_003, 1_000_033, 10**13 + 37
-        d = q1 * q2 * q3
-        entries = (q3, q1, q2 * q3, 5)
-        systems = np.array(entries, dtype=object).reshape(-1, 1, 1)
-        for _ in range(2):
-            blocks = kernel_mod_batch(systems, d)
-            for a, block in zip(entries, blocks):
-                assert span_order(batch_generators(block), d, 1) == math.gcd(a, d)
-        assert sorted(zmodlinalg._SPLIT_FACTORS[d]) == [(q1, 1), (q2, 1), (q3, 1)]
 
     @pytest.mark.parametrize("q", [11, 13, 181, 183, 46337, 46349])
     def test_reduce_matches_remainder_at_each_width(self, q):
