@@ -131,10 +131,8 @@ def _cmd_sweep(args) -> int:
             iso = oracle.build_isometry(graph, group)
             undetected = set(report.undetected)
             disagreements = []
-            checked = 0
             for summary in report.sizes:
                 for cfg in itertools.combinations(graph.outputs, summary.size):
-                    checked += 1
                     kl = oracle.kl_detects(graph, group, cfg, isometry=iso)
                     if kl != (cfg not in undetected):
                         disagreements.append(

@@ -15,11 +15,11 @@ Single verdicts and sweeps share one engine: configurations of one size are
 decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
 both conditions are checked on all their generators at once.  A sweep
 eliminates once, modulo the group exponent L (the lcm of the factors), while
-``detects`` keeps every factor because its certificate lists them all.  The
-two agree: a violating kernel vector x modulo a factor d gives the violating
-vector (L/d) x modulo L; and by CRT a violation modulo L shows modulo some
-maximal prime power p^k of L, where p^k divides a factor d, so the same
-vector times d/p^k violates modulo d.
+``detects`` eliminates modulo each factor in turn because its certificate
+lists them all.  The two agree: a violating kernel vector x modulo a factor
+d gives the violating vector (L/d) x modulo L; and by CRT a violation modulo
+L shows modulo some maximal prime power p^k of L, where p^k divides a factor
+d, so the same vector times d/p^k violates modulo d.
 
 A sweep decides its sizes in increasing order and prunes, because detection
 is downward-closed (Knill and Laflamme, PRA 55, 900, 1997).  For
@@ -171,28 +171,23 @@ def detection_system(graph: WeightedGraph, config):
     return rows, cols, graph.submatrix(rows, cols)
 
 
-def _residues(graph: WeightedGraph, factors) -> dict:
-    """gamma modulo each distinct factor d, reduced on Python ints; int64
-    when the engine's arithmetic modulo d fits in it, else Python ints in an
-    object array."""
-    return {
-        d: np.array(
-            [[x % d for x in row] for row in graph.gamma],
-            dtype=np.int64 if fits_int64(d, graph.n) else object,
-        )
-        for d in dict.fromkeys(factors)
-    }
+def _residues(graph: WeightedGraph, d: int) -> np.ndarray:
+    """gamma modulo d, reduced on Python ints; int64 when the engine's
+    arithmetic modulo d fits in it, else Python ints in an object array."""
+    return np.array(
+        [[x % d for x in row] for row in graph.gamma],
+        dtype=np.int64 if fits_int64(d, graph.n) else object,
+    )
 
 
-def _kernel_checks(graph: WeightedGraph, residues: dict, configs) -> dict:
-    """Kernel generators and condition checks for a batch of configurations
-    of one size, per distinct cyclic factor d.
+def _kernel_checks(graph: WeightedGraph, gamma: np.ndarray, d: int, configs):
+    """Kernel generators modulo d and both condition checks for a batch of
+    configurations of one size.
 
-    ``residues`` is ``_residues(graph, factors)``.
-    Columns are ordered inputs first, then errors.  Returns
-    ``{d: (gens, bad_input, bad_coupling)}``: ``gens`` is the (N, n, n)
-    generator array of ``kernel_mod_batch``; ``bad_input[b, j]`` says
-    generator j of configuration b is nonzero on the inputs, and
+    ``gamma`` is ``_residues(graph, d)``.  Columns are ordered inputs first,
+    then errors.  Returns ``(gens, bad_input, bad_coupling)``: ``gens`` is
+    the (N, n, n) generator array of ``kernel_mod_batch``; ``bad_input[b, j]``
+    says generator j of configuration b is nonzero on the inputs, and
     ``bad_coupling[b, j]`` that gamma[X, E] does not annihilate its error
     part.  Zero rows of ``gens`` pass both checks.
     """
@@ -205,59 +200,41 @@ def _kernel_checks(graph: WeightedGraph, residues: dict, configs) -> dict:
         batch, len(outputs) - size
     )
     cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
-    checks = {}
-    for d, gamma in residues.items():
-        gens = kernel_mod_batch(gamma[rows[:, :, None], cols[:, None, :]], d)
-        bad_input = (gens[:, :, : len(inputs)] != 0).any(axis=2)
-        cross = gamma[inputs[None, :, None], errs[:, None, :]]
-        image = cross @ gens[:, :, len(inputs) :].transpose(0, 2, 1) % d
-        checks[d] = (gens, bad_input, (image != 0).any(axis=1))
-    return checks
+    gens = kernel_mod_batch(gamma[rows[:, :, None], cols[:, None, :]], d)
+    bad_input = (gens[:, :, : len(inputs)] != 0).any(axis=2)
+    cross = gamma[inputs[None, :, None], errs[:, None, :]]
+    image = cross @ gens[:, :, len(inputs) :].transpose(0, 2, 1) % d
+    return gens, bad_input, (image != 0).any(axis=1)
 
 
 def detects(
     graph: WeightedGraph, group: FiniteAbelianGroup, config
 ) -> DetectionVerdict:
-    """Decide detection of one error configuration, with witness/certificate."""
+    """Decide detection of one error configuration, with witness/certificate.
+
+    The factors are eliminated one at a time, in order; the first with a
+    violating generator gives the witness, and later factors are not
+    eliminated.
+    """
     cfg = validated_config(graph, config)
-    cols = tuple(sorted(set(graph.inputs) | set(cfg)))
-    # Generators come in engine order (inputs, then errors); reports use cols.
-    order = [cols.index(v) for v in (*graph.inputs, *cfg)]
-
-    def in_cols(gen) -> tuple[int, ...]:
-        out = [0] * len(cols)
-        for pos, x in zip(order, gen):
-            out[pos] = int(x)
-        return tuple(out)
-
-    checks = _kernel_checks(graph, _residues(graph, group.factors), [cfg])
+    engine = (*graph.inputs, *cfg)
+    # Reports list columns by vertex: report column k is engine column order[k].
+    order = sorted(range(len(engine)), key=engine.__getitem__)
+    verdict = partial(DetectionVerdict, describe(graph), graph.inputs, group.factors, cfg,
+                      tuple(sorted(engine)))
     certificate = []
     for d in group.factors:
-        gens, bad_input, bad_coupling = (x[0] for x in checks[d])
+        gens, bad_input, bad_coupling = (
+            x[0] for x in _kernel_checks(graph, _residues(graph, d), d, [cfg])
+        )
+        gens = list(map(tuple, gens[:, order].tolist()))
         failing = bad_input | bad_coupling
         if failing.any():
             j = int(failing.argmax())
-            return DetectionVerdict(
-                graph_id=describe(graph),
-                graph_inputs=graph.inputs,
-                group_factors=group.factors,
-                configuration=cfg,
-                columns=cols,
-                detected=False,
-                factor=d,
-                failed_condition=FAILED_INPUT if bad_input[j] else FAILED_COUPLING,
-                witness=in_cols(gens[j]),
-            )
-        certificate.append((d, tuple(in_cols(g) for g in gens if g.any())))
-    return DetectionVerdict(
-        graph_id=describe(graph),
-        graph_inputs=graph.inputs,
-        group_factors=group.factors,
-        configuration=cfg,
-        columns=cols,
-        detected=True,
-        certificate=tuple(certificate),
-    )
+            return verdict(detected=False, factor=d, witness=gens[j],
+                           failed_condition=FAILED_INPUT if bad_input[j] else FAILED_COUPLING)
+        certificate.append((d, tuple(g for g in gens if any(g))))
+    return verdict(detected=True, certificate=tuple(certificate))
 
 
 def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bool:
@@ -289,30 +266,18 @@ def _colex(positions: np.ndarray, binom: np.ndarray):
     return up.sum(axis=1), before + after
 
 
-def _rechunk(arrays):
-    """The rows of a stream of arrays regrouped CHUNK at a time."""
-    held, count = [], 0
-    for rows in arrays:
-        held.append(rows)
-        count += len(rows)
-        while count >= CHUNK:
-            rows = np.concatenate(held)
-            yield rows[:CHUNK]
-            held, count = [rows[CHUNK:]], count - CHUNK
-    if count:
-        yield np.concatenate(held)
-
-
 def _survivors(outputs: np.ndarray, size: int, previous: np.ndarray, binom, inherited: list):
     """Error vertices of the configurations of one size that need
-    elimination, in lexicographic order and in arrays of up to CHUNK rows.
+    elimination, in lexicographic order, CHUNK rows per array but the last.
 
     ``previous`` holds the sorted colex ranks of the undetected
     configurations one size smaller.  A configuration with a subset among
     them is undetected (see the module docstring) and goes to ``inherited``
-    instead.
+    instead.  Survivors are held back until they fill a batch, so pruning
+    does not shrink the batches the engine eliminates.
     """
     configs = itertools.combinations(range(len(outputs)), size)
+    held = np.zeros((0, size), dtype=np.intp)
     while chunk := list(itertools.islice(configs, CHUNK)):
         positions = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
         if len(previous):
@@ -321,27 +286,30 @@ def _survivors(outputs: np.ndarray, size: int, previous: np.ndarray, binom, inhe
             hit = (previous[at] == subsets).any(axis=1)
             inherited.extend(map(tuple, outputs[positions[hit]].tolist()))
             positions = positions[~hit]
-        yield outputs[positions]
+        held = np.concatenate((held, positions))
+        if len(held) >= CHUNK:  # held had fewer than CHUNK rows before
+            yield outputs[held[:CHUNK]]
+            held = held[CHUNK:]
+    if len(held):
+        yield outputs[held]
 
 
-def _undetected(graph: WeightedGraph, residues: dict, errs: np.ndarray):
+def _undetected(graph: WeightedGraph, gamma: np.ndarray, d: int, errs: np.ndarray):
     """Undetected configurations, as tuples in order, of an (N, size) batch
-    of error vertices."""
-    failing = np.zeros(len(errs), dtype=bool)
-    for _, bad_input, bad_coupling in _kernel_checks(graph, residues, errs).values():
-        failing |= (bad_input | bad_coupling).any(axis=1)
-    return list(map(tuple, errs[failing].tolist()))
+    of error vertices, eliminated modulo d."""
+    _, bad_input, bad_coupling = _kernel_checks(graph, gamma, d, errs)
+    return list(map(tuple, errs[(bad_input | bad_coupling).any(axis=1)].tolist()))
 
 
-# (graph, residues) of the sweep a pool worker serves: set by
+# (graph, gamma modulo d, d) of the sweep a pool worker serves: set by
 # ``_start_worker`` in each worker process only, so they cross to a worker
 # once rather than with every batch.
 _worker_sweep = None
 
 
-def _start_worker(graph: WeightedGraph, residues: dict) -> None:
+def _start_worker(graph: WeightedGraph, gamma: np.ndarray, d: int) -> None:
     global _worker_sweep
-    _worker_sweep = (graph, residues)
+    _worker_sweep = (graph, gamma, d)
 
 
 def _undetected_in_worker(errs: np.ndarray):
@@ -368,7 +336,8 @@ def _sweep(
         )
     start = time.perf_counter()
     workers = worker_count(workers, os.cpu_count(), total)
-    residues = _residues(graph, [group.exponent])  # see the module docstring
+    # one elimination modulo the group exponent: see the module docstring
+    sweep = (graph, _residues(graph, group.exponent), group.exponent)
     binom = np.array(
         [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
         dtype=np.int64,
@@ -381,17 +350,17 @@ def _sweep(
             # spawn, not fork: numpy has started threads in this process.
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_start_worker, initargs=(graph, residues),
+                initializer=_start_worker, initargs=sweep,
             ))
             decide_all = partial(pool.map, _undetected_in_worker)
         else:
-            decide_all = partial(map, partial(_undetected, graph, residues))
+            decide_all = partial(map, partial(_undetected, *sweep))
         summaries = []
         pruned = 0
         previous = np.zeros(0, dtype=np.int64)
         for size in sizes:
             inherited: list[tuple[int, ...]] = []
-            batches = _rechunk(_survivors(outputs, size, previous, binom, inherited))
+            batches = _survivors(outputs, size, previous, binom, inherited)
             found = [cfg for bad in decide_all(batches) for cfg in bad]
             undetected = sorted(inherited + found)
             pruned += len(inherited)

@@ -119,7 +119,8 @@ def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> 
     return det_batch(stack.reshape(-1, m, m)).reshape(stack.shape[:-2])
 
 
-def _report(rows, m, partitions) -> DeterminantReport:
+def _dets(rows, m, partitions) -> tuple[int, ...]:
+    """Exact determinant of the off-diagonal block of every partition."""
     blocks, comps = _partition_arrays(partitions, m)
     # int64 weights let det_batch read its guard bound with numpy; only
     # weights past int64 need Python ints.
@@ -128,23 +129,25 @@ def _report(rows, m, partitions) -> DeterminantReport:
     # Batches of at most _STACK_ENTRIES block entries bound the memory of
     # the stacked blocks, which hold Python ints past the int64 guard.
     step = max(1, _STACK_ENTRIES // (m * m))
-    dets = tuple(
+    return tuple(
         det
         for first in range(0, len(blocks), step)
         for det in _offdiag_dets(
             gamma, blocks[first : first + step], comps[first : first + step]
         ).tolist()
     )
-    bad: set[int] = set()
-    for det in dets:
-        bad |= prime_factors(det)
+
+
+def _report(rows, m, partitions) -> DeterminantReport:
+    dets = _dets(rows, m, partitions)
+    distinct = set(dets)  # factored once each
     return DeterminantReport(
         m=m,
         partitions=tuple(partitions),
         dets=dets,
-        det_set=tuple(sorted(set(dets))),
-        bad_primes=frozenset(bad),
-        has_zero_det=any(det == 0 for det in dets),
+        det_set=tuple(sorted(distinct)),
+        bad_primes=frozenset().union(*map(prime_factors, distinct)),
+        has_zero_det=0 in distinct,
     )
 
 
@@ -155,11 +158,13 @@ def offdiag_subdets(gamma) -> DeterminantReport:
 
 
 def is_strongly_ec(gamma, d: int) -> bool:
-    """True iff no off-diagonal block determinant vanishes modulo the prime d."""
+    """True iff no off-diagonal block determinant vanishes modulo the prime d.
+
+    Only the determinants' residues matter, so none is factored."""
     if not is_prime(d):
         raise ValueError(f"{d} is not prime")
-    report = offdiag_subdets(gamma)
-    return not report.has_zero_det and d not in report.bad_primes
+    rows, m = _validate_gamma(gamma)
+    return all(det % d for det in _dets(rows, m, _partitions(2 * m)))
 
 
 def restricted_subdets(gamma, fixed_inputs) -> DeterminantReport:
@@ -353,11 +358,8 @@ def search_weights(
             alive = alive[~dead.any(axis=1)]
             first, group = first + count, 2 * group
         if alive.size:
-            gamma = [[0] * size for _ in range(size)]
-            for (i, j), w in zip(positions, weights[alive[0]].tolist()):
-                gamma[i][j] = gamma[j][i] = w
             return WeightSearchResult(
-                matrix=tuple(tuple(row) for row in gamma),
+                matrix=tuple(map(tuple, gammas[alive[0]].tolist())),
                 attempts=start + int(alive[0]) + 1,
                 seed=seed,
                 budget=budget,

@@ -498,3 +498,34 @@ class TestHelp:
     def test_group_default_documented(self, capsys):
         main(["detect", "--help"])
         assert "default: 2" in capsys.readouterr().out
+
+
+class TestErrorBranches:
+    def test_missing_graph_file_exit_two(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "detect", "--graph", str(tmp_path / "missing.graph"), "--config", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "missing.graph" in err
+
+    def test_oracle_disagreement_exit_one(self, capsys, monkeypatch):
+        from graphqec import oracle
+
+        kl_detects = oracle.kl_detects
+
+        def flipped(graph, group, cfg, isometry=None):
+            verdict = kl_detects(graph, group, cfg, isometry=isometry)
+            return not verdict if cfg == (1,) else verdict
+
+        monkeypatch.setattr(oracle, "kl_detects", flipped)
+        code, payload = run_json(
+            capsys, "sweep", "--builtin", "wheel", "--group", "2", "--correct", "1", "--oracle"
+        )
+        assert code == 1
+        assert payload["all_detected"] is True
+        assert payload["oracle"] == {
+            "checked": 16,
+            "disagreements": [{"config": [1], "kernel_verdict": True, "oracle_verdict": False}],
+        }
+        jsonschema.validate(payload, load_schema("sweep"))

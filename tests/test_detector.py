@@ -574,3 +574,58 @@ class TestRandomizedSoundness:
             report = detects_errors(graph, group, t)
             for summary in report.sizes:
                 assert summary.checked == math.comb(len(graph.outputs), summary.size)
+
+
+class TestOneModulusPerCall:
+    def test_pruned_sweeps_eliminate_full_batches(self, monkeypatch):
+        # the sparse Z2xZ4 graph of test_sizes_spanning_several_chunks
+        rng = random.Random(3)
+        edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
+        sparse = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,))
+        batches = []
+        undetected = detector._undetected
+
+        def spy(graph, gamma, d, errs):
+            batches.append(errs)
+            return undetected(graph, gamma, d, errs)
+
+        monkeypatch.setattr(detector, "_undetected", spy)
+        report = detects_errors(sparse, make_group([2, 4]), 5)
+        assert report.pruned > 0
+        previous = set()
+        for summary in report.sizes:
+            size = summary.size
+            rows = [errs for errs in batches if errs.shape[1] == size]
+            assert all(len(errs) == CHUNK for errs in rows[:-1])
+            assert 0 < len(rows[-1]) <= CHUNK
+            # the survivors of pruning, in lexicographic order
+            expected = [
+                cfg
+                for cfg in itertools.combinations(sparse.outputs, size)
+                if not previous.intersection(itertools.combinations(cfg, max(size - 1, 0)))
+            ]
+            assert [tuple(row) for errs in rows for row in errs.tolist()] == expected
+            previous = set(summary.undetected)
+        # size 5 is pruned and still fills several batches
+        assert len(expected) < math.comb(13, 5)
+        assert len([errs for errs in batches if errs.shape[1] == 5]) > 2
+
+    def test_detects_eliminates_up_to_the_first_failing_factor(self, monkeypatch, wheel):
+        moduli = []
+        kernel = detector.kernel_mod_batch
+
+        def spy(systems, d):
+            moduli.append(d)
+            return kernel(systems, d)
+
+        monkeypatch.setattr(detector, "kernel_mod_batch", spy)
+        verdict = detects(wheel, make_group([2, 3]), (1, 2, 3))
+        assert not verdict.detected and verdict.factor == 2
+        assert moduli == [2]
+        verify_witness(wheel, verdict)
+        moduli.clear()
+        # a repeated factor is eliminated once per occurrence
+        verdict = detects(wheel, make_group([2, 2, 3]), (1, 2))
+        assert verdict.detected
+        assert moduli == [2, 2, 3]
+        verify_certificate(wheel, verdict)

@@ -287,3 +287,17 @@ class TestEquality:
 
     def test_repartition_changes_equality(self, wheel):
         assert wheel.with_inputs((3,)) != wheel
+
+
+class TestErrorBranches:
+    def test_symmetric_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="skeleton must be square"):
+            graphcode.symmetric_matrix(((0, 1), (1, 0, 0)), "skeleton")
+
+    def test_from_edges_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            WeightedGraph.from_edges(3, [(0, 1, 1), (1, 1, 2)], (0,))
+
+    def test_parse_rejects_non_integer_edge(self):
+        with pytest.raises(ValueError, match="bad edge line '0 1 x'"):
+            parse_graph("vertices: 2\ninputs: 0\n0 1 x\n")

@@ -16,7 +16,7 @@ from graphqec.abelian import make_group
 from graphqec.detector import detects_errors
 from graphqec.zmodlinalg import det_fits_int64, is_prime, prime_factors
 from graphqec import singleton, zmodlinalg
-from graphqec.graphcode import matrix19_code, wheel_code
+from graphqec.graphcode import WeightedGraph, matrix19_code, wheel_code
 from graphqec.singleton import (
     SEARCH_CHUNK,
     Skeleton,
@@ -646,3 +646,68 @@ class TestDetectorConsistency:
 
         graph = WeightedGraph(result.matrix, (0,))
         assert detects_errors(graph, make_group([good[0]]), 3).all_detected
+
+
+PRIMES_BELOW_200 = [p for p in range(200) if is_prime(p)]
+
+
+class TestDeterminantRouteMatchesKernelRoute:
+    """The bad primes of the block determinants are exactly the primes over
+    which matrix19 fails to detect, and strong detection over a prime is the
+    nonvanishing of every block determinant modulo it."""
+
+    def test_single_input_three_errors_iff_good_prime(self, matrix19):
+        bad = offdiag_subdets(matrix19.gamma).bad_primes
+        assert bad == PUBLISHED_BAD_PRIMES
+        graph = matrix19_code((0,))
+        for p in PRIMES_BELOW_200:
+            assert detects_errors(graph, make_group([p]), 3).all_detected == (p not in bad), p
+
+    def test_two_inputs_two_errors_iff_good_prime(self, matrix19):
+        bad = restricted_subdets(matrix19.gamma, (0, 1)).bad_primes
+        assert bad == {2, 5}
+        graph = matrix19_code((0, 1))
+        for p in PRIMES_BELOW_200:
+            assert detects_errors(graph, make_group([p]), 2).all_detected == (p not in bad), p
+
+    def test_strongly_ec_iff_every_partition_strongly_detects(self):
+        rng = random.Random(2024)
+        primes = [p for p in PRIMES_BELOW_200 if p <= 31]
+        seen = set()
+        for _ in range(120):
+            m = rng.randint(1, 4)
+            size = 2 * m
+            gamma = [[0] * size for _ in range(size)]
+            for i, j in itertools.combinations(range(size), 2):
+                gamma[i][j] = gamma[j][i] = rng.randint(-3, 3)
+            p = rng.choice(primes)
+            # block holds vertex 0, the input; the rest of it are the errors
+            graph = WeightedGraph(gamma, (0,))
+            strong = all(
+                strong_detects(graph, make_group([p]), block[1:])
+                for block in ((0, *rest) for rest in itertools.combinations(range(1, size), m - 1))
+            )
+            assert is_strongly_ec(gamma, p) == strong
+            seen.add((m, strong))
+        assert {(m, strong) for m in (2, 3, 4) for strong in (False, True)} <= seen
+
+    def test_strongly_ec_needs_no_factoring(self):
+        # bound 10**12 gives determinants with a cofactor that cannot be
+        # certified prime, so a full report refuses them
+        skeleton = Skeleton.from_matrix(matrix19_code().gamma)
+        matrix = search_weights(skeleton, 10**12, seed=0, budget=3).matrix
+        with pytest.raises(ValueError, match="cannot certify"):
+            offdiag_subdets(matrix)
+        blocks = [
+            [[matrix[i][j] for j in range(8) if j not in block] for i in block]
+            for block in ((0, *rest) for rest in itertools.combinations(range(1, 8), 3))
+        ]
+        for p in (7, 11, 13):
+            assert is_strongly_ec(matrix, p) == all(det_exact(b) % p for b in blocks)
+        assert is_strongly_ec(((0, 0), (0, 0)), 2) is False
+
+
+@pytest.mark.parametrize("fixed", [(8,), (-1,), (0, 9)])
+def test_restricted_inputs_out_of_range(matrix19, fixed):
+    with pytest.raises(ValueError, match="out of range"):
+        restricted_subdets(matrix19.gamma, fixed)
