@@ -9,6 +9,8 @@ certify the bad primes of a hit.  A sweep's --oracle cross-check is skipped,
 with a warning, on instances over the oracle's size cap.  JSON goes to
 stdout, diagnostics to stderr; a sweep's stderr line reports its wall time,
 configurations checked, configurations decided by pruning and workers used.
+The ``graphqec`` command ends its process as soon as its output is flushed,
+without interpreter teardown.
 The only environment knob is GRAPHQEC_WORKERS, an optional worker count for
 sweeps.  It is clamped to the CPU count and to the sweep's configuration
 count divided by ``detector.MIN_CONFIGS_PER_WORKER`` (20,000), so a pool,
@@ -315,5 +317,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The ``graphqec`` command: ``main``, then flush both streams and end
+    the process with ``os._exit``.
+
+    Skipping interpreter teardown saves about 30 ms per command; objects are
+    not freed and atexit handlers do not run, and nothing ``main`` leaves
+    behind needs either (a sweep's pool is shut down before it returns).  An
+    exception escaping ``main`` takes Python's normal exit path.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -171,39 +171,32 @@ def detection_system(graph: WeightedGraph, config):
     return rows, cols, graph.submatrix(rows, cols)
 
 
-def _residues(graph: WeightedGraph, d: int) -> np.ndarray:
-    """gamma modulo d, reduced on Python ints; int64 when the engine's
-    arithmetic modulo d fits in it, else Python ints in an object array."""
+def _residues(block, cols: int, d: int, n: int) -> np.ndarray:
+    """The rows of ``block``, ``cols`` Python ints each, modulo d, reduced on
+    Python ints; int64 when the engine's arithmetic modulo d on an n-vertex
+    graph fits in it, else Python ints in an object array."""
     return np.array(
-        [[x % d for x in row] for row in graph.gamma],
-        dtype=np.int64 if fits_int64(d, graph.n) else object,
-    )
+        [[x % d for x in row] for row in block],
+        dtype=np.int64 if fits_int64(d, n) else object,
+    ).reshape(len(block), cols)
 
 
-def _kernel_checks(graph: WeightedGraph, gamma: np.ndarray, d: int, configs):
+def _kernel_checks(systems: np.ndarray, cross: np.ndarray, inputs: int, d: int):
     """Kernel generators modulo d and both condition checks for a batch of
-    configurations of one size.
+    detection systems of one size.
 
-    ``gamma`` is ``_residues(graph, d)``.  Columns are ordered inputs first,
-    then errors.  Returns ``(gens, bad_input, bad_coupling)``: ``gens`` is
-    the (N, n, n) generator array of ``kernel_mod_batch``; ``bad_input[b, j]``
-    says generator j of configuration b is nonzero on the inputs, and
-    ``bad_coupling[b, j]`` that gamma[X, E] does not annihilate its error
-    part.  Zero rows of ``gens`` pass both checks.
+    ``systems`` stacks the (N, rows, inputs + size) blocks gamma[I, X u E]
+    modulo d, columns ordered inputs first, then errors, and ``cross`` the
+    (N, inputs, size) blocks gamma[X, E].  Returns ``(gens, bad_input,
+    bad_coupling)``: ``gens`` is the (N, n, n) generator array of
+    ``kernel_mod_batch``; ``bad_input[b, j]`` says generator j of system b
+    is nonzero on the inputs, and ``bad_coupling[b, j]`` that gamma[X, E]
+    does not annihilate its error part.  Zero rows of ``gens`` pass both
+    checks.
     """
-    errs = np.array(configs, dtype=np.intp).reshape(len(configs), -1)
-    batch, size = errs.shape
-    inputs = np.array(graph.inputs, dtype=np.intp)
-    outputs = np.array(graph.outputs, dtype=np.intp)
-    untouched = (outputs[None, :, None] != errs[:, None, :]).all(axis=2)
-    rows = np.broadcast_to(outputs, untouched.shape)[untouched].reshape(
-        batch, len(outputs) - size
-    )
-    cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
-    gens = kernel_mod_batch(gamma[rows[:, :, None], cols[:, None, :]], d)
-    bad_input = (gens[:, :, : len(inputs)] != 0).any(axis=2)
-    cross = gamma[inputs[None, :, None], errs[:, None, :]]
-    image = cross @ gens[:, :, len(inputs) :].transpose(0, 2, 1) % d
+    gens = kernel_mod_batch(systems, d)
+    bad_input = (gens[:, :, :inputs] != 0).any(axis=2)
+    image = cross @ gens[:, :, inputs:].transpose(0, 2, 1) % d
     return gens, bad_input, (image != 0).any(axis=1)
 
 
@@ -214,7 +207,8 @@ def detects(
 
     The factors are eliminated one at a time, in order; the first with a
     violating generator gives the witness, and later factors are not
-    eliminated.
+    eliminated.  Each factor reduces only the system's blocks of gamma, not
+    all of it.
     """
     cfg = validated_config(graph, config)
     engine = (*graph.inputs, *cfg)
@@ -222,11 +216,17 @@ def detects(
     order = sorted(range(len(engine)), key=engine.__getitem__)
     verdict = partial(DetectionVerdict, describe(graph), graph.inputs, group.factors, cfg,
                       tuple(sorted(engine)))
+    errors = set(cfg)
+    rows = [y for y in graph.outputs if y not in errors]
+    system = graph.submatrix(rows, engine)
+    cross = graph.submatrix(graph.inputs, cfg)
     certificate = []
     for d in group.factors:
-        gens, bad_input, bad_coupling = (
-            x[0] for x in _kernel_checks(graph, _residues(graph, d), d, [cfg])
-        )
+        gens, bad_input, bad_coupling = (x[0] for x in _kernel_checks(
+            _residues(system, len(engine), d, graph.n)[None],
+            _residues(cross, len(cfg), d, graph.n)[None],
+            len(graph.inputs), d,
+        ))
         gens = list(map(tuple, gens[:, order].tolist()))
         failing = bad_input | bad_coupling
         if failing.any():
@@ -296,8 +296,21 @@ def _survivors(outputs: np.ndarray, size: int, previous: np.ndarray, binom, inhe
 
 def _undetected(graph: WeightedGraph, gamma: np.ndarray, d: int, errs: np.ndarray):
     """Undetected configurations, as tuples in order, of an (N, size) batch
-    of error vertices, eliminated modulo d."""
-    _, bad_input, bad_coupling = _kernel_checks(graph, gamma, d, errs)
+    of error vertices, eliminated modulo d; ``gamma`` is the whole gamma
+    modulo d."""
+    batch, size = errs.shape
+    inputs = np.array(graph.inputs, dtype=np.intp)
+    outputs = np.array(graph.outputs, dtype=np.intp)
+    untouched = (outputs[None, :, None] != errs[:, None, :]).all(axis=2)
+    rows = np.broadcast_to(outputs, untouched.shape)[untouched].reshape(
+        batch, len(outputs) - size
+    )
+    cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
+    _, bad_input, bad_coupling = _kernel_checks(
+        gamma[rows[:, :, None], cols[:, None, :]],
+        gamma[inputs[None, :, None], errs[:, None, :]],
+        len(inputs), d,
+    )
     return list(map(tuple, errs[(bad_input | bad_coupling).any(axis=1)].tolist()))
 
 
@@ -337,7 +350,8 @@ def _sweep(
     start = time.perf_counter()
     workers = worker_count(workers, os.cpu_count(), total)
     # one elimination modulo the group exponent: see the module docstring
-    sweep = (graph, _residues(graph, group.exponent), group.exponent)
+    sweep = (graph, _residues(graph.gamma, graph.n, group.exponent, graph.n),
+             group.exponent)
     binom = np.array(
         [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
         dtype=np.int64,

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import graphqec
 from graphqec import singleton
 from graphqec.cli import main
 from graphqec.graphcode import WeightedGraph, serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # stdout of the per-graph census, per-block determinants,
@@ -529,3 +536,95 @@ class TestErrorBranches:
             "disagreements": [{"config": [1], "kernel_verdict": True, "oracle_verdict": False}],
         }
         jsonschema.validate(payload, load_schema("sweep"))
+
+
+def run_fresh(*argv: str, workers: str | None = None, stdout=subprocess.PIPE):
+    """``python -m graphqec.cli`` in a fresh interpreter, with stdout
+    block-buffered into a pipe, so an exit that skips a flush loses output."""
+    src = str(Path(graphqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("GRAPHQEC_WORKERS", None)
+    if workers is not None:
+        env["GRAPHQEC_WORKERS"] = workers
+    return subprocess.run(
+        [sys.executable, "-m", "graphqec.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+def untimed(err: str) -> str:
+    return re.sub(r"sweep finished in \d+\.\d{3}s", "sweep finished in Ts", err)
+
+
+class TestFreshInterpreter:
+    """The command ends its process right after flushing its output; what a
+    fresh interpreter prints and returns is what ``main`` gives in-process."""
+
+    @pytest.mark.parametrize(
+        "expected, argv",
+        [
+            (0, ("sweep", "--builtin", "wheel", "--group", "2", "--correct", "1", "--oracle")),
+            (1, ("sweep", "--builtin", "tenfold", "--group", "2", "--detect", "4")),
+            (2, ("detect", "--builtin", "wheel", "--config", "0")),
+            (2, ("sweep", "--builtin", "wheel")),
+        ],
+        ids=["claim-holds", "claim-fails", "bad-input", "usage"],
+    )
+    def test_same_output_and_exit_code(self, capsys, expected, argv):
+        code, out, err = run_cli(capsys, *argv)
+        proc = run_fresh(*argv)
+        assert code == expected
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+        assert untimed(proc.stderr.decode()) == untimed(err)
+
+    def test_export_writes_the_whole_csv(self, capsys, tmp_path):
+        args = ("export", "--builtin", "tenfold", "--group", "2")
+        code, out, err = run_cli(capsys, *args, "--out", str(tmp_path / "main.csv"))
+        proc = run_fresh(*args, "--out", str(tmp_path / "fresh.csv"))
+        assert code == 0
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+        assert proc.stderr.decode() == err.replace("main.csv", "fresh.csv")
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+        assert len((tmp_path / "fresh.csv").read_text().splitlines()) == 2**10 * 2
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_flush_exits_two(self):
+        with open("/dev/full", "w") as full:
+            proc = run_fresh("census", "--n", "2", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: [Errno 28] No space left on device\n"
+
+    def test_pool_sweep_leaves_nothing_behind(self, capsys, monkeypatch, tmp_path):
+        # a dense 24-vertex graph over Z2xZ4: 44,552 configurations of sizes
+        # <= 5, enough for two workers
+        rng = random.Random(1)
+        edges = [
+            (u, v, rng.randint(1, 3)) for u in range(24) for v in range(u + 1, 24)
+            if rng.random() < 0.6
+        ]
+        path = tmp_path / "dense.graph"
+        path.write_text(serialize_graph(WeightedGraph.from_edges(24, edges, (0,))))
+        args = ("sweep", "--graph", str(path), "--group", "2,4", "--detect", "5")
+        monkeypatch.delenv("GRAPHQEC_WORKERS", raising=False)
+        code, out, _ = run_cli(capsys, *args)
+        proc = run_fresh(*args, workers="2")
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+        workers = min(2, os.cpu_count() or 1)
+        # the summary line only: no resource_tracker or leaked-semaphore warning
+        assert re.fullmatch(
+            rf"sweep finished in \d+\.\d{{3}}s: 44552 configurations checked, "
+            rf"0 decided by pruning, {workers} worker\(s\)\n",
+            proc.stderr.decode(),
+        )
+
+
+def test_script_entry_point_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["graphqec"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    assert target == "graphqec.cli:run"

@@ -629,3 +629,61 @@ class TestOneModulusPerCall:
         assert verdict.detected
         assert moduli == [2, 2, 3]
         verify_certificate(wheel, verdict)
+
+
+@pytest.fixture(scope="module")
+def sparse_1500():
+    """A seeded 1,500-vertex graph of density 0.002, weights 1-3, whose
+    input 0 is joined to vertices 1..6 by weights 1..6."""
+    rng = random.Random(1)
+    n = 1500
+    weights = {
+        (u, v): rng.randint(1, 3)
+        for u in range(n) for v in range(u + 1, n) if rng.random() < 0.002
+    }
+    weights.update({(0, v): v for v in range(1, 7)})
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in weights.items()], (0,))
+
+
+class TestLargeGraphDetects:
+    # verdicts of the engine that reduced all of gamma modulo each factor
+    PINNED = [
+        ([2**89 - 1], (2,), {"detected": True, "certificate": [
+            {"factor": 2**89 - 1, "generators": []}]}),
+        ([2, 3, 5], (2,), {"detected": True, "certificate": [
+            {"factor": 2, "generators": [[0, 1]]}, {"factor": 3, "generators": []},
+            {"factor": 5, "generators": []}]}),
+        ([2, 3, 5], (1,), {"detected": False, "factor": 3,
+                           "failed": "error_action_on_inputs", "witness": [0, 1]}),
+        ([2, 2], (1,), {"detected": True, "certificate": [
+            {"factor": 2, "generators": []}, {"factor": 2, "generators": []}]}),
+        ([2, 2], (1, 3, 5), {"detected": False, "factor": 2,
+                             "failed": "nonzero_on_inputs", "witness": [1, 0, 0, 0]}),
+        ([6], (1,), {"detected": False, "factor": 6,
+                     "failed": "error_action_on_inputs", "witness": [0, 4]}),
+        ([6], (1, 3, 5), {"detected": False, "factor": 6,
+                          "failed": "nonzero_on_inputs", "witness": [3, 0, 0, 0]}),
+    ]
+
+    @pytest.mark.parametrize("factors, config, expected", PINNED)
+    def test_verdict_and_witness_unchanged(self, monkeypatch, sparse_1500, factors, config,
+                                           expected):
+        widths = []
+        residues = detector._residues
+
+        def spy(block, cols, d, n):
+            widths.append(cols)
+            return residues(block, cols, d, n)
+
+        monkeypatch.setattr(detector, "_residues", spy)
+        verdict = detects(sparse_1500, make_group(factors), config)
+        out = verdict.to_dict()
+        assert out.pop("columns") == [0, *config]
+        assert out.pop("config") == list(config)
+        assert {k: out[k] for k in expected} == expected
+        if verdict.detected:
+            verify_certificate(sparse_1500, verdict)
+        else:
+            verify_witness(sparse_1500, verdict)
+        # only the system's columns and the cross block are reduced
+        assert set(widths) <= {1 + len(config), len(config)}
