@@ -2,7 +2,8 @@
 
 The public names below are loaded from their submodules on first use
 (PEP 562), so ``import graphqec`` by itself imports neither numpy nor the
-verdict, oracle and determinant modules.
+verdict, oracle and determinant modules.  Parsing graphs and groups and
+building the built-in graphs loads neither numpy nor ``dataclasses``.
 """
 
 import importlib

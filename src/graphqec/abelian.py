@@ -8,17 +8,20 @@ factors, their derived order, exponent and rank, and the CLI literal parser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._frozen import Frozen, integers
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Product of cyclic groups Z_{d_1} x ... x Z_{d_r}, every d_i >= 2."""
+class FiniteAbelianGroup(Frozen):
+    """Product of cyclic groups Z_{d_1} x ... x Z_{d_r}, every d_i >= 2.
+
+    Immutable, equal and hashed by ``factors``."""
 
     factors: tuple[int, ...]
+    _fields = _compared = ("factors",)
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.factors)
+    def __init__(self, factors) -> None:
+        factors = integers(factors, "cyclic factors")
         if not factors:
             raise ValueError("group needs at least one cyclic factor")
         if any(d < 2 for d in factors):

@@ -8,7 +8,7 @@ well-known example graphs live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._frozen import Frozen, integers
 
 IntMatrix = list[list[int]]
 
@@ -20,7 +20,7 @@ MAX_VERTICES = 2048
 def symmetric_matrix(matrix, name: str = "gamma") -> tuple[tuple[int, ...], ...]:
     """The rows of a square, symmetric integer matrix with zero diagonal, as
     tuples of ints; ValueError, naming the matrix ``name``, otherwise."""
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(integers(row, f"{name} entries") for row in matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError(f"{name} must be square")
@@ -33,22 +33,33 @@ def symmetric_matrix(matrix, name: str = "gamma") -> tuple[tuple[int, ...], ...]
     return rows
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+def vertex_set(vertices, what: str) -> tuple[int, ...]:
+    """Distinct integer vertices, sorted; ValueError naming ``what`` for a
+    vertex that is not an integer."""
+    return tuple(sorted(set(integers(vertices, what))))
+
+
+class WeightedGraph(Frozen):
+    """Immutable, equal and hashed by ``gamma`` and ``inputs``; ``name``
+    only labels the graph."""
+
     gamma: tuple[tuple[int, ...], ...]
     inputs: tuple[int, ...]
-    name: str = field(default="", compare=False)
+    name: str
+    _fields = ("gamma", "inputs", "name")
+    _compared = ("gamma", "inputs")
 
-    def __post_init__(self) -> None:
-        gamma = symmetric_matrix(self.gamma)
+    def __init__(self, gamma, inputs, name: str = "") -> None:
+        gamma = symmetric_matrix(gamma)
         n = len(gamma)
-        inputs = tuple(sorted({int(v) for v in self.inputs}))
+        inputs = vertex_set(inputs, "input vertices")
         if any(not 0 <= v < n for v in inputs):
             raise ValueError(f"input vertex out of range: {inputs}")
         if len(inputs) == n:
             raise ValueError("at least one output vertex is required")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "name", name)
 
     @property
     def n(self) -> int:
@@ -93,7 +104,7 @@ def describe(graph: WeightedGraph) -> str:
 def validated_config(graph: WeightedGraph, config) -> tuple[int, ...]:
     """An error configuration as sorted distinct vertices; ValueError unless
     every vertex is an output of the graph."""
-    cfg = tuple(sorted({int(v) for v in config}))
+    cfg = vertex_set(config, "error configuration vertices")
     outside = [v for v in cfg if v in graph.inputs or not 0 <= v < graph.n]
     if outside:
         raise ValueError(
@@ -218,7 +229,7 @@ _MATRIX19 = (
 def matrix19_code(inputs=(0,)) -> WeightedGraph:
     """The 8-vertex weighted graph whose off-diagonal 4x4 block determinants
     avoid exactly the primes {2, 3, 5, 11}; choose 1 or 2 input vertices."""
-    inputs = tuple(sorted({int(v) for v in inputs}))
+    inputs = vertex_set(inputs, "matrix19 inputs")
     if not inputs or len(inputs) > 2 or any(not 0 <= v < 8 for v in inputs):
         raise ValueError(f"matrix19 inputs must be 1 or 2 vertices in 0..7, got {inputs}")
     return WeightedGraph(_MATRIX19, inputs, name="matrix19")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcode import symmetric_matrix
+from .graphcode import symmetric_matrix, vertex_set
 from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors
 
 # Largest number of half-half partitions a report or search lists: 2**21
@@ -175,7 +175,7 @@ def restricted_subdets(gamma, fixed_inputs) -> DeterminantReport:
     determinants constrain the code.
     """
     rows, m = _validate_gamma(gamma)
-    fixed = tuple(sorted({int(v) for v in fixed_inputs}))
+    fixed = vertex_set(fixed_inputs, "fixed inputs")
     if len(fixed) > m:
         raise ValueError(f"at most {m} fixed inputs allowed, got {fixed}")
     if any(not 0 <= v < 2 * m for v in fixed):

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graphqec.abelian import make_group, parse_group
+from graphqec.abelian import FiniteAbelianGroup, make_group, parse_group
 from graphqec.graphcode import WeightedGraph
 from graphqec.oracle import build_isometry
 
@@ -79,6 +80,25 @@ class TestConstruction:
         g = make_group([2])
         with pytest.raises(AttributeError):
             g.factors = (3,)  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        with pytest.raises(AttributeError):
+            del g.factors
+        assert g.factors == (2,)
+
+    def test_value_semantics(self):
+        g = make_group([2, 4])
+        assert g == FiniteAbelianGroup((2, 4)) and hash(g) == hash(make_group((2, 4)))
+        assert g != make_group([4, 2]) and g != make_group([8])
+        assert g.__eq__((2, 4)) is NotImplemented
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert repr(g) == "FiniteAbelianGroup(factors=(2, 4))"
+
+    def test_non_integral_factor_is_refused(self):
+        with pytest.raises(ValueError, match="cyclic factors must be integers, got 2.9"):
+            make_group([2.9, 4])
+        assert make_group([np.int64(2), 4]).factors == (2, 4)
+        assert type(make_group([np.int64(2)]).factors[0]) is int
 
 
 class TestBicharacter:

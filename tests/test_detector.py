@@ -5,6 +5,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 from helpers import (
     brute_force_kernel,
@@ -203,6 +204,11 @@ class TestDetects:
     def test_config_not_subset_of_outputs(self, wheel, z2):
         with pytest.raises(ValueError):
             detects(wheel, z2, (0,))
+
+    def test_non_integral_vertex_is_refused(self, wheel, z2):
+        with pytest.raises(ValueError, match="configuration vertices must be integers, got 1.9"):
+            detects(wheel, z2, [1.9])
+        assert detects(wheel, z2, [np.int64(1)]).configuration == (1,)
 
     def test_duplicates_collapse(self, wheel, z2):
         assert detects(wheel, z2, (1, 1, 2)).configuration == (1, 2)

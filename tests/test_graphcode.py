@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from graphqec.graphcode import (
     matrix19_code,
     parse_graph,
     serialize_graph,
+    wheel_code,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -288,8 +292,43 @@ class TestEquality:
     def test_repartition_changes_equality(self, wheel):
         assert wheel.with_inputs((3,)) != wheel
 
+    def test_hash_ignores_name(self, wheel):
+        assert hash(WeightedGraph(wheel.gamma, wheel.inputs, name="other")) == hash(wheel)
+        assert {wheel, WeightedGraph(wheel.gamma, wheel.inputs)} == {wheel}
+        assert wheel.__eq__(wheel.gamma) is NotImplemented
+
+    def test_immutable(self, wheel):
+        for name in ("gamma", "inputs", "name", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(wheel, name, ())
+        for name in ("gamma", "inputs", "name"):
+            with pytest.raises(AttributeError):
+                delattr(wheel, name)
+        assert wheel == wheel_code() and wheel.name == "wheel"
+
+    def test_pickle_keeps_name(self, matrix19):
+        copy = pickle.loads(pickle.dumps(matrix19.with_inputs((0, 1))))
+        assert copy == matrix19.with_inputs((0, 1)) and copy.name == "matrix19"
+
+    def test_repr_shows_fields(self):
+        graph = WeightedGraph(((0, 2), (2, 0)), (1,), name="edge")
+        assert repr(graph) == "WeightedGraph(gamma=((0, 2), (2, 0)), inputs=(1,), name='edge')"
+
 
 class TestErrorBranches:
+    def test_non_integral_weight_is_refused(self):
+        with pytest.raises(ValueError, match="gamma entries must be integers, got 1.7"):
+            WeightedGraph(((0, 1.7), (1.7, 0)), (0,))
+        graph = WeightedGraph(((0, np.int64(-3)), (np.int64(-3), 0)), (np.int64(0),))
+        assert graph.gamma == ((0, -3), (-3, 0)) and type(graph.gamma[0][1]) is int
+
+    def test_non_integral_input_is_refused(self):
+        with pytest.raises(ValueError, match="input vertices must be integers, got 0.0"):
+            WeightedGraph(((0, 1), (1, 0)), (0.0,))
+        with pytest.raises(ValueError, match="matrix19 inputs must be integers, got 1.5"):
+            matrix19_code((0, 1.5))
+        assert WeightedGraph(((0, 1), (1, 0)), (True,)).inputs == (1,)
+
     def test_symmetric_matrix_must_be_square(self):
         with pytest.raises(ValueError, match="skeleton must be square"):
             graphcode.symmetric_matrix(((0, 1), (1, 0, 0)), "skeleton")

@@ -55,6 +55,8 @@ def loaded_modules(code: str, *argv: str, workers: str | None = None) -> set[str
 def test_setup_names_load_no_numpy():
     modules = loaded_modules(SETUP)
     assert "numpy" not in modules
+    # the graph and group types are plain classes: no dataclass machinery
+    assert not {"dataclasses", "inspect"} & modules
     assert not {"graphqec.detector", "graphqec.oracle", "graphqec.singleton"} & modules
     assert not UNUSED & modules
 

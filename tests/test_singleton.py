@@ -288,6 +288,10 @@ class TestRestricted:
         with pytest.raises(ValueError):
             restricted_subdets(matrix19.gamma, (0, 1, 2, 3, 4))
 
+    def test_non_integral_input_rejected(self, matrix19):
+        with pytest.raises(ValueError, match="fixed inputs must be integers, got 0.5"):
+            restricted_subdets(matrix19.gamma, (0.5,))
+
 
 def cycle(size: int) -> tuple[tuple[int, ...], ...]:
     """Adjacency matrix of the cycle on ``size`` vertices."""
