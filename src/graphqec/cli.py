@@ -6,7 +6,7 @@ usage or input errors, including graph files declaring more than 2,048
 vertices, sweeps over more than 2**22 configurations, reports and searches
 over more than 2**21 vertex partitions, and search bounds too large to
 certify the bad primes of a hit.  A sweep's --oracle cross-check is skipped,
-with a warning, on instances over the oracle's size cap.  JSON goes to
+with a warning, on instances over the oracle's size caps.  JSON goes to
 stdout, diagnostics to stderr; a sweep's stderr line reports its wall time,
 configurations checked, configurations decided by pruning and workers used.
 The ``graphqec`` command ends its process as soon as its output is flushed,
@@ -125,17 +125,16 @@ def _cmd_sweep(args) -> int:
         from . import oracle
 
         try:
-            oracle.check_size(graph, group)
+            iso = oracle.build_isometry(graph, group)
         except ValueError as exc:
             _info(f"warning: oracle skipped: {exc}")
             payload["oracle"] = {"checked": 0, "skipped": "size cap exceeded"}
         else:
-            iso = oracle.build_isometry(graph, group)
             undetected = set(report.undetected)
             disagreements = []
             for summary in report.sizes:
                 for cfg in itertools.combinations(graph.outputs, summary.size):
-                    kl = oracle.kl_detects(graph, group, cfg, isometry=iso)
+                    kl = oracle.kl_detects(iso, cfg)
                     if kl != (cfg not in undetected):
                         disagreements.append(
                             {"config": list(cfg), "kernel_verdict": cfg not in undetected,

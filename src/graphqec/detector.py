@@ -428,8 +428,7 @@ def input_exchange_check(
     group: FiniteAbelianGroup,
     new_inputs,
     errors: int,
-    workers: int = 1,
 ) -> SweepReport:
     """Re-partition the graph with a different input set and re-run the
     correction sweep."""
-    return corrects_errors(graph.with_inputs(new_inputs), group, errors, workers)
+    return corrects_errors(graph.with_inputs(new_inputs), group, errors)

@@ -16,7 +16,9 @@ a row chunk at a time is expanded into complex numbers, and chunks and
 tiles stay within the budget of ``_compressions``, a quarter of the
 complex matrix's bytes.  With V = 16 |G|^n bytes, ``tracemalloc`` measures
 the build at under 0.08 V and a check at 0.7-1.8 V on tenfold over Z3,
-wheel over Z6 and matrix19 over Z5.
+wheel over Z6 and matrix19 over Z5.  One compressed operator holds
+|G|^(2|X|) complex entries, so the build refuses instances where that, or
+|G|^n, exceeds SIZE_CAP, before anything is allocated.
 
 Normalization is the counting measure: basis vectors indexed by group
 elements are orthonormal, so every matrix entry has modulus
@@ -34,7 +36,8 @@ import numpy as np
 from .abelian import FiniteAbelianGroup
 from .graphcode import WeightedGraph, describe, validated_config
 
-# Largest code matrix built, in |G|^n entries (the sweep cap, 2**22).
+# Largest code matrix built, in |G|^n entries, and largest compressed
+# operator, in |G|^(2|X|) entries (the sweep cap, 2**22).
 SIZE_CAP = 2**22
 # Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
 TOL = 1e-8
@@ -48,10 +51,8 @@ class CodeIsometry:
     """The code map as exact phases: entry (r, c) is ``roots[phase[r, c]]``,
     with ``roots`` the exponent-th roots of unity scaled by |G|^(-|Y|/2)."""
 
+    graph: WeightedGraph
     group: FiniteAbelianGroup
-    graph_id: str
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
     phase: np.ndarray
     roots: np.ndarray
 
@@ -70,18 +71,7 @@ class CodeIsometry:
 
     @property
     def entry_modulus(self) -> float:
-        return float(self.group.order) ** (-len(self.outputs) / 2)
-
-
-def check_size(graph: WeightedGraph, group: FiniteAbelianGroup) -> None:
-    """ValueError when the instance exceeds SIZE_CAP; the oracle runs only
-    on instances that pass."""
-    total = group.order ** graph.n
-    if total > SIZE_CAP:
-        raise ValueError(
-            f"oracle instance size |G|^(n) = {group.order}^{graph.n} = {total} "
-            f"exceeds the cap {SIZE_CAP}"
-        )
+        return float(self.group.order) ** (-len(self.graph.outputs) / 2)
 
 
 def _edge_phases(residues: tuple[int, ...], group: FiniteAbelianGroup) -> np.ndarray:
@@ -108,12 +98,18 @@ def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsome
     table of weight residues modulo every cyclic factor, reduced on Python
     ints, by broadcasting.  The sum is reduced modulo the exponent and kept
     in the narrowest type that holds the exponent; no complex array larger
-    than the exponent's roots is built.  Instances failing ``check_size``
-    are refused before anything is allocated.
+    than the exponent's roots is built.  Instances over SIZE_CAP, in code
+    matrix or compressed operator entries, raise ValueError before anything
+    is allocated.
     """
-    check_size(graph, group)
     xs, ys = graph.inputs, graph.outputs
     order, lcm = group.order, group.exponent
+    for what, exponent in (("instance size |G|^(n)", graph.n),
+                           ("compressed operator size |G|^(2|X|)", 2 * len(xs))):
+        total = order**exponent
+        if total > SIZE_CAP:
+            raise ValueError(f"oracle {what} = {order}^{exponent} = {total} "
+                             f"exceeds the cap {SIZE_CAP}")
     axes = ys + xs
     tables: dict[tuple[int, ...], np.ndarray] = {}
     edges = []
@@ -135,10 +131,8 @@ def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsome
 
     roots = np.exp(2j * np.pi * np.arange(lcm) / lcm) * (float(order) ** (-len(ys) / 2))
     return CodeIsometry(
+        graph=graph,
         group=group,
-        graph_id=describe(graph),
-        inputs=xs,
-        outputs=ys,
         phase=phase.astype(np.min_scalar_type(lcm - 1), copy=False).reshape(
             order ** len(ys), order ** len(xs)
         ),
@@ -159,7 +153,7 @@ def _error_leg_phases(
     (a, c) holds the phases of column c of V on the rows whose E legs read
     a."""
     order = isometry.group.order
-    ys = isometry.outputs
+    ys = isometry.graph.outputs
     pos = {v: i for i, v in enumerate(ys)}
     e_axes = [pos[v] for v in config]
     i_axes = [i for i in range(len(ys)) if ys[i] not in set(config)]
@@ -168,26 +162,6 @@ def _error_leg_phases(
     tensor = tensor.transpose(tuple(i_axes) + tuple(e_axes) + (len(ys),))
     n_e = order ** len(config)
     return tensor.reshape(order ** len(i_axes), n_e * cols), n_e
-
-
-def _isometry_for(
-    graph: WeightedGraph, group: FiniteAbelianGroup, isometry: CodeIsometry | None
-) -> CodeIsometry:
-    """Build the isometry, or check that a given one belongs to (graph, group)."""
-    if isometry is None:
-        return build_isometry(graph, group)
-    if isometry.group != group:
-        raise ValueError(
-            f"isometry is over the group {list(isometry.group.factors)}, "
-            f"not {list(group.factors)}"
-        )
-    if isometry.inputs != graph.inputs or isometry.outputs != graph.outputs:
-        raise ValueError(
-            f"isometry has inputs {list(isometry.inputs)} and outputs "
-            f"{list(isometry.outputs)}, the graph has inputs {list(graph.inputs)} "
-            f"and outputs {list(graph.outputs)}"
-        )
-    return isometry
 
 
 def _compressions(
@@ -264,23 +238,17 @@ def _all_scalar(compressed: np.ndarray) -> bool:
     return bool(spread < TOL)
 
 
-def kl_detects(
-    graph: WeightedGraph,
-    group: FiniteAbelianGroup,
-    config,
-    isometry: CodeIsometry | None = None,
-) -> bool:
+def kl_detects(isometry: CodeIsometry, config) -> bool:
     """Knill-Laflamme check over all rank-one operators localized in config.
 
     For every pair of error-leg assignments (a, b) the compressed operator
     M = V* (|a><b| (x) id) V must be a scalar multiple of the identity:
     off-diagonal entries below TOL and diagonal entries mutually within
     TOL.  Rank-one operators span everything localized in the
-    configuration, so this is exhaustive.  ``isometry`` must have been built
-    for ``graph`` and ``group`` (ValueError otherwise).
+    configuration, so this is exhaustive.  ValueError unless ``config`` is
+    a set of outputs of the isometry's graph.
     """
-    cfg = validated_config(graph, config)
-    isometry = _isometry_for(graph, group, isometry)
+    cfg = validated_config(isometry.graph, config)
     if isometry.cols <= 1:
         return True  # any 1x1 compression is a scalar multiple of identity
     return all(_all_scalar(m) for m in _compressions(isometry, cfg))
@@ -289,7 +257,7 @@ def kl_detects(
 def isometry_header(isometry: CodeIsometry) -> dict:
     return {
         "group": list(isometry.group.factors),
-        "graph": isometry.graph_id,
+        "graph": describe(isometry.graph),
         "rows": isometry.rows,
         "cols": isometry.cols,
         "normalization": "counting",

@@ -1,7 +1,7 @@
 """Shared test utilities: random instances, the reference Smith normal form
 and the kernels read off it, brute-force kernels, strong detection and
-determinants, verdict re-verification and the export format written by
-`csv.writer`.  Matrices are plain lists of row lists; operations that must
+determinants, verdict re-verification, the export format written by
+`csv.writer`, and a guard that the oracle refuses before using numpy.  Matrices are plain lists of row lists; operations that must
 work on matrices with zero rows take an explicit column count."""
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from graphqec import oracle
 from graphqec.detector import FAILED_COUPLING, FAILED_INPUT, detection_system
 from graphqec.graphcode import WeightedGraph
 
@@ -279,3 +280,13 @@ def verify_certificate(graph, verdict) -> None:
             assert all(gen[p] % d == 0 for p in input_pos)
             image = mat_vec_mod(cross, [gen[p] for p in error_pos], d)
             assert all(r == 0 for r in image)
+
+
+def refuse_before_allocating(monkeypatch):
+    """Make any numpy use by the oracle fail: a refusal must come first."""
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"oracle reached numpy.{name} past the size cap")
+
+    monkeypatch.setattr(oracle, "np", NoNumpy())

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from helpers import refuse_before_allocating
 
 import graphqec
 from graphqec import singleton
@@ -173,6 +174,28 @@ class TestSweepCommand:
         assert payload["oracle"]["checked"] == 0
         assert "skipped" in payload["oracle"]
         assert "warning" in err
+        jsonschema.validate(payload, load_schema("sweep"))
+
+    def test_oracle_skipped_over_compressed_operator_cap(self, capsys, monkeypatch, tmp_path):
+        # 2**20 code matrix entries, but one compressed operator over 18
+        # inputs would hold 2**36: refused before the oracle touches numpy
+        refuse_before_allocating(monkeypatch)
+        path = tmp_path / "path.graph"
+        path.write_text(serialize_graph(
+            WeightedGraph.from_edges(20, [(v, v + 1, 1) for v in range(19)], range(18))
+        ))
+        code, out, err = run_cli(
+            capsys, "sweep", "--graph", str(path), "--detect", "1", "--oracle"
+        )
+        assert code == 1  # more inputs than outputs: nothing is detected
+        payload = json.loads(out)
+        assert payload["all_detected"] is False
+        assert payload["oracle"] == {"checked": 0, "skipped": "size cap exceeded"}
+        assert (
+            "warning: oracle skipped: oracle compressed operator size |G|^(2|X|) = "
+            "2^36 = 68719476736 exceeds the cap 4194304\n"
+        ) in err
+        assert "Traceback" not in err
         jsonschema.validate(payload, load_schema("sweep"))
 
     def test_inputs_override(self, capsys):
@@ -521,8 +544,8 @@ class TestErrorBranches:
 
         kl_detects = oracle.kl_detects
 
-        def flipped(graph, group, cfg, isometry=None):
-            verdict = kl_detects(graph, group, cfg, isometry=isometry)
+        def flipped(isometry, cfg):
+            verdict = kl_detects(isometry, cfg)
             return not verdict if cfg == (1,) else verdict
 
         monkeypatch.setattr(oracle, "kl_detects", flipped)

@@ -1,7 +1,7 @@
 """No production code exists only for the tests: every function, class,
 public method and module-level name in the package is reached from the
-package itself or by an acceptance criterion.  Checked on the source with
-``ast``, by name."""
+package itself or by an acceptance criterion, and every defaulted parameter
+is set by some call there.  Checked on the source with ``ast``, by name."""
 
 from __future__ import annotations
 
@@ -94,3 +94,61 @@ def test_every_module_level_name_is_read():
         if not package[name] and not acceptance[name] and name not in ALLOWED
     ]
     assert unread == []
+
+
+def defaulted(func: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter of ``func`` that has a default,
+    with the position as callers count it (``self`` and ``cls`` are not
+    passed) and ``None`` for keyword-only parameters."""
+    positional = func.args.posonlyargs + func.args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(func.args.defaults)
+    return [
+        (i - skip, arg.arg) for i, arg in enumerate(positional) if i >= first
+    ] + [
+        (None, arg.arg)
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+        if default is not None
+    ]
+
+
+def calls(tree: ast.AST, classes: set[str]):
+    """(callee name, positional count, keyword names) of each call in
+    ``tree``, by name; calling a class, or ``cls``, calls ``__init__``.  A
+    ``*args`` sets every position and a ``**kwargs`` every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in classes or name == "cls":
+            name = "__init__"
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        yield name, float("inf") if starred else len(node.args), keywords
+
+
+def test_every_default_is_overridden_by_some_caller():
+    """A defaulted parameter that no call in the package or in an acceptance
+    criterion sets is a knob nothing turns."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = {
+        node.name for tree in trees.values()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    setters: dict[str, list[tuple[float, set]]] = {}
+    for tree in [*trees.values(), ast.parse(ACCEPTANCE.read_text())]:
+        for name, count, keywords in calls(tree, classes):
+            setters.setdefault(name, []).append((count, keywords))
+    unset = [
+        f"{module}: {node.name}({name}=...)"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for position, name in defaulted(node)
+        if not any(
+            (position is not None and count > position) or name in keywords or None in keywords
+            for count, keywords in setters.get(node.name, [])
+        )
+    ]
+    assert unset == []

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import mat_vec_mod, random_graph, reference_csv
+from helpers import mat_vec_mod, random_graph, reference_csv, refuse_before_allocating
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,16 +90,6 @@ def gram_from_tiles(tiles, n_e):
     return gram
 
 
-def refuse_before_allocating(monkeypatch):
-    """Make any numpy use by the oracle fail: a refusal must come first."""
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"oracle reached numpy.{name} past the size cap")
-
-    monkeypatch.setattr(oracle, "np", NoNumpy())
-
-
 def draw_instance(data, max_entries=6**6):
     """A graph of 2-6 vertices with 0-2 inputs over a small group, with at
     most ``max_entries`` code matrix entries."""
@@ -177,11 +167,29 @@ class TestBuildIsometry:
         assert np.allclose(iso.matrix, 1 / math.sqrt(2), atol=1e-12)
         assert not check_isometry(iso)
 
-    def test_size_cap_enforced(self, tenfold, z5, monkeypatch):
-        # 5**11 > 2**22 = oracle.SIZE_CAP
+    def test_size_cap_enforced(self, tenfold, z2, z5, monkeypatch):
         refuse_before_allocating(monkeypatch)
-        with pytest.raises(ValueError, match="exceeds the cap"):
+        # 5**11 > 2**22 = oracle.SIZE_CAP
+        with pytest.raises(ValueError, match=r"\|G\|\^\(n\) = 5\^11 = 48828125 exceeds the cap"):
             build_isometry(tenfold, z5)
+        # 2**20 code matrix entries fit, but one compressed operator over 18
+        # inputs would hold 2**36
+        path = WeightedGraph.from_edges(20, [(v, v + 1, 1) for v in range(19)], range(18))
+        with pytest.raises(ValueError, match=r"\|G\|\^\(2\|X\|\) = 2\^36 = 68719476736 "
+                                             r"exceeds the cap 4194304"):
+            build_isometry(path, z2)
+
+    @pytest.mark.parametrize("inputs", [11, 12])
+    def test_compressed_operator_cap_boundary(self, z2, inputs, monkeypatch):
+        # 20 vertices over Z2: 2**(2 * 11) entries per operator is the cap
+        path = WeightedGraph.from_edges(20, [(v, v + 1, 1) for v in range(19)], range(inputs))
+        if 2 ** (2 * inputs) > oracle.SIZE_CAP:
+            refuse_before_allocating(monkeypatch)
+            with pytest.raises(ValueError, match="compressed operator size"):
+                build_isometry(path, z2)
+        else:
+            iso = build_isometry(path, z2)
+            assert (iso.rows, iso.cols) == (2**9, 2**11)
 
     def test_no_inputs_gives_single_column(self, z2):
         graph = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], ())
@@ -189,7 +197,7 @@ class TestBuildIsometry:
         assert iso.matrix.shape == (8, 1)
         assert check_isometry(iso)
         # a one-dimensional input space detects everything trivially
-        assert kl_detects(graph, z2, (0,), isometry=iso)
+        assert kl_detects(iso, (0,))
 
     def test_weight_acts_mod_exponent(self, z3):
         # weights differing by the group exponent give the same operator
@@ -237,36 +245,30 @@ class TestCheckIsometry:
 
 
 class TestKnillLaflamme:
-    def test_wheel_examples(self, wheel, z2, wheel_iso_z2):
-        assert kl_detects(wheel, z2, (1, 2), isometry=wheel_iso_z2)
-        assert not kl_detects(wheel, z2, (1, 2, 3), isometry=wheel_iso_z2)
+    def test_wheel_examples(self, wheel_iso_z2):
+        assert kl_detects(wheel_iso_z2, (1, 2))
+        assert not kl_detects(wheel_iso_z2, (1, 2, 3))
 
     def test_tenfold_full_pair_plus_far_vertex(self, tenfold, z2):
         iso = build_isometry(tenfold, z2)
-        assert kl_detects(tenfold, z2, (1, 2, 5), isometry=iso)
+        assert kl_detects(iso, (1, 2, 5))
 
     def test_empty_config_equals_isometry_check(self, z2):
         graph = WeightedGraph.from_edges(2, [], (0,))
         iso = build_isometry(graph, z2)
-        assert kl_detects(graph, z2, (), isometry=iso) == check_isometry(iso)
+        assert kl_detects(iso, ()) == check_isometry(iso)
 
-    def test_rejects_non_output_config(self, wheel, z2, wheel_iso_z2):
+    def test_rejects_non_output_config(self, wheel_iso_z2):
         with pytest.raises(ValueError):
-            kl_detects(wheel, z2, (0,), isometry=wheel_iso_z2)
+            kl_detects(wheel_iso_z2, (0,))
 
-    def test_size_cap_enforced(self, tenfold, z5, monkeypatch):
-        refuse_before_allocating(monkeypatch)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            kl_detects(tenfold, z5, (1,))
-
-    def test_rejects_isometry_of_other_group(self, wheel, z3, wheel_iso_z2):
-        with pytest.raises(ValueError, match="group"):
-            kl_detects(wheel, z3, (1, 2), isometry=wheel_iso_z2)
-
-    def test_rejects_isometry_of_other_partition(self, wheel, z2, wheel_iso_z2):
-        moved = wheel.with_inputs((3,))
-        with pytest.raises(ValueError, match="inputs"):
-            kl_detects(moved, z2, (1, 2), isometry=wheel_iso_z2)
+    def test_config_checked_against_the_isometry_graph(self, wheel, z2):
+        # vertex 0 is an output once the input moves to vertex 3
+        iso = build_isometry(wheel.with_inputs((3,)), z2)
+        assert iso.graph.inputs == (3,) and iso.group == z2
+        assert kl_detects(iso, (0,)) == detects(iso.graph, z2, (0,)).detected
+        with pytest.raises(ValueError, match=r"offending vertices: \[3\]"):
+            kl_detects(iso, (3,))
 
     def test_agrees_with_kernel_criterion_on_builtins(
         self, wheel, tenfold, z2, z3, z5
@@ -283,7 +285,7 @@ class TestKnillLaflamme:
             for size in range(max_size + 1):
                 for config in itertools.combinations(graph.outputs, size):
                     kernel = detects(graph, group, config).detected
-                    oracle = kl_detects(graph, group, config, isometry=iso)
+                    oracle = kl_detects(iso, config)
                     assert kernel == oracle, (graph.name, group.factors, config)
 
     @pytest.mark.parametrize("order", [2, 3])
@@ -313,7 +315,7 @@ class TestKnillLaflamme:
                     stack = gram_from_tiles(tiles, n_e)
                     assert np.abs(stack - direct_gram(wheel, iso, config)).max() < 1e-12
                     kernel = detects(wheel, group, config).detected
-                    assert kl_detects(wheel, group, config, isometry=iso) == kernel
+                    assert kl_detects(iso, config) == kernel
             if min_bytes == 0:
                 assert split and narrow
 
@@ -335,8 +337,8 @@ class TestExactness:
         assert np.array_equal(iso.matrix, light_iso.matrix)
         for size in range(4):
             for config in itertools.combinations(wheel.outputs, size):
-                verdict = kl_detects(heavy, group, config, isometry=iso)
-                assert verdict == kl_detects(light, group, config, isometry=light_iso)
+                verdict = kl_detects(iso, config)
+                assert verdict == kl_detects(light_iso, config)
                 assert verdict == detects(heavy, group, config).detected
 
     @pytest.mark.parametrize(
@@ -356,7 +358,7 @@ class TestExactness:
             for size in sizes:
                 configs = list(itertools.combinations(graph.outputs, size))
                 for config in configs[:: max(1, len(configs) // 8)]:
-                    _, peak = traced_peak(kl_detects, graph, group, config, isometry=iso)
+                    _, peak = traced_peak(kl_detects, iso, config)
                     assert peak <= 2.5 * code_matrix, config
         finally:
             tracemalloc.stop()
@@ -366,7 +368,7 @@ class TestExactness:
     def test_kl_matches_kernel_property(self, data):
         graph, group = draw_instance(data)
         config = data.draw(st.sets(st.sampled_from(graph.outputs)))
-        verdict = kl_detects(graph, group, config)
+        verdict = kl_detects(build_isometry(graph, group), config)
         assert verdict == detects(graph, group, config).detected
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
