@@ -262,6 +262,13 @@ class TestKnillLaflamme:
         with pytest.raises(ValueError):
             kl_detects(wheel_iso_z2, (0,))
 
+    def test_size_cap_enforced(self, tenfold, z5, monkeypatch):
+        # a Knill-Laflamme verdict on an over-cap instance is refused while
+        # its isometry is built, before any matrix exists
+        refuse_before_allocating(monkeypatch)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            kl_detects(build_isometry(tenfold, z5), (1,))
+
     def test_config_checked_against_the_isometry_graph(self, wheel, z2):
         # vertex 0 is an output once the input moves to vertex 3
         iso = build_isometry(wheel.with_inputs((3,)), z2)
