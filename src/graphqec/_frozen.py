@@ -13,16 +13,15 @@ import operator
 
 def integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints.  Ints, bools and numpy integers pass;
-    anything else, above all a float that ``int`` would truncate, raises
-    ValueError naming ``what`` and the value."""
-    values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for value in values:
-            if not hasattr(type(value), "__index__"):
-                raise ValueError(f"{what} must be integers, got {value!r}") from None
-        raise
+    anything else, above all a float that ``int`` would truncate or an array
+    of several entries, raises ValueError naming ``what`` and the value."""
+    result = []
+    for value in values:
+        try:
+            result.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {value!r}") from None
+    return tuple(result)
 
 
 class Frozen:

@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 
-INPUTS_HELP = "override the input vertex set, e.g. '3' or '0,1'"
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
@@ -90,6 +88,15 @@ def _add_graph_flags(sub):
         choices=sorted(BUILTIN_GRAPHS),
         help="use a built-in graph",
     )
+
+
+def _add_code_flags(sub):
+    """The graph flags plus --inputs and --group, for commands that build a code."""
+    _add_graph_flags(sub)
+    sub.add_argument("--inputs", metavar="LIST",
+                     help="override the input vertex set, e.g. '3' or '0,1'")
+    sub.add_argument("--group", default="2",
+                     help="comma-separated cyclic factors (default: 2)")
 
 
 def _cmd_detect(args) -> int:
@@ -245,19 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("detect", help="verdict for one error configuration")
-    _add_graph_flags(p)
-    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
-    p.add_argument("--group", default="2",
-                   help="comma-separated cyclic factors (default: 2)")
+    _add_code_flags(p)
     p.add_argument("--config", required=True, metavar="LIST",
                    help="error configuration, e.g. '1,2' (empty string for the isometry check)")
     p.set_defaults(handler=_cmd_detect)
 
     p = sub.add_parser("sweep", help="sweep all configurations up to a size")
-    _add_graph_flags(p)
-    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
-    p.add_argument("--group", default="2",
-                   help="comma-separated cyclic factors (default: 2)")
+    _add_code_flags(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--detect", type=int, metavar="T",
                       help="check detection of all configurations of size <= T")
@@ -291,10 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("export", help="dump the code matrix as CSV plus a JSON header")
-    _add_graph_flags(p)
-    p.add_argument("--inputs", metavar="LIST", help=INPUTS_HELP)
-    p.add_argument("--group", default="2",
-                   help="comma-separated cyclic factors (default: 2)")
+    _add_code_flags(p)
     p.add_argument("--out", required=True, metavar="FILE", help="CSV output path")
     p.set_defaults(handler=_cmd_export)
     return parser

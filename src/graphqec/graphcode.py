@@ -88,13 +88,23 @@ class WeightedGraph(Frozen):
 
     @classmethod
     def from_edges(cls, n: int, edges, inputs, name: str = "") -> "WeightedGraph":
+        """The graph on 0..n-1 with undirected (u, v, weight) edges; ValueError for a
+        vertex not an integer in 0..n-1, a self-loop or a pair's conflicting weights."""
         gamma = [[0] * n for _ in range(n)]
+        listed: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
+            u, v = integers((u, v), "edge vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            gamma[u][v] = w
-            gamma[v][u] = w
-        return cls(tuple(tuple(row) for row in gamma), tuple(inputs), name=name)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {u}-{v} out of range for {n} vertices")
+            first = listed.setdefault((min(u, v), max(u, v)), w)
+            if first != w:
+                raise ValueError(
+                    f"edge {u}-{v} listed twice with conflicting weights {first} and {w}"
+                )
+            gamma[u][v] = gamma[v][u] = w
+        return cls(gamma, inputs, name=name)
 
 
 def describe(graph: WeightedGraph) -> str:
@@ -121,7 +131,8 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
     indices>`` (may be empty).  Every further line is one undirected edge
     ``<u> <v> <w>`` with u < v and a nonzero integer weight; unlisted pairs
     have weight 0.  ``#`` starts a comment.  A vertex count above
-    MAX_VERTICES is refused before anything is allocated.
+    MAX_VERTICES is refused before anything is allocated; the edges then go
+    to ``WeightedGraph.from_edges``, which checks the rules of every graph.
     """
     lines: list[str] = []
     for raw in text.splitlines():
@@ -148,7 +159,7 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
         except ValueError:
             raise ValueError(f"bad input list {inputs_text!r}") from None
 
-    weights: dict[tuple[int, int], int] = {}
+    edges = []
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != 3:
@@ -157,24 +168,12 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
             u, v, w = (int(p) for p in parts)
         except ValueError:
             raise ValueError(f"bad edge line {line!r}") from None
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {u}-{v} out of range for {n} vertices")
         if u > v:
             raise ValueError(f"edge line {line!r} must list u < v")
         if w == 0:
             raise ValueError(f"edge {u}-{v} has weight 0; omit it instead")
-        if (u, v) in weights and weights[(u, v)] != w:
-            raise ValueError(
-                f"edge {u}-{v} listed twice with conflicting weights "
-                f"{weights[(u, v)]} and {w}"
-            )
-        weights[(u, v)] = w
-
-    return WeightedGraph.from_edges(
-        n, [(u, v, w) for (u, v), w in weights.items()], inputs, name=name
-    )
+        edges.append((u, v, w))
+    return WeightedGraph.from_edges(n, edges, inputs, name=name)
 
 
 def serialize_graph(graph: WeightedGraph) -> str:

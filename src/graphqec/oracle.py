@@ -12,13 +12,14 @@ the configuration, the compressed operator on the input space must be a
 multiple of the identity.  Each check allocates a copy of the phases in
 its error-leg layout (the same narrow type), one buffer for the indices,
 operands and product of a row chunk, and the Gram tile being summed; only
-a row chunk at a time is expanded into complex numbers, and chunks and
-tiles stay within the budget of ``_compressions``, a quarter of the
-complex matrix's bytes.  With V = 16 |G|^n bytes, ``tracemalloc`` measures
-the build at under 0.08 V and a check at 0.7-1.8 V on tenfold over Z3,
-wheel over Z6 and matrix19 over Z5.  One compressed operator holds
-|G|^(2|X|) complex entries, so the build refuses instances where that, or
-|G|^n, exceeds SIZE_CAP, before anything is allocated.
+a row chunk at a time is expanded into complex numbers.  With V = 16 |G|^n
+bytes of complex matrix and P = 16 |G|^(2|X|) bytes of one compressed
+operator, chunks and tiles stay within max(V/4, P, 64 KiB), so a check
+holds at most 2.5 V + 4 P + 1 MiB: 417 MiB at most, as the build refuses
+|G|^n or |G|^(2|X|) above SIZE_CAP before anything is allocated.
+``tracemalloc`` measures the build at under 0.08 V, a check at 0.7-1.8 V
+on tenfold over Z3, wheel over Z6 and matrix19 over Z5, and 40.2 MiB
+(643 V, 2.5 P) on a 12-vertex path with inputs 0-9 over Z2.
 
 Normalization is the counting measure: basis vectors indexed by group
 elements are orthonormal, so every matrix entry has modulus

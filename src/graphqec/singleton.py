@@ -74,13 +74,18 @@ class DeterminantReport:
         }
 
 
+def _even_matrix(matrix, name: str) -> tuple[tuple[int, ...], ...]:
+    """``symmetric_matrix``, refused unless its size is even and positive."""
+    rows = symmetric_matrix(matrix, name)
+    if not rows or len(rows) % 2:
+        raise ValueError(f"{name} size must be even and positive, got {len(rows)}")
+    return rows
+
+
 def _validate_gamma(gamma) -> tuple[tuple[tuple[int, ...], ...], int]:
-    rows = symmetric_matrix(gamma, "matrix")
-    size = len(rows)
-    if size == 0 or size % 2:
-        raise ValueError(f"matrix size must be even and positive, got {size}")
-    _check_partition_count(size)
-    return rows, size // 2
+    rows = _even_matrix(gamma, "matrix")
+    _check_partition_count(len(rows))
+    return rows, len(rows) // 2
 
 
 def _check_partition_count(size: int) -> None:
@@ -196,10 +201,7 @@ class Skeleton:
     support: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = symmetric_matrix(self.support, "skeleton")
-        size = len(rows)
-        if size == 0 or size % 2:
-            raise ValueError(f"skeleton size must be even and positive, got {size}")
+        rows = _even_matrix(self.support, "skeleton")
         if any(x not in (0, 1) for row in rows for x in row):
             raise ValueError("skeleton entries must be 0 or 1")
         object.__setattr__(self, "support", rows)

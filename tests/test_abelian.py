@@ -97,6 +97,8 @@ class TestConstruction:
     def test_non_integral_factor_is_refused(self):
         with pytest.raises(ValueError, match="cyclic factors must be integers, got 2.9"):
             make_group([2.9, 4])
+        with pytest.raises(ValueError, match=r"cyclic factors must be integers, got array\(\[2, 3\]\)"):
+            make_group([np.array([2, 3])])
         assert make_group([np.int64(2), 4]).factors == (2, 4)
         assert type(make_group([np.int64(2)]).factors[0]) is int
 

@@ -529,6 +529,16 @@ class TestHelp:
         main(["detect", "--help"])
         assert "default: 2" in capsys.readouterr().out
 
+    # the top-level help lists every subcommand, so a new one changes its file
+    @pytest.mark.parametrize(
+        "command", ["", "detect", "sweep", "subdets", "search", "census", "export"]
+    )
+    def test_help_text_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        name = f"help-{command}" if command else "help"
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text()
+
 
 class TestErrorBranches:
     def test_missing_graph_file_exit_two(self, capsys, tmp_path):

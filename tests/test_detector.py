@@ -208,6 +208,8 @@ class TestDetects:
     def test_non_integral_vertex_is_refused(self, wheel, z2):
         with pytest.raises(ValueError, match="configuration vertices must be integers, got 1.9"):
             detects(wheel, z2, [1.9])
+        with pytest.raises(ValueError, match=r"vertices must be integers, got array\(\[1, 2\]\)"):
+            detects(wheel, z2, [np.array([1, 2])])
         assert detects(wheel, z2, [np.int64(1)]).configuration == (1,)
 
     def test_duplicates_collapse(self, wheel, z2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,9 @@ class TestErrorBranches:
     def test_non_integral_weight_is_refused(self):
         with pytest.raises(ValueError, match="gamma entries must be integers, got 1.7"):
             WeightedGraph(((0, 1.7), (1.7, 0)), (0,))
+        pair = np.array([2, 3])
+        with pytest.raises(ValueError, match=r"gamma entries must be integers, got array\(\[2, 3\]\)"):
+            WeightedGraph(((0, pair), (pair, 0)), (0,))
         graph = WeightedGraph(((0, np.int64(-3)), (np.int64(-3), 0)), (np.int64(0),))
         assert graph.gamma == ((0, -3), (-3, 0)) and type(graph.gamma[0][1]) is int
 
@@ -336,6 +340,23 @@ class TestErrorBranches:
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop at vertex 1"):
             WeightedGraph.from_edges(3, [(0, 1, 1), (1, 1, 2)], (0,))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(-1, 0, 1)], "edge -1-0 out of range for 3 vertices"),
+            ([(0, 1, 1), (1, 3, 1)], "edge 1-3 out of range for 3 vertices"),
+            ([(0.0, 1, 1)], "edge vertices must be integers, got 0.0"),
+            ([(0, 1, 1), (1, 0, 2)], "edge 1-0 listed twice with conflicting weights 1 and 2"),
+        ],
+    )
+    def test_from_edges_rejects_bad_edge_lists(self, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedGraph.from_edges(3, edges, (0,))
+
+    def test_from_edges_accepts_a_pair_repeated_with_its_weight(self):
+        graph = WeightedGraph.from_edges(3, [(0, 2, 5), (2, 0, 5), (np.int64(1), 2, 1)], (0,))
+        assert graph.edges() == [(0, 2, 5), (1, 2, 1)]
 
     def test_parse_rejects_non_integer_edge(self):
         with pytest.raises(ValueError, match="bad edge line '0 1 x'"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqec.abelian import make_group
-from graphqec.detector import detects
+from graphqec.detector import detects, detects_errors
 from graphqec.graphcode import BUILTIN_GRAPHS, WeightedGraph, wheel_code
 from graphqec import oracle
 from graphqec.oracle import (
@@ -295,6 +295,16 @@ class TestKnillLaflamme:
                     oracle = kl_detects(iso, config)
                     assert kernel == oracle, (graph.name, group.factors, config)
 
+    def test_agrees_with_sweep_on_tenfold_z3_to_size_5(self, tenfold, z3):
+        # 638 configurations of the largest built-in instance under the cap
+        report = detects_errors(tenfold, z3, 5)
+        undetected = set(report.undetected)
+        assert len(undetected) == 292
+        iso = build_isometry(tenfold, z3)
+        for size in range(6):
+            for config in itertools.combinations(tenfold.outputs, size):
+                assert kl_detects(iso, config) == (config not in undetected), config
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_agrees_across_gram_block_sizes(self, wheel, order, monkeypatch):
         group = make_group([order])
@@ -369,6 +379,20 @@ class TestExactness:
                     assert peak <= 2.5 * code_matrix, config
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_in_bytes_with_more_inputs_than_outputs(self, z2):
+        # A 12-vertex path with inputs 0-9: V = 16 |G|^n is 64 KiB, and one
+        # compressed operator, P = 16 |G|^(2|X|), is 16 MiB.
+        path = WeightedGraph.from_edges(12, [(v, v + 1, 1) for v in range(11)], range(10))
+        code_matrix, operator = 16 * 2**12, 16 * 2**20
+        tracemalloc.start()
+        try:
+            iso = build_isometry(path, z2)
+            verdict, peak = traced_peak(kl_detects, iso, (10,))
+        finally:
+            tracemalloc.stop()
+        assert not verdict
+        assert operator <= peak <= 2.5 * code_matrix + 4 * operator + 2**20
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.data())

@@ -343,6 +343,12 @@ class TestSkeleton:
         with pytest.raises(ValueError):
             Skeleton(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
 
+    def test_size_messages_name_the_matrix(self):
+        with pytest.raises(ValueError, match="^skeleton size must be even and positive, got 3$"):
+            Skeleton(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+        with pytest.raises(ValueError, match="^matrix size must be even and positive, got 0$"):
+            offdiag_subdets(())
+
 
 class TestSearchWeights:
     def test_eq19_skeleton_succeeds(self, matrix19):
@@ -597,6 +603,35 @@ class TestCensus:
         classes = graph_census(6)
         edge_counts = sorted(sum(sum(row) for row in g) // 2 for g in classes)
         assert edge_counts == [9, 10]  # the wheel has 10 edges
+
+    def test_six_vertex_codes_meet_singleton_bound(self):
+        # Each class with every input set of size k <= 2 up to automorphism
+        # is a [[6-k, k]] code; it detects every configuration of size
+        # <= 3 - k, and for k >= 1 not every one of size 4 - k ([[6,0]]
+        # also detects size 4 here, which the bound does not ask for).
+        groups = [[2], [3], [4], [5], [2, 2], [6], [7], [8], [9], [2, 4], [3, 3],
+                  [10], [11], [12], [13]]
+        representatives = []
+        for gamma in graph_census(6):
+            autos = [
+                perm for perm in itertools.permutations(range(6))
+                if all(gamma[perm[u]][perm[v]] == gamma[u][v] for u in range(6) for v in range(6))
+            ]
+            orbits = {
+                min(tuple(sorted(perm[v] for v in inputs)) for perm in autos)
+                for k in range(3)
+                for inputs in itertools.combinations(range(6), k)
+            }
+            representatives.append(len(orbits))
+            for inputs in sorted(orbits):
+                graph = WeightedGraph(gamma, inputs)
+                t = 3 - len(inputs)
+                for factors in groups:
+                    report = detects_errors(graph, make_group(factors), t + bool(inputs))
+                    assert all(not s.undetected for s in report.sizes[: t + 1]), (inputs, factors)
+                    if inputs:
+                        assert report.sizes[t + 1].undetected, (inputs, factors)
+        assert sorted(representatives) == [5, 6]
 
     def test_classes_closed_under_isomorphism(self):
         rng = random.Random(77)
