@@ -13,7 +13,7 @@ The ``graphqec`` command ends its process as soon as its output is flushed,
 without interpreter teardown.
 The only environment knob is GRAPHQEC_WORKERS, an optional worker count for
 sweeps.  It is clamped to the CPU count and to the sweep's configuration
-count divided by ``detector.MIN_CONFIGS_PER_WORKER`` (20,000), so a pool,
+count divided by ``detector.MIN_CONFIGS_PER_WORKER`` (60,000), so a pool,
 whose spawned workers take a few hundred milliseconds to start, runs only
 on sweeps large enough to repay it.  Identical inputs always produce
 byte-identical stdout.

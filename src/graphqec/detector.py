@@ -56,11 +56,12 @@ FAILED_COUPLING = "error_action_on_inputs"
 CHUNK = 256
 # Largest sweep accepted, in configurations (the oracle's size cap, 2**22).
 MAX_SWEEP_CONFIGS = 2**22
-# Fewest configurations each worker process must get before a pool starts:
-# their serial elimination time has to cover a worker's spawn start-up.  On
-# a 2-vCPU VM a spawned worker took about 300 ms to start and a configuration
-# about 16.5 us to decide, so a worker pays from about 18,600 configurations.
-MIN_CONFIGS_PER_WORKER = 20_000
+# Fewest configurations each worker process must get before a pool starts,
+# measured end to end, since the parent shares the CPUs with the workers it
+# feeds: on a 2-vCPU VM, whole-CLI sweeps of dense 22- to 24-vertex graphs
+# over Z2xZ4 ran slower with two workers than with one at 44,552 and 82,160
+# configurations, about even at 110,056 and faster from 145,499 on.
+MIN_CONFIGS_PER_WORKER = 60_000
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,6 @@ class SweepReport:
         if self.errors is not None:
             out["errors"] = self.errors
         return out
-
-
-def detection_system(graph: WeightedGraph, config):
-    """Rows (untouched outputs), columns (inputs plus errors) and the block
-    of gamma linking them, in ascending vertex order."""
-    cfg = validated_config(graph, config)
-    in_cfg = set(cfg)
-    rows = tuple(y for y in graph.outputs if y not in in_cfg)
-    cols = tuple(sorted(set(graph.inputs) | in_cfg))
-    return rows, cols, graph.submatrix(rows, cols)
 
 
 def _residues(block, cols: int, d: int, n: int) -> np.ndarray:

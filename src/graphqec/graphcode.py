@@ -89,7 +89,11 @@ class WeightedGraph(Frozen):
     @classmethod
     def from_edges(cls, n: int, edges, inputs, name: str = "") -> "WeightedGraph":
         """The graph on 0..n-1 with undirected (u, v, weight) edges; ValueError for a
-        vertex not an integer in 0..n-1, a self-loop or a pair's conflicting weights."""
+        vertex count n not an integer >= 1, a vertex not an integer in 0..n-1, a
+        self-loop or a pair's conflicting weights."""
+        (n,) = integers((n,), "vertex count")
+        if n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {n}")
         gamma = [[0] * n for _ in range(n)]
         listed: dict[tuple[int, int], int] = {}
         for u, v, w in edges:

@@ -70,10 +70,6 @@ class CodeIsometry:
         """The dense complex matrix, built anew on every access."""
         return self.roots.take(self.phase)
 
-    @property
-    def entry_modulus(self) -> float:
-        return float(self.group.order) ** (-len(self.graph.outputs) / 2)
-
 
 def _edge_phases(residues: tuple[int, ...], group: FiniteAbelianGroup) -> np.ndarray:
     """(order, order) table of the phase numerator, modulo the exponent, that

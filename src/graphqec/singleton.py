@@ -430,18 +430,6 @@ def _orbit(n: int, code: int) -> tuple[int, np.ndarray]:
     return int((images @ (1 << shifts[::-1])).min()), images @ (1 << shifts)
 
 
-def canonical_bits(gamma) -> str:
-    """Minimum adjacency bit-string over all vertex permutations."""
-    n = len(gamma)
-    if n > CENSUS_MAX_N:
-        raise ValueError(f"canonical form supports at most {CENSUS_MAX_N} vertices, got {n}")
-    nbits = n * (n - 1) // 2
-    if not nbits:
-        return ""
-    key, _ = _orbit(n, int(adjacency_bits(gamma)[::-1], 2))
-    return format(key, f"0{nbits}b")
-
-
 @functools.lru_cache(maxsize=None)
 def _unimodular_blocks(m: int) -> np.ndarray:
     """Entry k: whether the 0/1 m x m matrix with entry (i, j) equal to bit

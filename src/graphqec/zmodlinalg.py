@@ -9,9 +9,9 @@ but factors only cofactors small enough for a fixed-width dtype; a larger
 cofactor is eliminated over as if it were prime, and a pivot that is not a
 unit splits it.  ``prime_factors`` (Pollard rho with certified Miller-Rabin)
 also serves the bad-prime sets of determinant reports.  ``det_batch``
-computes exact determinants of a stack by one vectorized fraction-free
-Bareiss loop, in int64 when the entries allow and on Python integers
-otherwise.
+computes exact determinants of an int64 or object stack by one vectorized
+fraction-free Bareiss loop, in int64 when the entries allow and on Python
+integers otherwise.
 """
 
 from __future__ import annotations
@@ -379,29 +379,24 @@ def det_fits_int64(m: int, bound: int) -> bool:
 def det_batch(blocks) -> np.ndarray:
     """Exact determinants of a stack of square integer matrices.
 
-    ``blocks`` is an (N, m, m) integer array, int64 or narrower, or Python
-    ints as nested lists or an object array.  Fraction-free Bareiss
-    elimination runs on the whole stack at once, each matrix taking as pivot
-    the first nonzero entry at or below the diagonal (a row swap flips its
-    sign); the interior divisions are exact by the Bareiss identity.  When
-    ``det_fits_int64`` holds for the largest entry the loop runs in int64 and
-    the result is an int64 array of shape (N,); otherwise it runs on Python
-    ints and the result is an object array.  The empty 0x0 matrix has
-    determinant 1.
+    ``blocks`` is an (N, m, m) array with m >= 1, int64 or Python ints in an
+    object array.  Fraction-free Bareiss elimination runs on the whole stack
+    at once, each matrix taking as pivot the first nonzero entry at or below
+    the diagonal (a row swap flips its sign); the interior divisions are
+    exact by the Bareiss identity.  When ``det_fits_int64`` holds for the
+    largest entry the loop runs in int64 and the result is an int64 array of
+    shape (N,); otherwise it runs on Python ints and the result is an object
+    array.
     """
-    if not isinstance(blocks, np.ndarray):
-        blocks = np.array(blocks, dtype=object)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"determinants need an (N, m, m) stack, got shape {blocks.shape}")
-    batch, m, _ = blocks.shape
-    if np.can_cast(blocks.dtype, np.int64):
+    if blocks.ndim != 3 or not 0 < blocks.shape[1] == blocks.shape[2]:
+        raise ValueError(f"determinants need an (N, m, m) stack, m >= 1, got {blocks.shape}")
+    if blocks.dtype == np.int64:
         bound = max(int(blocks.max()), -int(blocks.min())) if blocks.size else 0
-    elif blocks.dtype == object or blocks.dtype.kind == "u":
+    elif blocks.dtype == object:
         bound = max((abs(int(x)) for x in blocks.flat), default=0)
     else:
-        raise ValueError(f"determinants need integer entries, got {blocks.dtype}")
-    if m == 0:
-        return np.ones(batch, dtype=np.int64)
+        raise ValueError(f"determinants need an int64 or object stack, got {blocks.dtype}")
+    batch, m, _ = blocks.shape
     dtype = np.int64 if det_fits_int64(m, bound) else object
     a = blocks.astype(dtype)
     sign = np.ones(batch, dtype=np.int64)

@@ -1,20 +1,23 @@
-"""Shared test utilities: random instances, the reference Smith normal form
-and the kernels read off it, brute-force kernels, strong detection and
-determinants, verdict re-verification, the export format written by
-`csv.writer`, and a guard that the oracle refuses before using numpy.  Matrices are plain lists of row lists; operations that must
-work on matrices with zero rows take an explicit column count."""
+"""Shared test utilities: random instances, detection systems, the reference
+Smith normal form and the kernels read off it, brute-force kernels, strong
+detection and determinants, canonical forms of small graphs, verdict
+re-verification, the export format written by `csv.writer`, and a guard that
+the oracle refuses before using numpy.  Matrices are plain lists of row
+lists; operations that must work on matrices with zero rows take an explicit
+column count."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from graphqec import oracle
-from graphqec.detector import FAILED_COUPLING, FAILED_INPUT, detection_system
-from graphqec.graphcode import WeightedGraph
+from graphqec.detector import FAILED_COUPLING, FAILED_INPUT
+from graphqec.graphcode import WeightedGraph, validated_config
 
 
 def _ncols_of(a, ncols: int | None) -> int:
@@ -153,6 +156,29 @@ def kernel_from_snf(snf: SmithDecomposition, d: int) -> tuple[tuple[int, ...], .
         if any(vec):
             generators.append(vec)
     return tuple(generators)
+
+
+def detection_system(graph: WeightedGraph, config):
+    """Rows (untouched outputs), columns (inputs plus errors) and the block
+    of gamma linking them, in ascending vertex order."""
+    cfg = validated_config(graph, config)
+    rows = tuple(y for y in graph.outputs if y not in cfg)
+    cols = tuple(sorted(graph.inputs + cfg))
+    return rows, cols, graph.submatrix(rows, cols)
+
+
+def reference_canonical_bits(gamma) -> str:
+    """Minimum adjacency bit-string (upper triangle, row-major) over all n!
+    relabellings, one at a time."""
+    n = len(gamma)
+    return min(
+        "".join(
+            "1" if gamma[perm[i]][perm[j]] else "0"
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:

@@ -14,13 +14,12 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from helpers import random_graph, verify_witness
+from helpers import detection_system, random_graph, reference_canonical_bits, verify_witness
 
 from graphqec.abelian import make_group
 from graphqec.cli import main
 from graphqec.detector import (
     corrects_errors,
-    detection_system,
     detects,
     detects_errors,
     input_exchange_check,
@@ -30,7 +29,6 @@ from graphqec.graphcode import WeightedGraph, matrix19_code, tenfold_code, wheel
 from graphqec.oracle import build_isometry, check_isometry, kl_detects
 from graphqec.singleton import (
     Skeleton,
-    canonical_bits,
     graph_census,
     is_prime,
     is_strongly_ec,
@@ -75,8 +73,8 @@ def test_criterion_03_six_vertex_census():
     with stopwatch("criterion 3: 6-vertex census finds exactly 2 classes", 60.0):
         classes = graph_census(6)
     assert len(classes) == 2, [class_ for class_ in classes]
-    wheel_bits = canonical_bits(wheel_code().gamma)
-    assert wheel_bits in {canonical_bits(g) for g in classes}
+    wheel_bits = reference_canonical_bits(wheel_code().gamma)
+    assert wheel_bits in {reference_canonical_bits(g) for g in classes}
 
 
 def test_criterion_04_block_determinant_report():
@@ -193,9 +191,12 @@ def test_criterion_08_isometry_and_hadamard_form():
             (tenfold_code(), [2]),
         ]
         for graph, factors in cases:
-            iso = build_isometry(graph, make_group(factors))
+            group = make_group(factors)
+            iso = build_isometry(graph, group)
             assert check_isometry(iso), (graph.name, factors)
-            deviation = np.abs(np.abs(iso.matrix) - iso.entry_modulus).max()
+            # counting normalization: every entry has modulus |G|^(-|Y|/2)
+            modulus = group.order ** (-len(graph.outputs) / 2)
+            deviation = np.abs(np.abs(iso.matrix) - modulus).max()
             assert deviation < 1e-12, (graph.name, factors, deviation)
 
 

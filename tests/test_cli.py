@@ -630,8 +630,8 @@ class TestFreshInterpreter:
         assert proc.stderr.decode() == "error: [Errno 28] No space left on device\n"
 
     def test_pool_sweep_leaves_nothing_behind(self, capsys, monkeypatch, tmp_path):
-        # a dense 24-vertex graph over Z2xZ4: 44,552 configurations of sizes
-        # <= 5, enough for two workers
+        # a dense 24-vertex graph over Z2xZ4: 145,499 configurations of sizes
+        # <= 6, enough for two workers
         rng = random.Random(1)
         edges = [
             (u, v, rng.randint(1, 3)) for u in range(24) for v in range(u + 1, 24)
@@ -639,7 +639,7 @@ class TestFreshInterpreter:
         ]
         path = tmp_path / "dense.graph"
         path.write_text(serialize_graph(WeightedGraph.from_edges(24, edges, (0,))))
-        args = ("sweep", "--graph", str(path), "--group", "2,4", "--detect", "5")
+        args = ("sweep", "--graph", str(path), "--group", "2,4", "--detect", "6")
         monkeypatch.delenv("GRAPHQEC_WORKERS", raising=False)
         code, out, _ = run_cli(capsys, *args)
         proc = run_fresh(*args, workers="2")
@@ -647,7 +647,7 @@ class TestFreshInterpreter:
         workers = min(2, os.cpu_count() or 1)
         # the summary line only: no resource_tracker or leaked-semaphore warning
         assert re.fullmatch(
-            rf"sweep finished in \d+\.\d{{3}}s: 44552 configurations checked, "
+            rf"sweep finished in \d+\.\d{{3}}s: 145499 configurations checked, "
             rf"0 decided by pruning, {workers} worker\(s\)\n",
             proc.stderr.decode(),
         )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     brute_force_kernel,
+    detection_system,
     kernel_from_snf,
     random_graph,
     smith_normal_form,
@@ -26,7 +27,6 @@ from graphqec.detector import (
     MAX_SWEEP_CONFIGS,
     MIN_CONFIGS_PER_WORKER,
     corrects_errors,
-    detection_system,
     detects,
     detects_errors,
     input_exchange_check,
@@ -83,7 +83,8 @@ def random_partitioned_graph(rng, weights) -> WeightedGraph:
 
 
 class TestDetectionSystem:
-    """The generated modular equations must match the known tables row for row."""
+    """The detection systems of ``helpers.detection_system``, which the
+    reference verdicts here read, must match the known tables row for row."""
 
     def test_wheel_hub_plus_1_2(self, wheel):
         rows, cols, system = detection_system(wheel, (1, 2))
@@ -154,11 +155,11 @@ class TestDetectionSystem:
             [1, 1, 1, 0],
         ]
 
-    def test_rejects_non_output_vertices(self, wheel):
-        with pytest.raises(ValueError):
-            detection_system(wheel, (0,))
-        with pytest.raises(ValueError):
-            detection_system(wheel, (9,))
+    def test_rejects_non_output_vertices(self, wheel, z2):
+        with pytest.raises(ValueError, match=r"offending vertices: \[0\]"):
+            detects(wheel, z2, (0,))
+        with pytest.raises(ValueError, match=r"offending vertices: \[9\]"):
+            detects(wheel, z2, (9,))
 
 
 class TestDetects:

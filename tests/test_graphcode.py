@@ -354,6 +354,19 @@ class TestErrorBranches:
         with pytest.raises(ValueError, match=re.escape(message)):
             WeightedGraph.from_edges(3, edges, (0,))
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (2.0, "vertex count must be integers, got 2.0"),
+            ("3", "vertex count must be integers, got '3'"),
+            (0, "vertex count must be at least 1, got 0"),
+            (-1, "vertex count must be at least 1, got -1"),
+        ],
+    )
+    def test_from_edges_rejects_bad_vertex_counts(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedGraph.from_edges(n, [], (0,))
+
     def test_from_edges_accepts_a_pair_repeated_with_its_weight(self):
         graph = WeightedGraph.from_edges(3, [(0, 2, 5), (2, 0, 5), (np.int64(1), 2, 1)], (0,))
         assert graph.edges() == [(0, 2, 5), (1, 2, 1)]

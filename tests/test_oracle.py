@@ -151,7 +151,8 @@ class TestBuildIsometry:
             (wheel, z2), (wheel, z3), (wheel, z5), (tenfold, z2),
         ]:
             iso = build_isometry(graph, group)
-            assert np.abs(np.abs(iso.matrix) - iso.entry_modulus).max() < 1e-12
+            modulus = group.order ** (-len(graph.outputs) / 2)
+            assert np.abs(np.abs(iso.matrix) - modulus).max() < 1e-12
 
     def test_single_edge_graph_is_fourier(self, z2):
         graph = WeightedGraph.from_edges(2, [(0, 1, 1)], (0,))
