@@ -3,11 +3,12 @@
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
 usage or input errors, including graph files declaring more than 2,048
-vertices, sweeps over more than 2**22 configurations, reports and searches
-over more than 2**21 vertex partitions, and search bounds too large to
-certify the bad primes of a hit.  A sweep's --oracle cross-check is skipped,
-with a warning, on instances over the oracle's size caps.  JSON goes to
-stdout, diagnostics to stderr; a sweep's stderr line reports its wall time,
+vertices and sweeps over more than 2**22 configurations (both bounds follow
+from ``graphcode.SIZE_CAP``), reports and searches over more than 2**21
+vertex partitions, and search bounds too large to certify the bad primes of
+a hit.  A sweep's --oracle cross-check is skipped, with a warning, on
+instances over the oracle's size caps.  JSON is written to stdout as it is
+encoded, diagnostics to stderr; a sweep's stderr line reports its wall time,
 configurations checked, configurations decided by pruning and workers used.
 The ``graphqec`` command ends its process as soon as its output is flushed,
 without interpreter teardown.
@@ -39,7 +40,12 @@ EXIT_USAGE = 2
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Write ``json.dumps(payload, indent=2)`` and a newline, 1,024 encoded chunks
+    per write: a write per chunk is slow unbuffered, and one holds the whole text."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    for batch in iter(lambda: list(itertools.islice(chunks, 1024)), []):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _info(message: str) -> None:

@@ -29,7 +29,8 @@ the same input part and the same image under gamma[X, E']: if it violates a
 condition for E, it violates it for E'.  A configuration with an undetected
 subset one smaller is therefore undetected, and the sweep records it without
 elimination; the report is the one every configuration decided on its own
-gives.
+gives.  A sweep over more than ``graphcode.SIZE_CAP`` configurations is
+refused before any is decided.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from functools import partial
 
 import numpy as np
 
+from ._frozen import integers
 from .abelian import FiniteAbelianGroup
-from .graphcode import WeightedGraph, describe, validated_config
+from .graphcode import SIZE_CAP, WeightedGraph, describe, validated_config
 from .zmodlinalg import fits_int64, kernel_mod_batch
 
 FAILED_INPUT = "nonzero_on_inputs"
@@ -54,8 +56,6 @@ FAILED_COUPLING = "error_action_on_inputs"
 # Configurations decided per batch: enough to amortize numpy's per-call
 # cost, small enough that a sweep's peak memory does not grow with its size.
 CHUNK = 256
-# Largest sweep accepted, in configurations (the oracle's size cap, 2**22).
-MAX_SWEEP_CONFIGS = 2**22
 # Fewest configurations each worker process must get before a pool starts,
 # measured end to end, since the parent shares the CPUs with the workers it
 # feeds: on a 2-vCPU VM, whole-CLI sweeps of dense 22- to 24-vertex graphs
@@ -66,20 +66,18 @@ MIN_CONFIGS_PER_WORKER = 60_000
 
 @dataclass(frozen=True)
 class DetectionVerdict:
-    """Certificate or counterexample for one error configuration.
-
-    When ``detected`` is False, ``witness`` is a kernel vector of the
-    detection system modulo ``factor``, indexed by ``columns``, that violates
+    """Certificate or counterexample for one error configuration of ``graph``
+    over ``group``; vectors are indexed by the inputs and the configuration,
+    in increasing vertex order.  When ``detected`` is False, ``witness`` is a
+    kernel vector of the detection system modulo ``factor`` that violates
     the condition named by ``failed_condition``.  When True, ``certificate``
     lists the kernel generators per cyclic factor; all of them satisfy both
     conditions.
     """
 
-    graph_id: str
-    graph_inputs: tuple[int, ...]
-    group_factors: tuple[int, ...]
+    graph: WeightedGraph
+    group: FiniteAbelianGroup
     configuration: tuple[int, ...]
-    columns: tuple[int, ...]
     detected: bool
     factor: int | None = None
     failed_condition: str | None = None
@@ -88,11 +86,11 @@ class DetectionVerdict:
 
     def to_dict(self) -> dict:
         out = {
-            "graph": self.graph_id,
-            "inputs": list(self.graph_inputs),
-            "group": list(self.group_factors),
+            "graph": describe(self.graph),
+            "inputs": list(self.graph.inputs),
+            "group": list(self.group.factors),
             "config": list(self.configuration),
-            "columns": list(self.columns),
+            "columns": sorted(self.graph.inputs + self.configuration),
             "detected": self.detected,
         }
         if self.detected:
@@ -112,16 +110,16 @@ class DetectionVerdict:
 class SizeSummary:
     size: int
     checked: int
-    detected: int
     undetected: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    graph_id: str
-    graph_inputs: tuple[int, ...]
-    group_factors: tuple[int, ...]
-    mode: str  # "detect" or "correct"
+    """Undetected configurations of ``graph`` over ``group`` per size; ``errors``
+    is None for a detection sweep, else the count corrected (``max_size`` 2e)."""
+
+    graph: WeightedGraph
+    group: FiniteAbelianGroup
     max_size: int
     errors: int | None
     sizes: tuple[SizeSummary, ...]
@@ -141,17 +139,17 @@ class SweepReport:
 
     def to_dict(self) -> dict:
         out = {
-            "graph": self.graph_id,
-            "inputs": list(self.graph_inputs),
-            "group": list(self.group_factors),
-            "mode": self.mode,
+            "graph": describe(self.graph),
+            "inputs": list(self.graph.inputs),
+            "group": list(self.group.factors),
+            "mode": "detect" if self.errors is None else "correct",
             "max_size": self.max_size,
             "all_detected": self.all_detected,
             "sizes": [
                 {
                     "size": s.size,
                     "checked": s.checked,
-                    "detected": s.detected,
+                    "detected": s.checked - len(s.undetected),
                     "undetected": [list(cfg) for cfg in s.undetected],
                 }
                 for s in self.sizes
@@ -205,8 +203,7 @@ def detects(
     engine = (*graph.inputs, *cfg)
     # Reports list columns by vertex: report column k is engine column order[k].
     order = sorted(range(len(engine)), key=engine.__getitem__)
-    verdict = partial(DetectionVerdict, describe(graph), graph.inputs, group.factors, cfg,
-                      tuple(sorted(engine)))
+    verdict = partial(DetectionVerdict, graph, group, cfg)
     errors = set(cfg)
     rows = [y for y in graph.outputs if y not in errors]
     system = graph.submatrix(rows, engine)
@@ -324,19 +321,19 @@ def _sweep(
     graph: WeightedGraph,
     group: FiniteAbelianGroup,
     max_size: int,
-    mode: str,
     errors: int | None,
     workers: int,
 ) -> SweepReport:
+    (max_size,) = integers((max_size,), "sweep size")
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
     outputs = np.array(graph.outputs, dtype=np.intp)
     sizes = range(min(max_size, len(outputs)) + 1)
     total = sum(math.comb(len(outputs), size) for size in sizes)
-    if total > MAX_SWEEP_CONFIGS:
+    if total > SIZE_CAP:
         raise ValueError(
             f"sweep would check {total} configurations, more than the cap of "
-            f"{MAX_SWEEP_CONFIGS}; lower the size bound"
+            f"{SIZE_CAP}; lower the size bound"
         )
     start = time.perf_counter()
     workers = worker_count(workers, os.cpu_count(), total)
@@ -370,8 +367,7 @@ def _sweep(
             undetected = sorted(inherited + found)
             pruned += len(inherited)
             checked = math.comb(len(outputs), size)
-            summaries.append(SizeSummary(size, checked, checked - len(undetected),
-                                         tuple(undetected)))
+            summaries.append(SizeSummary(size, checked, tuple(undetected)))
             # sorted colex ranks of this size's undetected, for the next size
             previous = np.zeros(0, dtype=np.int64)
             if undetected and size < sizes[-1]:
@@ -379,10 +375,8 @@ def _sweep(
                 ranks, _ = _colex(positions.reshape(len(undetected), size), binom)
                 previous = np.sort(ranks)
     return SweepReport(
-        graph_id=describe(graph),
-        graph_inputs=graph.inputs,
-        group_factors=group.factors,
-        mode=mode,
+        graph=graph,
+        group=group,
         max_size=max_size,
         errors=errors,
         sizes=tuple(summaries),
@@ -399,7 +393,7 @@ def detects_errors(
     workers: int = 1,
 ) -> SweepReport:
     """Sweep every configuration of size <= max_size in lexicographic order."""
-    return _sweep(graph, group, max_size, "detect", None, workers)
+    return _sweep(graph, group, max_size, None, workers)
 
 
 def corrects_errors(
@@ -409,9 +403,10 @@ def corrects_errors(
     workers: int = 1,
 ) -> SweepReport:
     """Correcting e errors means detecting every configuration of size <= 2e."""
+    (errors,) = integers((errors,), "error count")
     if errors < 0:
         raise ValueError(f"error count must be >= 0, got {errors}")
-    return _sweep(graph, group, 2 * errors, "correct", errors, workers)
+    return _sweep(graph, group, 2 * errors, errors, workers)
 
 
 def input_exchange_check(

@@ -8,13 +8,16 @@ well-known example graphs live here as well.
 
 from __future__ import annotations
 
+import math
+
 from ._frozen import Frozen, integers
 
 IntMatrix = list[list[int]]
 
-# Largest vertex count a graph file may declare: n**2 = 2**22 matrix entries,
-# the bound of the sweep and oracle caps.
-MAX_VERTICES = 2048
+# Largest sweep, in configurations, and oracle matrix or operator, in entries.
+SIZE_CAP = 2**22
+# Largest vertex count a graph file may declare: n**2 = SIZE_CAP matrix entries.
+MAX_VERTICES = math.isqrt(SIZE_CAP)
 
 
 def symmetric_matrix(matrix, name: str = "gamma") -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,7 @@ a row chunk at a time is expanded into complex numbers.  With V = 16 |G|^n
 bytes of complex matrix and P = 16 |G|^(2|X|) bytes of one compressed
 operator, chunks and tiles stay within max(V/4, P, 64 KiB), so a check
 holds at most 2.5 V + 4 P + 1 MiB: 417 MiB at most, as the build refuses
-|G|^n or |G|^(2|X|) above SIZE_CAP before anything is allocated.
+|G|^n or |G|^(2|X|) above ``graphcode.SIZE_CAP`` before anything is allocated.
 ``tracemalloc`` measures the build at under 0.08 V, a check at 0.7-1.8 V
 on tenfold over Z3, wheel over Z6 and matrix19 over Z5, and 40.2 MiB
 (643 V, 2.5 P) on a 12-vertex path with inputs 0-9 over Z2.
@@ -35,11 +35,8 @@ from typing import Iterator
 import numpy as np
 
 from .abelian import FiniteAbelianGroup
-from .graphcode import WeightedGraph, describe, validated_config
+from .graphcode import SIZE_CAP, WeightedGraph, describe, validated_config
 
-# Largest code matrix built, in |G|^n entries, and largest compressed
-# operator, in |G|^(2|X|) entries (the sweep cap, 2**22).
-SIZE_CAP = 2**22
 # Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
 TOL = 1e-8
 # Fewest bytes a Gram row block or conjugated row chunk of the oracle may

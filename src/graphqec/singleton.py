@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import integers
 from .graphcode import symmetric_matrix, vertex_set
 from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors
 
@@ -52,22 +53,32 @@ def largest_certifiable_bound(m: int) -> int:
 class DeterminantReport:
     """Exact determinants of all off-diagonal m x m blocks of a 2m x 2m
     symmetric matrix, one per unordered vertex partition (the block and its
-    transpose share a determinant), plus the derived bad-prime set.  A zero
-    determinant makes every prime bad; that is flagged separately."""
+    transpose share a determinant), plus the derived bad-prime set; a
+    partition is listed by its half holding vertex 0.  A zero determinant
+    makes every prime bad; that is flagged separately."""
 
-    m: int
-    partitions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    partitions: tuple[tuple[int, ...], ...]
     dets: tuple[int, ...]
-    det_set: tuple[int, ...]
     bad_primes: frozenset[int]
-    has_zero_det: bool
+
+    @property
+    def m(self) -> int:
+        return len(self.partitions[0])
+
+    @property
+    def det_set(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.dets)))
+
+    @property
+    def has_zero_det(self) -> bool:
+        return 0 in self.dets
 
     def to_dict(self) -> dict:
         return {
             "m": self.m,
             "partitions": [
                 {"I": list(block), "det": det}
-                for (block, _), det in zip(self.partitions, self.dets)
+                for block, det in zip(self.partitions, self.dets)
             ],
             "det_set": list(self.det_set),
             "bad_primes": "all" if self.has_zero_det else sorted(self.bad_primes),
@@ -102,18 +113,19 @@ def _check_partition_count(size: int) -> None:
 
 
 def _partitions(size: int):
-    """Unordered half-half partitions, lexicographic on the block holding 0."""
+    """Unordered half-half partitions as their blocks holding 0, in
+    lexicographic order."""
+    return ((0,) + rest for rest in itertools.combinations(range(1, size), size // 2 - 1))
+
+
+def _partition_arrays(blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of partitions of range(size) and their complements as two
+    (P, size / 2) index arrays, each row ascending."""
     m = size // 2
-    for rest in itertools.combinations(range(1, size), m - 1):
-        block = (0,) + rest
-        in_block = set(block)
-        yield block, tuple(v for v in range(size) if v not in in_block)
-
-
-def _partition_arrays(partitions, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks and complements of the partitions as two (P, m) index arrays."""
-    pairs = np.array(list(partitions), dtype=np.intp).reshape(-1, 2, m)
-    return pairs[:, 0], pairs[:, 1]
+    blocks = np.array(list(blocks), dtype=np.intp).reshape(-1, m)
+    outside = np.ones((len(blocks), size), dtype=bool)
+    np.put_along_axis(outside, blocks, False, axis=1)
+    return blocks, np.nonzero(outside)[1].reshape(len(blocks), m)
 
 
 def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> np.ndarray:
@@ -126,7 +138,7 @@ def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> 
 
 def _dets(rows, m, partitions) -> tuple[int, ...]:
     """Exact determinant of the off-diagonal block of every partition."""
-    blocks, comps = _partition_arrays(partitions, m)
+    blocks, comps = _partition_arrays(partitions, 2 * m)
     # int64 weights let det_batch read its guard bound with numpy; only
     # weights past int64 need Python ints.
     fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
@@ -145,14 +157,10 @@ def _dets(rows, m, partitions) -> tuple[int, ...]:
 
 def _report(rows, m, partitions) -> DeterminantReport:
     dets = _dets(rows, m, partitions)
-    distinct = set(dets)  # factored once each
     return DeterminantReport(
-        m=m,
         partitions=tuple(partitions),
         dets=dets,
-        det_set=tuple(sorted(distinct)),
-        bad_primes=frozenset().union(*map(prime_factors, distinct)),
-        has_zero_det=0 in distinct,
+        bad_primes=frozenset().union(*map(prime_factors, set(dets))),  # once each
     )
 
 
@@ -166,6 +174,7 @@ def is_strongly_ec(gamma, d: int) -> bool:
     """True iff no off-diagonal block determinant vanishes modulo the prime d.
 
     Only the determinants' residues matter, so none is factored."""
+    (d,) = integers((d,), "modulus")
     if not is_prime(d):
         raise ValueError(f"{d} is not prime")
     rows, m = _validate_gamma(gamma)
@@ -187,9 +196,8 @@ def restricted_subdets(gamma, fixed_inputs) -> DeterminantReport:
         raise ValueError(f"fixed inputs out of range: {fixed}")
     fixed_set = set(fixed)
     relevant = [
-        (block, comp)
-        for block, comp in _partitions(2 * m)
-        if fixed_set <= set(block) or fixed_set <= set(comp)
+        block for block in _partitions(2 * m)
+        if fixed_set <= set(block) or fixed_set.isdisjoint(block)
     ]
     return _report(rows, m, relevant)
 
@@ -324,6 +332,7 @@ def search_weights(
     entries forces a zero determinant, so that case fails immediately
     without spending budget.
     """
+    weight_bound, seed, budget = integers((weight_bound, seed, budget), "search arguments")
     if not 1 <= weight_bound < 2**62:
         raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
     if budget < 0:
@@ -334,7 +343,7 @@ def search_weights(
     size, m = skeleton.size, skeleton.m
     positions = skeleton.free_positions
     rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
-    blocks, comps = _partition_arrays(_partitions(size), m)
+    blocks, comps = _partition_arrays(_partitions(size), size)
     # An 8-byte blake2b digest of the decimal seed: every int has its own key.
     key = np.uint64(int.from_bytes(blake2b(str(seed).encode(), digest_size=8).digest(), "little"))
     # Weights past the guard make det_batch eliminate on Python ints; one
@@ -384,19 +393,8 @@ def adjacency_bits(gamma) -> str:
     )
 
 
-def _gamma_from_bits(n: int, bits: str) -> tuple[tuple[int, ...], ...]:
-    gamma = [[0] * n for _ in range(n)]
-    it = iter(bits)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if next(it) == "1":
-                gamma[i][j] = 1
-                gamma[j][i] = 1
-    return tuple(tuple(row) for row in gamma)
-
-
-# A graph on n vertices is coded as an integer whose bit b is pair b of the
-# upper triangle in row-major order, i.e. character b of adjacency_bits.
+# A graph on n vertices is coded as its adjacency_bits read as a binary
+# number, character 0 the most significant bit.
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,30 +402,27 @@ def _pair_bits(n: int) -> np.ndarray:
     """(n, n) array: entry (u, v), u != v, is the code bit of the pair {u, v}."""
     index = np.zeros((n, n), dtype=np.intp)
     us, vs = np.triu_indices(n, 1)
-    index[us, vs] = index[vs, us] = np.arange(us.size)
+    index[us, vs] = index[vs, us] = np.arange(us.size)[::-1]
     return index
 
 
 @functools.lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
-    """(n!, C(n, 2)) table: row p holds, for each code bit of the graph
-    relabelled by the p-th permutation, the code bit it is read from."""
+    """(n!, C(n, 2)) table: row p holds, for each character of the
+    adjacency_bits of the graph relabelled by the p-th permutation, the code
+    bit it is read from."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     us, vs = np.triu_indices(n, 1)
     return _pair_bits(n)[perms[:, us], perms[:, vs]].astype(np.uint8)
 
 
 def _orbit(n: int, code: int) -> tuple[int, np.ndarray]:
-    """Canonical key of a graph and the codes of all its relabellings.
-
-    The key is the smallest adjacency bit-string over all relabellings, read
-    as a binary number with character 0 as the most significant bit.
-    """
+    """Canonical key of a graph and the codes of all its relabellings: the
+    key is the smallest code, i.e. the smallest adjacency bit-string."""
     table = _relabel_table(n)
-    nbits = table.shape[1]
-    shifts = np.arange(nbits, dtype=np.int64)
-    images = (code >> shifts & 1)[table]
-    return int((images @ (1 << shifts[::-1])).min()), images @ (1 << shifts)
+    shifts = np.arange(table.shape[1], dtype=np.int64)
+    codes = (code >> shifts & 1)[table] @ (1 << shifts[::-1])
+    return int(codes.min()), codes
 
 
 @functools.lru_cache(maxsize=None)
@@ -465,7 +460,7 @@ def _unimodular_codes(n: int):
         sum((low >> b & 1).astype(np.uint8) for b in bits if b < low_bits) for bits in incident
     ]
     high_masks = [sum(1 << b for b in bits if b >= low_bits) for bits in incident]
-    blocks, comps = _partition_arrays(_partitions(n), m)
+    blocks, comps = _partition_arrays(_partitions(n), n)
     block_bits = pair_bits[blocks[:, :, None], comps[:, None, :]].reshape(len(blocks), -1)
     unimodular = _unimodular_blocks(m)
     for high in range(0, 1 << nbits, 1 << low_bits):
@@ -496,11 +491,11 @@ def graph_census(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     marked seen, so every class is canonicalized once.  n = 8 runs in about
     0.7 s.
     """
+    (n,) = integers((n,), "census vertex count")
     if not 2 <= n <= CENSUS_MAX_N:
         raise ValueError(f"census supports 2 <= n <= {CENSUS_MAX_N}, got {n}")
     if n % 2:
         raise ValueError(f"census needs an even vertex count, got {n}")
-    nbits = n * (n - 1) // 2
     seen: set[int] = set()
     keys = []
     for code in _unimodular_codes(n):
@@ -508,4 +503,6 @@ def graph_census(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             key, images = _orbit(n, code)
             seen.update(images.tolist())
             keys.append(key)
-    return tuple(_gamma_from_bits(n, format(key, f"0{nbits}b")) for key in sorted(keys))
+    gammas = np.array(sorted(keys), dtype=np.int64)[:, None, None] >> _pair_bits(n) & 1
+    gammas[:, range(n), range(n)] = 0  # _pair_bits is 0 on the diagonal, which holds no pair
+    return tuple(tuple(map(tuple, gamma)) for gamma in gammas.tolist())

@@ -181,6 +181,25 @@ def reference_canonical_bits(gamma) -> str:
     )
 
 
+def half_partitions(size: int):
+    """Unordered half-half partitions of range(size) as (block, complement),
+    lexicographic on the block holding 0."""
+    for rest in itertools.combinations(range(1, size), size // 2 - 1):
+        block = (0,) + rest
+        yield block, tuple(v for v in range(size) if v not in block)
+
+
+def gamma_from_bits(n: int, bits: str) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 adjacency matrix on n vertices whose upper triangle, row-major,
+    reads ``bits``."""
+    gamma = [[0] * n for _ in range(n)]
+    it = iter(bits)
+    for i in range(n):
+        for j in range(i + 1, n):
+            gamma[i][j] = gamma[j][i] = int(next(it))
+    return tuple(tuple(row) for row in gamma)
+
+
 def random_graph(rng, max_n=5, weights=(0, 1, 2)) -> WeightedGraph:
     """Random weighted graph on 2..max_n vertices with a single input vertex."""
     n = rng.randint(2, max_n)
@@ -270,10 +289,10 @@ def verify_witness(graph, verdict) -> None:
     assert not verdict.detected
     d = verdict.factor
     vec = verdict.witness
-    assert d in verdict.group_factors
+    assert verdict.graph == graph and d in verdict.group.factors
     assert vec is not None and any(x % d for x in vec)
     _, cols, system = detection_system(graph, verdict.configuration)
-    assert cols == verdict.columns
+    assert verdict.to_dict()["columns"] == list(cols)
     assert all(r == 0 for r in mat_vec_mod(system, vec, d))
     input_set = set(graph.inputs)
     input_pos = [i for i, c in enumerate(cols) if c in input_set]
@@ -299,7 +318,8 @@ def verify_certificate(graph, verdict) -> None:
     error_pos = [i for i, c in enumerate(cols) if c not in input_set]
     cross = graph.submatrix(graph.inputs, verdict.configuration)
     assert verdict.certificate is not None
-    assert [d for d, _ in verdict.certificate] == list(verdict.group_factors)
+    assert verdict.graph == graph
+    assert [d for d, _ in verdict.certificate] == list(verdict.group.factors)
     for d, generators in verdict.certificate:
         for gen in generators:
             assert all(r == 0 for r in mat_vec_mod(system, gen, d))

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +16,7 @@ import pytest
 from helpers import refuse_before_allocating
 
 import graphqec
-from graphqec import singleton
+from graphqec import cli, singleton
 from graphqec.cli import main
 from graphqec.graphcode import WeightedGraph, serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
@@ -25,7 +26,7 @@ SCHEMA_DIR = ROOT / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # stdout of the per-graph census, per-block determinants,
-# one-attempt-at-a-time search and sweeps, kept byte for byte
+# one-attempt-at-a-time search, sweeps and single verdicts, kept byte for byte
 GOLDEN = {
     "census-2": ("census", "--n", "2"),
     "census-4": ("census", "--n", "4"),
@@ -57,9 +58,18 @@ GOLDEN = {
         "sweep", "--graph", str(GOLDEN_DIR / "psi13-hidden-factors.graph"),
         "--group", "3317044064679887385961981", "--detect", "4",
     ),
+    "detect-wheel-1-2-3": ("detect", "--builtin", "wheel", "--group", "2", "--config", "1,2,3"),
+    "detect-wheel-z2z4-1-2": ("detect", "--builtin", "wheel", "--group", "2,4", "--config", "1,2"),
+    "detect-psi13-2-8": (
+        "detect", "--graph", str(GOLDEN_DIR / "psi13-hidden-factors.graph"),
+        "--group", "3317044064679887385961981", "--config", "2,8",
+    ),
 }
 # exit code of each golden command that does not exit 0
-GOLDEN_EXIT = {"search-exhausted": 1, "sweep-tenfold-detect-4": 1, "sweep-psi13-detect-4": 1}
+GOLDEN_EXIT = {
+    "search-exhausted": 1, "sweep-tenfold-detect-4": 1, "sweep-psi13-detect-4": 1,
+    "detect-wheel-1-2-3": 1, "detect-psi13-2-8": 1,
+}
 
 
 def load_schema(name: str) -> dict:
@@ -441,6 +451,29 @@ def test_golden_stdout(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN[name])
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
     assert code == GOLDEN_EXIT.get(name, 0)
+
+
+def test_emit_holds_a_fraction_of_its_output(monkeypatch):
+    # json.dumps holds every encoded chunk and then the whole text, several
+    # times the output size; _emit holds one batch of chunks at a time
+    payload = {"partitions": [{"I": list(range(k % 7, k % 7 + 12)), "det": k * 7919}
+                              for k in range(3000)]}
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            Sink.size += len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli._emit(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Sink.size == len(json.dumps(payload, indent=2)) + 1
+    assert peak < Sink.size / 2
 
 
 class TestExportCommand:

@@ -24,7 +24,6 @@ from graphqec import detector
 from graphqec.abelian import make_group
 from graphqec.detector import (
     CHUNK,
-    MAX_SWEEP_CONFIGS,
     MIN_CONFIGS_PER_WORKER,
     corrects_errors,
     detects,
@@ -33,7 +32,7 @@ from graphqec.detector import (
     is_isometry_condition,
     worker_count,
 )
-from graphqec.graphcode import WeightedGraph, matrix19_code
+from graphqec.graphcode import SIZE_CAP, WeightedGraph, matrix19_code
 
 
 def snf_detected(graph, group, config) -> bool:
@@ -172,7 +171,7 @@ class TestDetects:
         verdict = detects(tenfold, z3, (1, 3, 5))
         assert verdict.detected
         # certificate shows the input variable is forced to zero
-        hub_col = verdict.columns.index(0)
+        hub_col = verdict.to_dict()["columns"].index(0)
         for _, generators in verdict.certificate:
             assert all(gen[hub_col] == 0 for gen in generators)
         verify_certificate(tenfold, verdict)
@@ -200,7 +199,7 @@ class TestDetects:
     def test_empty_configuration_is_isometry_check(self, wheel, z2):
         verdict = detects(wheel, z2, ())
         assert verdict.detected
-        assert verdict.columns == (0,)
+        assert verdict.to_dict()["columns"] == [0]
 
     def test_config_not_subset_of_outputs(self, wheel, z2):
         with pytest.raises(ValueError):
@@ -293,6 +292,16 @@ class TestSweeps:
         with pytest.raises(ValueError):
             corrects_errors(wheel, z2, -1)
 
+    def test_non_integral_size_refused(self, wheel, z2):
+        # refused up front, not failed on deep in the sweep
+        for size in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"sweep size must be integers, got {size}"):
+                detects_errors(wheel, z2, size)
+
+    def test_non_integral_error_count_refused(self, wheel, z2):
+        with pytest.raises(ValueError, match="error count must be integers, got 1.5"):
+            corrects_errors(wheel, z2, 1.5)
+
     def test_lexicographic_undetected_order(self, wheel, z2):
         report = detects_errors(wheel, z2, 3)
         bad = list(report.sizes[3].undetected)
@@ -316,7 +325,7 @@ class TestSweeps:
     def test_sweep_cap_refused_before_work(self):
         # 23 outputs: sizes <= 11 are exactly the cap, sizes <= 12 exceed it
         graph = WeightedGraph.from_edges(24, [], (0,))
-        assert sum(math.comb(23, s) for s in range(12)) == MAX_SWEEP_CONFIGS
+        assert sum(math.comb(23, s) for s in range(12)) == SIZE_CAP
         with pytest.raises(ValueError, match="cap"):
             detects_errors(graph, make_group([2]), 12)
 
@@ -494,7 +503,7 @@ class TestBatchedEngine:
         graph = WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)], ())
         assert detects_errors(graph, z3, 4).all_detected
         verdict = detects(graph, z3, (0, 2))
-        assert verdict.detected and verdict.columns == (0, 2)
+        assert verdict.detected and verdict.to_dict()["columns"] == [0, 2]
         verify_certificate(graph, verdict)
 
     def test_strong_detects_trivial_and_nontrivial_kernel(self, tenfold, z2):
@@ -533,11 +542,15 @@ class TestInputExchange:
         # informative run: two inputs leave four outputs to sweep
         report = input_exchange_check(wheel, z2, (0, 1), 1)
         assert [s.checked for s in report.sizes] == [1, 4, 6]
-        assert report.graph_inputs == (0, 1)
+        assert report.graph.inputs == (0, 1)
 
     def test_invalid_subset_rejected(self, wheel, z2):
         with pytest.raises(ValueError):
             input_exchange_check(wheel, z2, (7,), 1)
+
+    def test_non_integral_error_count_refused(self, wheel, z2):
+        with pytest.raises(ValueError, match="error count must be integers, got 1.5"):
+            input_exchange_check(wheel, z2, (3,), 1.5)
 
 
 class TestGroupFactorIndependence:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects, detects_errors
-from graphqec.graphcode import BUILTIN_GRAPHS, WeightedGraph, wheel_code
+from graphqec.graphcode import BUILTIN_GRAPHS, SIZE_CAP, WeightedGraph, wheel_code
 from graphqec import oracle
 from graphqec.oracle import (
     _compressions,
@@ -170,7 +170,7 @@ class TestBuildIsometry:
 
     def test_size_cap_enforced(self, tenfold, z2, z5, monkeypatch):
         refuse_before_allocating(monkeypatch)
-        # 5**11 > 2**22 = oracle.SIZE_CAP
+        # 5**11 > 2**22 = SIZE_CAP
         with pytest.raises(ValueError, match=r"\|G\|\^\(n\) = 5\^11 = 48828125 exceeds the cap"):
             build_isometry(tenfold, z5)
         # 2**20 code matrix entries fit, but one compressed operator over 18
@@ -184,7 +184,7 @@ class TestBuildIsometry:
     def test_compressed_operator_cap_boundary(self, z2, inputs, monkeypatch):
         # 20 vertices over Z2: 2**(2 * 11) entries per operator is the cap
         path = WeightedGraph.from_edges(20, [(v, v + 1, 1) for v in range(19)], range(inputs))
-        if 2 ** (2 * inputs) > oracle.SIZE_CAP:
+        if 2 ** (2 * inputs) > SIZE_CAP:
             refuse_before_allocating(monkeypatch)
             with pytest.raises(ValueError, match="compressed operator size"):
                 build_isometry(path, z2)

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import det_exact, reference_canonical_bits, strong_detects
+from helpers import (
+    det_exact,
+    gamma_from_bits,
+    half_partitions,
+    reference_canonical_bits,
+    strong_detects,
+)
 
 from graphqec.abelian import make_group
 from graphqec.detector import detects_errors
@@ -89,7 +95,7 @@ def reference_draws(seed, attempt, n, count):
 def reference_search(skeleton, weight_bound, seed, budget):
     """Reference: one attempt at a time, det_exact per block, early exit."""
     size = skeleton.size
-    parts = list(singleton._partitions(size))
+    parts = list(half_partitions(size))
     positions = skeleton.free_positions
     for attempt in range(budget):
         draws = reference_draws(seed, attempt, 2 * weight_bound, len(positions))
@@ -109,7 +115,7 @@ def reference_unimodular(gamma):
     n = len(gamma)
     return all(
         det_exact([[gamma[i][j] for j in comp] for i in block]) in (-1, 1)
-        for block, comp in singleton._partitions(n)
+        for block, comp in half_partitions(n)
     )
 
 
@@ -119,10 +125,10 @@ def reference_census(n):
     nbits = n * (n - 1) // 2
     keys = set()
     for code in range(1 << nbits):
-        gamma = singleton._gamma_from_bits(n, format(code, f"0{nbits}b"))
+        gamma = gamma_from_bits(n, format(code, f"0{nbits}b"))
         if reference_unimodular(gamma):
             keys.add(reference_canonical_bits(gamma))
-    return tuple(singleton._gamma_from_bits(n, bits) for bits in sorted(keys))
+    return tuple(gamma_from_bits(n, bits) for bits in sorted(keys))
 
 
 class TestPrimes:
@@ -185,12 +191,8 @@ class TestOffdiagSubdets:
         report = offdiag_subdets(matrix19.gamma)
         assert report.m == 4
         assert len(report.partitions) == math.comb(8, 4) // 2 == 35
-        blocks = [block for block, _ in report.partitions]
-        assert all(block[0] == 0 for block in blocks)
-        assert blocks == sorted(blocks)
-        comps = [comp for _, comp in report.partitions]
-        for block, comp in zip(blocks, comps):
-            assert sorted(block + comp) == list(range(8))
+        # each partition by its block holding 0, in lexicographic order
+        assert list(report.partitions) == [block for block, _ in half_partitions(8)]
 
     def test_zero_matrix_sentinel(self):
         zero = [[0] * 4 for _ in range(4)]
@@ -244,6 +246,12 @@ class TestStronglyEc:
         with pytest.raises(ValueError):
             is_strongly_ec(matrix19.gamma, 6)
 
+    def test_non_integral_modulus_refused(self, matrix19):
+        # 11.9 is not 11 truncated: determinants must not be reduced modulo a float
+        assert not is_strongly_ec(matrix19.gamma, 11)
+        with pytest.raises(ValueError, match="modulus must be integers, got 11.9"):
+            is_strongly_ec(matrix19.gamma, 11.9)
+
 
 def restricted_bad_primes(gamma, fixed_inputs):
     report = restricted_subdets(gamma, fixed_inputs)
@@ -267,8 +275,8 @@ class TestRestricted:
         # both inputs tied to one side: choose the 2 remaining block members
         report = restricted_subdets(matrix19.gamma, (0, 1))
         assert len(report.partitions) == math.comb(6, 2)
-        for block, comp in report.partitions:
-            assert {0, 1} <= set(block) or {0, 1} <= set(comp)
+        for block in report.partitions:
+            assert {0, 1} <= set(block) or {0, 1}.isdisjoint(block)
 
     def test_too_many_inputs_rejected(self, matrix19):
         with pytest.raises(ValueError):
@@ -525,7 +533,7 @@ class TestSearchWeights:
         assert result.success
         weights = [result.matrix[i][j] for i, j in skeleton.free_positions]
         assert all(type(w) is int and 0 < abs(w) <= bound for w in weights)
-        for block, comp in singleton._partitions(8):
+        for block, comp in half_partitions(8):
             assert det_exact([[result.matrix[i][j] for j in comp] for i in block]) != 0
 
     def test_bad_arguments(self, matrix19):
@@ -536,6 +544,12 @@ class TestSearchWeights:
             search_weights(skeleton, 2**62, 0, 10)
         with pytest.raises(ValueError):
             search_weights(skeleton, 2, 0, -1)
+
+    @pytest.mark.parametrize("arguments", [(1.5, 0, 3), (2, 0.5, 3), (2, 0, 2.5)])
+    def test_non_integral_arguments_refused(self, matrix19, arguments):
+        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        with pytest.raises(ValueError, match="search arguments must be integers"):
+            search_weights(skeleton, *arguments)
 
 
 class TestCensus:
@@ -568,7 +582,7 @@ class TestCensus:
                     for j in range(i + 1, n):
                         gamma[i][j] = gamma[j][i] = rng.randint(0, 1)
                 bits = adjacency_bits(gamma)
-                key, _ = singleton._orbit(n, int(bits[::-1], 2))
+                key, _ = singleton._orbit(n, int(bits, 2))
                 assert format(key, f"0{len(bits)}b") == reference_canonical_bits(gamma)
 
     def test_two_vertices(self):
@@ -638,6 +652,10 @@ class TestCensus:
             graph_census(5)
         with pytest.raises(ValueError):
             graph_census(10)
+
+    def test_non_integral_vertex_count_refused(self):
+        with pytest.raises(ValueError, match="census vertex count must be integers, got 6.0"):
+            graph_census(6.0)
 
 
 class TestDetectorConsistency:
