@@ -12,12 +12,12 @@ encoded, diagnostics to stderr; a sweep's stderr line reports its wall time,
 configurations checked, configurations decided by pruning and workers used.
 The ``graphqec`` command ends its process as soon as its output is flushed,
 without interpreter teardown.
-The only environment knob is GRAPHQEC_WORKERS, an optional worker count for
-sweeps.  It is clamped to the CPU count and to the sweep's configuration
-count divided by ``detector.MIN_CONFIGS_PER_WORKER`` (60,000), so a pool,
-whose spawned workers take a few hundred milliseconds to start, runs only
-on sweeps large enough to repay it.  Identical inputs always produce
-byte-identical stdout.
+A sweep uses as many workers as the CPUs the process may run on, but no more
+than its configuration count divided by ``detector.MIN_CONFIGS_PER_WORKER``
+(60,000): a spawned worker takes a few hundred milliseconds to start, so a
+pool runs only on sweeps large enough to repay it.  ``taskset -c 0 graphqec
+sweep ...`` runs a sweep serially; library sweeps stay serial unless given
+``workers``.  Identical inputs always produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ def _emit(payload: dict) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _workers() -> int:
-    raw = os.environ.get("GRAPHQEC_WORKERS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"GRAPHQEC_WORKERS must be an integer, got {raw!r}")
-    return max(value, 1)
 
 
 def _parse_vertex_list(text: str) -> tuple[int, ...]:
@@ -121,12 +110,12 @@ def _cmd_sweep(args) -> int:
 
     graph = _load_graph(args)
     group = parse_group(args.group)
-    workers = _workers()
+    workers = detector.usable_cpus()
     if args.detect is not None:
         report = detector.detects_errors(graph, group, args.detect, workers=workers)
     else:
         report = detector.corrects_errors(graph, group, args.correct, workers=workers)
-    checked = sum(summary.checked for summary in report.sizes)
+    checked = sum(report.checked)
     _info(
         f"sweep finished in {report.elapsed_s:.3f}s: {checked} configurations "
         f"checked, {report.pruned} decided by pruning, {report.workers} worker(s)"
@@ -145,8 +134,8 @@ def _cmd_sweep(args) -> int:
         else:
             undetected = set(report.undetected)
             disagreements = []
-            for summary in report.sizes:
-                for cfg in itertools.combinations(graph.outputs, summary.size):
+            for size in range(len(report.sizes)):
+                for cfg in itertools.combinations(graph.outputs, size):
                     kl = oracle.kl_detects(iso, cfg)
                     if kl != (cfg not in undetected):
                         disagreements.append(
@@ -206,7 +195,7 @@ def _cmd_search(args) -> int:
         report = singleton.offdiag_subdets(result.matrix)
         payload["matrix"] = [list(row) for row in result.matrix]
         payload["det_set"] = list(report.det_set)
-        payload["bad_primes"] = report.to_dict()["bad_primes"]
+        payload["bad_primes"] = sorted(report.bad_primes)  # a hit has no zero determinant
     _emit(payload)
     return EXIT_OK if result.success else EXIT_CLAIM_FAILS
 

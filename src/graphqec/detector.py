@@ -40,7 +40,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -107,35 +107,36 @@ class DetectionVerdict:
 
 
 @dataclass(frozen=True)
-class SizeSummary:
-    size: int
-    checked: int
-    undetected: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    """Undetected configurations of ``graph`` over ``group`` per size; ``errors``
-    is None for a detection sweep, else the count corrected (``max_size`` 2e)."""
+    """Undetected configurations of ``graph`` over ``group``: ``sizes[s]``
+    holds those of size s, in lexicographic order; ``errors`` is None for a
+    detection sweep, else the count corrected (``max_size`` 2e)."""
 
     graph: WeightedGraph
     group: FiniteAbelianGroup
     max_size: int
     errors: int | None
-    sizes: tuple[SizeSummary, ...]
-    # Diagnostics for the stderr summary, not in to_dict: wall time of the
-    # sweep, configurations decided by pruning and workers used.
-    elapsed_s: float
+    sizes: tuple[tuple[tuple[int, ...], ...], ...]
+    # Configurations decided by pruning, for the stderr summary, not in to_dict.
     pruned: int
-    workers: int
+    # Wall time of the sweep and workers used, for the stderr summary only:
+    # they are left out of equality and repr, so equal sweeps compare equal.
+    elapsed_s: float = field(compare=False, repr=False)
+    workers: int = field(compare=False, repr=False)
+
+    @property
+    def checked(self) -> tuple[int, ...]:
+        """Configurations checked per size: C(|outputs|, s) for size s."""
+        outputs = len(self.graph.outputs)
+        return tuple(math.comb(outputs, size) for size in range(len(self.sizes)))
 
     @property
     def all_detected(self) -> bool:
-        return all(not s.undetected for s in self.sizes)
+        return not any(self.sizes)
 
     @property
     def undetected(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cfg for s in self.sizes for cfg in s.undetected)
+        return tuple(cfg for found in self.sizes for cfg in found)
 
     def to_dict(self) -> dict:
         out = {
@@ -147,12 +148,12 @@ class SweepReport:
             "all_detected": self.all_detected,
             "sizes": [
                 {
-                    "size": s.size,
-                    "checked": s.checked,
-                    "detected": s.checked - len(s.undetected),
-                    "undetected": [list(cfg) for cfg in s.undetected],
+                    "size": size,
+                    "checked": checked,
+                    "detected": checked - len(found),
+                    "undetected": [list(cfg) for cfg in found],
                 }
-                for s in self.sizes
+                for size, (checked, found) in enumerate(zip(self.checked, self.sizes))
             ],
         }
         if self.errors is not None:
@@ -231,11 +232,19 @@ def is_isometry_condition(graph: WeightedGraph, group: FiniteAbelianGroup) -> bo
     return detects(graph, group, ()).detected
 
 
-def worker_count(requested: int, cpus: int | None, configs: int) -> int:
-    """Workers a sweep uses: never more than requested, than the machine's
-    CPUs, or than leaves each worker MIN_CONFIGS_PER_WORKER of the sweep's
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (``taskset`` narrows it), else the machine's count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(requested: int, cpus: int, configs: int) -> int:
+    """Workers a sweep uses: never more than requested, than ``cpus``, or
+    than leaves each worker MIN_CONFIGS_PER_WORKER of the sweep's
     configurations; a pool starts only above 1."""
-    return max(1, min(requested, cpus or 1, configs // MIN_CONFIGS_PER_WORKER))
+    return max(1, min(requested, cpus, configs // MIN_CONFIGS_PER_WORKER))
 
 
 def _colex(positions: np.ndarray, binom: np.ndarray):
@@ -336,7 +345,7 @@ def _sweep(
             f"{SIZE_CAP}; lower the size bound"
         )
     start = time.perf_counter()
-    workers = worker_count(workers, os.cpu_count(), total)
+    workers = worker_count(workers, usable_cpus(), total)
     # one elimination modulo the group exponent: see the module docstring
     sweep = (graph, _residues(graph.gamma, graph.n, group.exponent, graph.n),
              group.exponent)
@@ -357,7 +366,7 @@ def _sweep(
             decide_all = partial(pool.map, _undetected_in_worker)
         else:
             decide_all = partial(map, partial(_undetected, *sweep))
-        summaries = []
+        per_size = []
         pruned = 0
         previous = np.zeros(0, dtype=np.int64)
         for size in sizes:
@@ -366,8 +375,7 @@ def _sweep(
             found = [cfg for bad in decide_all(batches) for cfg in bad]
             undetected = sorted(inherited + found)
             pruned += len(inherited)
-            checked = math.comb(len(outputs), size)
-            summaries.append(SizeSummary(size, checked, tuple(undetected)))
+            per_size.append(tuple(undetected))
             # sorted colex ranks of this size's undetected, for the next size
             previous = np.zeros(0, dtype=np.int64)
             if undetected and size < sizes[-1]:
@@ -379,7 +387,7 @@ def _sweep(
         group=group,
         max_size=max_size,
         errors=errors,
-        sizes=tuple(summaries),
+        sizes=tuple(per_size),
         elapsed_s=time.perf_counter() - start,
         pruned=pruned,
         workers=workers,
@@ -392,7 +400,8 @@ def detects_errors(
     max_size: int,
     workers: int = 1,
 ) -> SweepReport:
-    """Sweep every configuration of size <= max_size in lexicographic order."""
+    """Sweep every configuration of size <= max_size in lexicographic order,
+    on at most ``workers`` processes (see ``worker_count``)."""
     return _sweep(graph, group, max_size, None, workers)
 
 

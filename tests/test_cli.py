@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import pytest
 from helpers import refuse_before_allocating
 
 import graphqec
-from graphqec import cli, singleton
+from graphqec import cli, detector, singleton
 from graphqec.cli import main
 from graphqec.graphcode import WeightedGraph, serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
@@ -227,11 +229,15 @@ class TestSweepCommand:
         assert out1 == out2
 
     def test_worker_env_does_not_change_output(self, capsys, monkeypatch):
+        # the sweep sizes its own pool; a worker count in the environment,
+        # even one that is not a number, is ignored
         args = ("sweep", "--builtin", "wheel", "--group", "2", "--correct", "1")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("GRAPHQEC_WORKERS", "2")
-        _, parallel, err = run_cli(capsys, *args)
-        assert serial == parallel
+        monkeypatch.delenv("GRAPHQEC_WORKERS", raising=False)
+        unset = run_cli(capsys, *args)
+        for value in ("2", "many"):
+            monkeypatch.setenv("GRAPHQEC_WORKERS", value)
+            code, out, err = run_cli(capsys, *args)
+            assert (code, out, untimed(err)) == (unset[0], unset[1], untimed(unset[2]))
         # 16 configurations cannot repay a worker's start-up
         assert err.endswith("16 configurations checked, 0 decided by pruning, 1 worker(s)\n")
 
@@ -248,24 +254,16 @@ class TestSweepCommand:
             err,
         )
 
-    def test_sweep_over_cap_exit_two(self, capsys, monkeypatch, tmp_path):
+    def test_sweep_over_cap_exit_two(self, capsys, tmp_path):
         # 23 edgeless outputs, sizes <= 12: more than 2**22 configurations
         path = tmp_path / "edgeless.graph"
         path.write_text("vertices: 24\ninputs: 0\n")
-        monkeypatch.setenv("GRAPHQEC_WORKERS", "100000")
         code, out, err = run_cli(
             capsys, "sweep", "--graph", str(path), "--group", "2", "--detect", "12"
         )
         assert code == 2
         assert out == ""
         assert "error:" in err and "cap of 4194304" in err
-
-    def test_bad_worker_env_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRAPHQEC_WORKERS", "many")
-        code, _, err = run_cli(
-            capsys, "sweep", "--builtin", "wheel", "--group", "2", "--correct", "1"
-        )
-        assert code == 2
 
 
 class TestSubdetsCommand:
@@ -604,19 +602,18 @@ class TestErrorBranches:
         jsonschema.validate(payload, load_schema("sweep"))
 
 
-def run_fresh(*argv: str, workers: str | None = None, stdout=subprocess.PIPE):
+def run_fresh(*argv: str, cpus: set[int] | None = None, stdout=subprocess.PIPE):
     """``python -m graphqec.cli`` in a fresh interpreter, with stdout
-    block-buffered into a pipe, so an exit that skips a flush loses output."""
+    block-buffered into a pipe, so an exit that skips a flush loses output;
+    with ``cpus``, the interpreter may run on those CPUs only."""
     src = str(Path(graphqec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
-    env.pop("GRAPHQEC_WORKERS", None)
-    if workers is not None:
-        env["GRAPHQEC_WORKERS"] = workers
     return subprocess.run(
         [sys.executable, "-m", "graphqec.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
     )
 
 
@@ -662,22 +659,36 @@ class TestFreshInterpreter:
         assert proc.returncode == 2
         assert proc.stderr.decode() == "error: [Errno 28] No space left on device\n"
 
-    def test_pool_sweep_leaves_nothing_behind(self, capsys, monkeypatch, tmp_path):
-        # a dense 24-vertex graph over Z2xZ4: 145,499 configurations of sizes
-        # <= 6, enough for two workers
+    @pytest.fixture(scope="class")
+    def dense_sweep(self, tmp_path_factory):
+        """The sweep of a dense 24-vertex graph over Z2xZ4: 145,499
+        configurations of sizes <= 6, enough for two workers if the process
+        may use two CPUs; its argv, and the exit code and stdout of a serial
+        run in-process, shared by the affinity cases."""
         rng = random.Random(1)
         edges = [
             (u, v, rng.randint(1, 3)) for u in range(24) for v in range(u + 1, 24)
             if rng.random() < 0.6
         ]
-        path = tmp_path / "dense.graph"
+        path = tmp_path_factory.mktemp("dense") / "dense.graph"
         path.write_text(serialize_graph(WeightedGraph.from_edges(24, edges, (0,))))
         args = ("sweep", "--graph", str(path), "--group", "2,4", "--detect", "6")
-        monkeypatch.delenv("GRAPHQEC_WORKERS", raising=False)
-        code, out, _ = run_cli(capsys, *args)
-        proc = run_fresh(*args, workers="2")
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            patch.setattr(detector, "usable_cpus", lambda: 1)
+            code = main(list(args))
+        return args, code, out.getvalue()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "every-cpu"])
+    def test_pool_sweep_leaves_nothing_behind(self, dense_sweep, one_cpu):
+        args, code, out = dense_sweep
+        usable = os.sched_getaffinity(0)
+        cpus = {min(usable)} if one_cpu else usable
+        proc = run_fresh(*args, cpus=cpus)
         assert (proc.returncode, proc.stdout) == (code, out.encode())
-        workers = min(2, os.cpu_count() or 1)
+        workers = min(len(cpus), 2)
         # the summary line only: no resource_tracker or leaked-semaphore warning
         assert re.fullmatch(
             rf"sweep finished in \d+\.\d{{3}}s: 145499 configurations checked, "

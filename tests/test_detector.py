@@ -30,6 +30,7 @@ from graphqec.detector import (
     detects_errors,
     input_exchange_check,
     is_isometry_condition,
+    usable_cpus,
     worker_count,
 )
 from graphqec.graphcode import SIZE_CAP, WeightedGraph, matrix19_code
@@ -256,34 +257,34 @@ class TestSweeps:
     def test_wheel_corrects_one(self, wheel, z2):
         report = corrects_errors(wheel, z2, 1)
         assert report.all_detected
-        assert [(s.size, s.checked) for s in report.sizes] == [(0, 1), (1, 5), (2, 10)]
-        assert sum(s.checked for s in report.sizes) == 16
+        assert report.checked == (1, 5, 10)
+        assert sum(report.checked) == 16
 
     def test_wheel_cannot_detect_three(self, wheel, z2):
         report = detects_errors(wheel, z2, 3)
         assert not report.all_detected
-        assert report.sizes[3].undetected
+        assert report.sizes[3]
 
     def test_tenfold_detects_three(self, tenfold, z2, z5):
         for group in (z2, z5):
             report = detects_errors(tenfold, group, 3)
             assert report.all_detected
-            assert sum(s.checked for s in report.sizes) == 176
+            assert sum(report.checked) == 176
 
     def test_tenfold_does_not_correct_two(self, tenfold, z2):
         report = corrects_errors(tenfold, z2, 2)
         assert not report.all_detected
-        assert all(not s.undetected for s in report.sizes[:4])
-        assert report.sizes[4].undetected  # only size-4 configurations fail
+        assert not any(report.sizes[:4])
+        assert report.sizes[4]  # only size-4 configurations fail
 
     def test_zero_errors_checks_isometry_only(self, wheel, z2):
         report = corrects_errors(wheel, z2, 0)
-        assert [s.size for s in report.sizes] == [0]
+        assert report.sizes == ((),)
         assert report.all_detected
 
     def test_max_size_clipped_at_output_count(self, wheel, z2):
         report = detects_errors(wheel, z2, 9)
-        assert report.sizes[-1].size == 5
+        assert len(report.sizes) == 6
         assert not report.all_detected
 
     def test_negative_size_rejected(self, wheel, z2):
@@ -304,7 +305,7 @@ class TestSweeps:
 
     def test_lexicographic_undetected_order(self, wheel, z2):
         report = detects_errors(wheel, z2, 3)
-        bad = list(report.sizes[3].undetected)
+        bad = list(report.sizes[3])
         assert bad == sorted(bad)
 
     def test_report_dict_shape(self, wheel, z2):
@@ -319,6 +320,10 @@ class TestSweeps:
     def test_workers_match_serial(self, wheel, z3):
         serial = corrects_errors(wheel, z3, 1)
         parallel = corrects_errors(wheel, z3, 1, workers=2)
+        # wall time and workers are diagnostics: equal sweeps compare equal
+        assert serial == parallel and hash(serial) == hash(parallel)
+        assert repr(serial) == repr(parallel)
+        assert "elapsed_s" not in repr(serial) and "workers" not in repr(serial)
         assert serial.to_dict() == parallel.to_dict()
 
 
@@ -369,23 +374,23 @@ class TestSweeps:
             ]
             assert expected and list(report.undetected) == expected
             reports[name] = report
-        assert reports["dense"].sizes[5].checked == math.comb(12, 5) > 2 * CHUNK
-        total = sum(s.checked for s in reports["sparse"].sizes)
+        assert reports["dense"].checked[5] == math.comb(12, 5) > 2 * CHUNK
+        total = sum(reports["sparse"].checked)
         assert reports["sparse"].pruned > 0.2 * total
         # undetected configurations of the last size fall in several chunks
-        last = dict.fromkeys(reports["sparse"].sizes[5].undetected)
+        last = dict.fromkeys(reports["sparse"].sizes[5])
         indices = [i for i, cfg in enumerate(itertools.combinations(sparse.outputs, 5))
                    if cfg in last]
         assert len({i // CHUNK for i in indices}) > 2
         assert reports["wide"].pruned > 0
-        assert (64, 70) in reports["wide"].sizes[2].undetected
+        assert (64, 70) in reports["wide"].sizes[2]
 
         # A real pool of spawned workers, forced on the small sweep, gives
         # the serial report.
         # The graph goes to each worker once, not with every batch: its
         # pickles are counted here, where the pool sends them.
         monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(detector, "usable_cpus", lambda: 2)
         pickles = []
 
         def counted_reduce(graph, protocol):
@@ -397,6 +402,7 @@ class TestSweeps:
         assert 1 <= len(pickles) <= parallel.workers
         assert parallel.workers == 2 and reports["sparse"].workers == 1
         assert parallel.pruned == reports["sparse"].pruned
+        assert parallel == reports["sparse"] and hash(parallel) == hash(reports["sparse"])
         assert parallel.to_dict() == reports["sparse"].to_dict()
 
 
@@ -413,8 +419,18 @@ class TestWorkerCount:
         assert worker_count(1, 8, many) == 1
         assert worker_count(8, 8, 2 * MIN_CONFIGS_PER_WORKER - 1) == 1
         assert worker_count(8, 8, 2517) == 1
-        assert worker_count(8, None, many) == 1
         assert worker_count(0, 8, many) == 1
+
+    def test_cpus_are_those_the_process_may_use(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert usable_cpus() == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestBatchedEngine:
@@ -490,7 +506,7 @@ class TestBatchedEngine:
         rows, _, _ = detection_system(wheel, wheel.outputs)
         assert rows == ()
         report = detects_errors(wheel, z2, len(wheel.outputs))
-        assert report.sizes[-1].undetected == (wheel.outputs,)
+        assert report.sizes[-1] == (wheel.outputs,)
 
     def test_more_columns_than_rows(self, wheel, z2):
         rows, cols, _ = detection_system(wheel, (1, 2, 3, 4))
@@ -541,7 +557,7 @@ class TestInputExchange:
     def test_two_inputs_report_produced(self, wheel, z2):
         # informative run: two inputs leave four outputs to sweep
         report = input_exchange_check(wheel, z2, (0, 1), 1)
-        assert [s.checked for s in report.sizes] == [1, 4, 6]
+        assert report.checked == (1, 4, 6)
         assert report.graph.inputs == (0, 1)
 
     def test_invalid_subset_rejected(self, wheel, z2):
@@ -594,8 +610,10 @@ class TestRandomizedSoundness:
             group = make_group([2])
             t = rng.randint(0, len(graph.outputs))
             report = detects_errors(graph, group, t)
-            for summary in report.sizes:
-                assert summary.checked == math.comb(len(graph.outputs), summary.size)
+            assert report.checked == tuple(
+                len(list(itertools.combinations(graph.outputs, size))) for size in range(t + 1)
+            )
+            assert [s["checked"] for s in report.to_dict()["sizes"]] == list(report.checked)
 
 
 class TestOneModulusPerCall:
@@ -615,8 +633,7 @@ class TestOneModulusPerCall:
         report = detects_errors(sparse, make_group([2, 4]), 5)
         assert report.pruned > 0
         previous = set()
-        for summary in report.sizes:
-            size = summary.size
+        for size, found in enumerate(report.sizes):
             rows = [errs for errs in batches if errs.shape[1] == size]
             assert all(len(errs) == CHUNK for errs in rows[:-1])
             assert 0 < len(rows[-1]) <= CHUNK
@@ -627,7 +644,7 @@ class TestOneModulusPerCall:
                 if not previous.intersection(itertools.combinations(cfg, max(size - 1, 0)))
             ]
             assert [tuple(row) for errs in rows for row in errs.tolist()] == expected
-            previous = set(summary.undetected)
+            previous = set(found)
         # size 5 is pruned and still fills several batches
         assert len(expected) < math.comb(13, 5)
         assert len([errs for errs in batches if errs.shape[1] == 5]) > 2
