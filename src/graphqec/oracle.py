@@ -10,16 +10,21 @@ matrix is kept.  Detection is then checked directly through the
 Knill-Laflamme factorization: for every rank-one error operator localized in
 the configuration, the compressed operator on the input space must be a
 multiple of the identity.  Each check allocates a copy of the phases in
-its error-leg layout (the same narrow type), one buffer for the indices,
+its error-leg layout (the same narrow type), buffers for the indices,
 operands and product of a row chunk, and the Gram tile being summed; only
-a row chunk at a time is expanded into complex numbers.  With V = 16 |G|^n
-bytes of complex matrix and P = 16 |G|^(2|X|) bytes of one compressed
-operator, chunks and tiles stay within max(V/4, P, 64 KiB), so a check
-holds at most 2.5 V + 4 P + 1 MiB: 417 MiB at most, as the build refuses
-|G|^n or |G|^(2|X|) above ``graphcode.SIZE_CAP`` before anything is allocated.
-``tracemalloc`` measures the build at under 0.08 V, a check at 0.7-1.8 V
-on tenfold over Z3, wheel over Z6 and matrix19 over Z5, and 40.2 MiB
-(643 V, 2.5 P) on a 12-vertex path with inputs 0-9 over Z2.
+a row chunk at a time is expanded into the roots' type, float64 for
+exponent 2 (the roots are then +-|G|^(-|Y|/2), so Z2 and Z2 x Z2 sum real
+products) and complex128 otherwise.  With Q the bytes of the phases,
+B = max(Q, FLOOR_BYTES) and P = 16 |G|^(2|X|) bytes of one complex
+compressed operator, chunks and tiles stay within max(B, P), so a check
+holds at most 8 B + 4 P + 1 MiB: 321 MiB at most, as the build refuses
+|G|^n or |G|^(2|X|) above ``graphcode.SIZE_CAP`` before anything is
+allocated.  With V = 16 |G|^n bytes of the complex matrix that is never
+built, ``tracemalloc`` measures the build at under 0.08 V, a check at
+0.22-0.42 V on tenfold over Z3 and matrix19 over Z5, 1.34 V on wheel over
+Z6 (where the floor sets B), 17.5-18 MiB (0.27-0.28 V, 4.4-4.5 Q) on
+tenfold over Z4 and Z2 x Z2 at the cap, and 24.1 MiB (1.5 P) on a
+12-vertex path with inputs 0-9 over Z2.
 
 Normalization is the counting measure: basis vectors indexed by group
 elements are orthonormal, so every matrix entry has modulus
@@ -39,15 +44,16 @@ from .graphcode import SIZE_CAP, WeightedGraph, describe, validated_config
 
 # Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
 TOL = 1e-8
-# Fewest bytes a Gram row block or conjugated row chunk of the oracle may
-# hold before it is split: layouts this small are checked in one product.
-MIN_BLOCK_BYTES = 2**16
+# Fewest bytes a Gram tile or expanded row chunk of the oracle may hold
+# before it is split, however few bytes of phases the code map has.
+FLOOR_BYTES = 2**17
 
 
 @dataclass(frozen=True)
 class CodeIsometry:
     """The code map as exact phases: entry (r, c) is ``roots[phase[r, c]]``,
-    with ``roots`` the exponent-th roots of unity scaled by |G|^(-|Y|/2)."""
+    with ``roots`` the exponent-th roots of unity scaled by |G|^(-|Y|/2):
+    float64 +-|G|^(-|Y|/2) for exponent 2, complex128 otherwise."""
 
     graph: WeightedGraph
     group: FiniteAbelianGroup
@@ -64,7 +70,8 @@ class CodeIsometry:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex matrix, built anew on every access."""
+        """The dense matrix in the roots' type (real for exponent 2), built
+        anew on every access."""
         return self.roots.take(self.phase)
 
 
@@ -123,7 +130,11 @@ def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsome
         phase += table.astype(dtype).reshape(shape)
     phase %= lcm
 
-    roots = np.exp(2j * np.pi * np.arange(lcm) / lcm) * (float(order) ** (-len(ys) / 2))
+    scale = float(order) ** (-len(ys) / 2)
+    if lcm == 2:  # the roots are +-1: exact and real
+        roots = np.array([scale, -scale])
+    else:
+        roots = np.exp(2j * np.pi * np.arange(lcm) / lcm) * scale
     return CodeIsometry(
         graph=graph,
         group=group,
@@ -166,30 +177,35 @@ def _compressions(
     and of b, row by row.  M_ba is the adjoint of M_ab, so it is a multiple
     of the identity exactly when M_ab is.
 
-    With A the complex matrix of the phases from ``_error_leg_phases``,
+    With A the matrix of the roots at the phases from ``_error_leg_phases``,
     entry ((a, c), (b, d)) of A^H A is M_ab[c, d].  A tile is summed in place
     over row chunks of A; each chunk is expanded from the phases once per
-    tile, and the left operand is a conjugated slice of it unless a Gram row
-    does not fit the budget (then tiles are one a high).  Tiles and chunks
-    hold at most a quarter of V's complex bytes, or MIN_BLOCK_BYTES,
-    whichever is more (but at least one M_ab and one row), and one buffer
-    allocated per call holds every chunk's indices, operands and product.
+    tile into the roots' type, and the left operand is a conjugated slice of
+    it unless a Gram row does not fit the budget (then tiles are one a
+    high).  The budget is the bytes of the phases, or FLOOR_BYTES, whichever
+    is more: tiles and chunks hold at most that (but at least one M_ab and
+    one row), and index, operand and product buffers allocated once per call
+    hold every chunk's.  With B the budget and P the complex bytes of one
+    M_ab, a call holds at most 8 B + 4 P + 1 MiB: the phase copy (at most
+    B), the buffers (3 B for real roots, 2.5 B for complex), and at most 4
+    tile-sized arrays (the tile, the product, and the next tile or the
+    temporaries of ``_all_scalar``); see the module docstring for measured
+    peaks.
     """
     phases, n_e = _error_leg_phases(isometry, config)
     cols, roots = isometry.cols, isometry.roots
-    budget = max(roots.itemsize * phases.size // 4, MIN_BLOCK_BYTES)
+    budget = max(phases.nbytes, FLOOR_BYTES)
     pair = roots.itemsize * cols * cols  # bytes of one M_ab
     width = min(n_e, max(1, budget // pair))
     height = max(1, budget // (pair * n_e)) if width == n_e else 1
-    # One allocation per call holds the indices, operands and product of
-    # every chunk: arrays made afresh for each chunk went back to the system
-    # and were page-faulted in again on every chunk.
+    # The indices, operands and product of every chunk live in buffers
+    # allocated once per call: arrays made afresh for each chunk went back
+    # to the system and were page-faulted in again on every chunk.
     entries = min(phases.size, max(budget // roots.itemsize, width * cols))
-    largest_tile = min(height, n_e) * width * cols * cols
-    work = np.empty((entries + 1) // 2 + 2 * entries + largest_tile, dtype=roots.dtype)
-    index = work[:(entries + 1) // 2].view(np.intp)
-    right_rows, left_rows = work[(entries + 1) // 2:-largest_tile].reshape(2, entries)
-    product = work[-largest_tile:]
+    index = np.empty(entries, dtype=np.intp)
+    right_rows = np.empty(entries, dtype=roots.dtype)
+    left_rows = np.empty(entries, dtype=roots.dtype)
+    product = np.empty(min(height, n_e) * width * cols * cols, dtype=roots.dtype)
 
     def expand(chunk, table, out):
         """table[chunk] in ``out``, shaped like the chunk of phases.  Phases

@@ -499,6 +499,26 @@ class TestExportCommand:
                 scale, abs=1e-12
             )
 
+    @pytest.mark.parametrize("group, order", [("2", 2), ("2,2", 4)])
+    def test_exponent_two_entries_are_exactly_real(self, capsys, tmp_path, group, order):
+        # the roots are +-|G|^(-|Y|/2) in float64, so -1 entries print an
+        # imaginary part of exactly 0.0, not the rounding residue of exp(i pi)
+        out_path = tmp_path / "wheel.csv"
+        code, payload = run_json(
+            capsys, "export", "--builtin", "wheel", "--group", group, "--out", str(out_path)
+        )
+        assert code == 0
+        assert payload == {
+            "group": [int(d) for d in group.split(",")],
+            "graph": "wheel",
+            "rows": order**5,
+            "cols": order,
+            "normalization": "counting",
+        }
+        scale = float(order) ** (-5 / 2)
+        tails = {line.split(",", 2)[2] for line in out_path.read_text().splitlines()}
+        assert tails == {f"{scale!r},0.0", f"{-scale!r},0.0"}
+
     def test_cap_exceeded_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "export", "--builtin", "tenfold", "--group", "7",

@@ -218,6 +218,19 @@ class TestBuildIsometry:
         expected = reference_matrix(graph, group)
         assert np.abs(build_isometry(graph, group).matrix - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("factors", [[2], [2, 2], [3], [4], [2, 4], [6]])
+    def test_roots_are_real_for_exponent_two(self, wheel, factors):
+        group = make_group(factors)
+        iso = build_isometry(wheel, group)
+        scale = float(group.order) ** (-len(wheel.outputs) / 2)
+        if group.exponent == 2:
+            assert iso.roots.dtype == np.float64
+            assert iso.roots.tolist() == [scale, -scale]
+        else:
+            assert iso.roots.dtype == np.complex128
+            assert len(iso.roots) == group.exponent and iso.roots[0] == scale
+        assert iso.matrix.dtype == iso.roots.dtype
+
     def test_column_indexing_lexicographic(self, z3):
         # kernel value for input g, output h is exp(2 pi i g h / 3) / sqrt(3)
         graph = WeightedGraph.from_edges(2, [(0, 1, 1)], (0,))
@@ -310,32 +323,48 @@ class TestKnillLaflamme:
     def test_agrees_across_gram_block_sizes(self, wheel, order, monkeypatch):
         group = make_group([order])
         iso = build_isometry(wheel, group)
-        # Without the floor, tiles and row chunks hold a quarter of V, so
-        # many configurations are split, the larger ones into tiles one a
-        # high and narrower than a Gram row; with it, only large Gram
-        # matrices are split.
-        for min_bytes in (0, oracle.MIN_BLOCK_BYTES):
-            monkeypatch.setattr(oracle, "MIN_BLOCK_BYTES", min_bytes)
-            budget = max(16 * iso.rows * iso.cols // 4, min_bytes)
+        item = iso.roots.itemsize  # 8 for the real roots of order 2, 16 for 3
+        # Without the floor, tiles and row chunks hold the bytes of the
+        # phases, so many configurations are split, the larger ones into
+        # tiles one a high and narrower than a Gram row; with it, only large
+        # Gram matrices are split.
+        for floor in (0, oracle.FLOOR_BYTES):
+            monkeypatch.setattr(oracle, "FLOOR_BYTES", floor)
+            budget = max(iso.phase.nbytes, floor)
             split = narrow = 0
             for size in range(len(wheel.outputs) + 1):
                 n_e = order**size
                 for config in itertools.combinations(wheel.outputs, size):
                     tiles = list(_compressions(iso, config))
-                    gram = 16 * (n_e * iso.cols) ** 2
+                    assert all(m.dtype == iso.roots.dtype for m in tiles)
+                    gram = item * (n_e * iso.cols) ** 2
                     # the whole Gram matrix is one tile iff it fits the budget
                     assert (len(tiles) == 1) == (gram <= budget), config
-                    assert all(m.nbytes <= max(budget, 16 * iso.cols**2) for m in tiles)
+                    assert all(m.nbytes <= max(budget, item * iso.cols**2) for m in tiles)
                     split += len(tiles) > 1
-                    if 16 * iso.cols**2 * n_e > budget:  # a Gram row does not fit
+                    if item * iso.cols**2 * n_e > budget:  # a Gram row does not fit
                         assert all(m.shape[0] == 1 and m.nbytes <= budget for m in tiles)
                         narrow += 1
                     stack = gram_from_tiles(tiles, n_e)
                     assert np.abs(stack - direct_gram(wheel, iso, config)).max() < 1e-12
                     kernel = detects(wheel, group, config).detected
                     assert kl_detects(iso, config) == kernel
-            if min_bytes == 0:
+            if floor == 0:
                 assert split and narrow
+
+    def test_agrees_with_sweep_on_tenfold_z2z2_to_size_2(self, tenfold):
+        # exponent 2, real roots, at the 2**22-entry cap: 56 configurations
+        group = make_group([2, 2])
+        report = detects_errors(tenfold, group, 2)
+        undetected = set(report.undetected)
+        iso = build_isometry(tenfold, group)
+        assert iso.rows * iso.cols == SIZE_CAP
+        checked = 0
+        for size in range(3):
+            for config in itertools.combinations(tenfold.outputs, size):
+                assert kl_detects(iso, config) == (config not in undetected), config
+                checked += 1
+        assert checked == 56
 
 
 class TestExactness:
@@ -378,6 +407,33 @@ class TestExactness:
                 for config in configs[:: max(1, len(configs) // 8)]:
                     _, peak = traced_peak(kl_detects, iso, config)
                     assert peak <= 2.5 * code_matrix, config
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "name, factors, sizes, per_size",
+        [
+            ("tenfold", [3], (1, 3, 9, 10), 8),
+            ("wheel", [6], (2,), 8),
+            ("matrix19", [5], (3,), 8),
+            ("tenfold", [4], (3,), 2),  # 4**11 = 2**22 code matrix entries
+        ],
+    )
+    def test_peak_memory_within_the_phase_budget(self, name, factors, sizes, per_size):
+        # With Q the bytes of the phases, B = max(Q, FLOOR_BYTES) and
+        # P = 16 |G|^(2|X|), a check holds at most 8 B + 4 P + 1 MiB: 33 MiB
+        # on tenfold over Z4, whose complex matrix would take 64 MiB.
+        graph, group = BUILTIN_GRAPHS[name](), make_group(factors)
+        iso = build_isometry(graph, group)
+        budget = max(iso.phase.nbytes, oracle.FLOOR_BYTES)
+        bound = 8 * budget + 4 * 16 * iso.cols**2 + 2**20
+        tracemalloc.start()
+        try:
+            for size in sizes:
+                configs = list(itertools.combinations(graph.outputs, size))
+                for config in configs[:: max(1, len(configs) // 8)][:per_size]:
+                    _, peak = traced_peak(kl_detects, iso, config)
+                    assert peak <= bound, config
         finally:
             tracemalloc.stop()
 
