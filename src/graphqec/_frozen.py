@@ -1,9 +1,13 @@
-"""Immutable value types without ``dataclasses``.
+"""The integer rules of every input, and immutable value types without
+``dataclasses``.
 
-The graph and the group are all that ``import graphqec`` and the parse path
-build, and ``import dataclasses`` would load ``inspect``, ``ast``, ``dis``
-and ``tokenize`` for them: about 8 ms (Python 3.11, 2-vCPU VM) of a
-command that needs no numpy.
+``integers`` is the one check that a count, vertex, weight or factor is an
+integer, and ``integer_list`` the one parser of comma-separated integer
+text: the CLI's ``--inputs`` and ``--config``, group literals and a graph
+file's ``inputs:`` line.  The graph and the group are all that ``import
+graphqec`` and the parse path build, and ``import dataclasses`` would load
+``inspect``, ``ast``, ``dis`` and ``tokenize`` for them: about 8 ms (Python
+3.11, 2-vCPU VM) of a command that needs no numpy.
 """
 
 from __future__ import annotations
@@ -22,6 +26,19 @@ def integers(values, what: str) -> tuple[int, ...]:
         except TypeError:
             raise ValueError(f"{what} must be integers, got {value!r}") from None
     return tuple(result)
+
+
+def integer_list(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, each part stripped; an empty
+    or blank ``text`` is the empty list.  Any other empty or non-integer
+    part raises ValueError naming ``what`` and the text, e.g. ``bad vertex
+    list '1,,2'``."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(int(part) for part in text.split(","))  # int() strips
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
 
 
 class Frozen:

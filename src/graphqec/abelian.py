@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, integers
+from ._frozen import Frozen, integer_list, integers
 
 
 class FiniteAbelianGroup(Frozen):
@@ -48,11 +48,4 @@ def make_group(factors) -> FiniteAbelianGroup:
 
 def parse_group(text: str) -> FiniteAbelianGroup:
     """Parse the CLI group literal: comma-separated factors, e.g. ``2`` or ``2,4``."""
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        factors = [int(p) for p in parts if p != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad group literal {text!r}: {exc}") from None
-    if not factors:
-        raise ValueError(f"bad group literal {text!r}: no factors")
-    return make_group(factors)
+    return make_group(integer_list(text, "group literal"))

@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Integer lists (``--inputs``, ``--config``, ``--group``) are read by
+``_frozen.integer_list``: comma-separated integers, each part stripped, the
+empty string the empty list, and an empty or non-integer part an input
+error (exit code 2).
+
 Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
 usage or input errors, including graph files declaring more than 2,048
@@ -31,6 +36,7 @@ from pathlib import Path
 
 # detector, oracle and singleton are imported by the handlers that use them,
 # so each subcommand loads only the modules it runs.
+from ._frozen import integer_list
 from .abelian import parse_group
 from .graphcode import BUILTIN_GRAPHS, WeightedGraph, describe, parse_graph
 
@@ -52,14 +58,6 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_vertex_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad vertex list {text!r}") from None
-
-
 def _read_graph(builtin: str | None, path: str) -> WeightedGraph:
     """The named built-in graph, or else the graph file at ``path``."""
     if builtin:
@@ -71,7 +69,7 @@ def _read_graph(builtin: str | None, path: str) -> WeightedGraph:
 def _load_graph(args) -> WeightedGraph:
     graph = _read_graph(args.builtin, args.graph)
     if args.inputs is not None:
-        graph = graph.with_inputs(_parse_vertex_list(args.inputs))
+        graph = graph.with_inputs(integer_list(args.inputs, "vertex list"))
     return graph
 
 
@@ -99,7 +97,7 @@ def _cmd_detect(args) -> int:
 
     graph = _load_graph(args)
     group = parse_group(args.group)
-    config = _parse_vertex_list(args.config)
+    config = integer_list(args.config, "vertex list")
     verdict = detector.detects(graph, group, config)
     _emit(verdict.to_dict())
     return EXIT_OK if verdict.detected else EXIT_CLAIM_FAILS
@@ -157,14 +155,10 @@ def _cmd_subdets(args) -> int:
 
     # the partition plays no role here; --inputs names the restriction set
     graph = _read_graph(args.builtin, args.graph)
+    fixed = integer_list(args.inputs or "", "vertex list")
+    payload = singleton.offdiag_subdets(graph.gamma, fixed).to_dict()
     if args.inputs is not None:
-        fixed = _parse_vertex_list(args.inputs)
-        report = singleton.restricted_subdets(graph.gamma, fixed)
-        payload = report.to_dict()
         payload["restricted_to_inputs"] = sorted(set(fixed))
-    else:
-        report = singleton.offdiag_subdets(graph.gamma)
-        payload = report.to_dict()
     payload["graph"] = describe(graph)
     _emit(payload)
     return EXIT_OK

@@ -334,6 +334,7 @@ def _sweep(
     workers: int,
 ) -> SweepReport:
     (max_size,) = integers((max_size,), "sweep size")
+    (workers,) = integers((workers,), "worker count")
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
     outputs = np.array(graph.outputs, dtype=np.intp)

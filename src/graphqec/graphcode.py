@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, integers
+from ._frozen import Frozen, integer_list, integers
 
 IntMatrix = list[list[int]]
 
@@ -135,11 +135,12 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
     """Parse the line-oriented graph format.
 
     Line 1: ``vertices: <n>``.  Line 2: ``inputs: <comma-separated 0-based
-    indices>`` (may be empty).  Every further line is one undirected edge
-    ``<u> <v> <w>`` with u < v and a nonzero integer weight; unlisted pairs
-    have weight 0.  ``#`` starts a comment.  A vertex count above
-    MAX_VERTICES is refused before anything is allocated; the edges then go
-    to ``WeightedGraph.from_edges``, which checks the rules of every graph.
+    indices>``, read by ``integer_list`` (may be empty, but no part may
+    be).  Every further line is one undirected edge ``<u> <v> <w>`` with
+    u < v and a nonzero integer weight; unlisted pairs have weight 0.  ``#``
+    starts a comment.  A vertex count above MAX_VERTICES is refused before
+    anything is allocated; the edges then go to ``WeightedGraph.from_edges``,
+    which checks the rules of every graph.
     """
     lines: list[str] = []
     for raw in text.splitlines():
@@ -158,13 +159,7 @@ def parse_graph(text: str, name: str = "") -> WeightedGraph:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     if not lines[1].startswith("inputs:"):
         raise ValueError(f"expected 'inputs: <indices>', got {lines[1]!r}")
-    inputs_text = lines[1].split(":", 1)[1].strip()
-    inputs: list[int] = []
-    if inputs_text:
-        try:
-            inputs = [int(p) for p in inputs_text.split(",")]
-        except ValueError:
-            raise ValueError(f"bad input list {inputs_text!r}") from None
+    inputs = integer_list(lines[1].split(":", 1)[1].strip(), "input list")
 
     edges = []
     for line in lines[2:]:

@@ -86,30 +86,22 @@ class DeterminantReport:
 
 
 def _even_matrix(matrix, name: str) -> tuple[tuple[int, ...], ...]:
-    """``symmetric_matrix``, refused unless its size is even and positive."""
-    rows = symmetric_matrix(matrix, name)
-    if not rows or len(rows) % 2:
-        raise ValueError(f"{name} size must be even and positive, got {len(rows)}")
-    return rows
-
-
-def _validate_gamma(gamma) -> tuple[tuple[tuple[int, ...], ...], int]:
-    rows = _even_matrix(gamma, "matrix")
-    _check_partition_count(len(rows))
-    return rows, len(rows) // 2
-
-
-def _check_partition_count(size: int) -> None:
-    """Refuse a vertex count whose half-half partitions exceed MAX_PARTITIONS.
+    """``symmetric_matrix``, refused unless its size is even and positive
+    and its half-half partitions number at most MAX_PARTITIONS.
 
     Reports and searches list every partition, and reports stack one block
     per partition, before any determinant is known."""
+    rows = symmetric_matrix(matrix, name)
+    size = len(rows)
+    if not size or size % 2:
+        raise ValueError(f"{name} size must be even and positive, got {size}")
     count = math.comb(size - 1, size // 2 - 1)
     if count > MAX_PARTITIONS:
         raise ValueError(
             f"{size} vertices have {count} half-half partitions, more than the "
             f"cap of {MAX_PARTITIONS}"
         )
+    return rows
 
 
 def _partitions(size: int):
@@ -136,9 +128,10 @@ def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> 
     return det_batch(stack.reshape(-1, m, m)).reshape(stack.shape[:-2])
 
 
-def _dets(rows, m, partitions) -> tuple[int, ...]:
+def _dets(rows, partitions) -> tuple[int, ...]:
     """Exact determinant of the off-diagonal block of every partition."""
-    blocks, comps = _partition_arrays(partitions, 2 * m)
+    m = len(rows) // 2
+    blocks, comps = _partition_arrays(partitions, len(rows))
     # int64 weights let det_batch read its guard bound with numpy; only
     # weights past int64 need Python ints.
     fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
@@ -155,19 +148,34 @@ def _dets(rows, m, partitions) -> tuple[int, ...]:
     )
 
 
-def _report(rows, m, partitions) -> DeterminantReport:
-    dets = _dets(rows, m, partitions)
+def offdiag_subdets(gamma, fixed_inputs=()) -> DeterminantReport:
+    """Exact determinant for every unordered half-half partition, or, given
+    fixed inputs, for those keeping all of them on one side.
+
+    With the inputs pinned to one block, only partitions whose block contains
+    them all can arise as an inputs-plus-errors side, so only those
+    determinants constrain the code.
+    """
+    rows = _even_matrix(gamma, "matrix")
+    m = len(rows) // 2
+    fixed = vertex_set(fixed_inputs, "fixed inputs")
+    if len(fixed) > m:
+        raise ValueError(f"at most {m} fixed inputs allowed, got {fixed}")
+    if any(not 0 <= v < 2 * m for v in fixed):
+        raise ValueError(f"fixed inputs out of range: {fixed}")
+    partitions = _partitions(2 * m)
+    if fixed:
+        keep = set(fixed)
+        partitions = (
+            block for block in partitions if keep <= set(block) or keep.isdisjoint(block)
+        )
+    partitions = tuple(partitions)
+    dets = _dets(rows, partitions)
     return DeterminantReport(
-        partitions=tuple(partitions),
+        partitions=partitions,
         dets=dets,
         bad_primes=frozenset().union(*map(prime_factors, set(dets))),  # once each
     )
-
-
-def offdiag_subdets(gamma) -> DeterminantReport:
-    """Exact determinant for every unordered half-half partition."""
-    rows, m = _validate_gamma(gamma)
-    return _report(rows, m, list(_partitions(2 * m)))
 
 
 def is_strongly_ec(gamma, d: int) -> bool:
@@ -177,29 +185,8 @@ def is_strongly_ec(gamma, d: int) -> bool:
     (d,) = integers((d,), "modulus")
     if not is_prime(d):
         raise ValueError(f"{d} is not prime")
-    rows, m = _validate_gamma(gamma)
-    return all(det % d for det in _dets(rows, m, _partitions(2 * m)))
-
-
-def restricted_subdets(gamma, fixed_inputs) -> DeterminantReport:
-    """Report restricted to partitions keeping all fixed inputs on one side.
-
-    With the inputs pinned to one block, only partitions whose block contains
-    them all can arise as an inputs-plus-errors side, so only those
-    determinants constrain the code.
-    """
-    rows, m = _validate_gamma(gamma)
-    fixed = vertex_set(fixed_inputs, "fixed inputs")
-    if len(fixed) > m:
-        raise ValueError(f"at most {m} fixed inputs allowed, got {fixed}")
-    if any(not 0 <= v < 2 * m for v in fixed):
-        raise ValueError(f"fixed inputs out of range: {fixed}")
-    fixed_set = set(fixed)
-    relevant = [
-        block for block in _partitions(2 * m)
-        if fixed_set <= set(block) or fixed_set.isdisjoint(block)
-    ]
-    return _report(rows, m, relevant)
+    rows = _even_matrix(gamma, "matrix")
+    return all(det % d for det in _dets(rows, _partitions(len(rows))))
 
 
 @dataclass(frozen=True)
@@ -337,7 +324,6 @@ def search_weights(
         raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    _check_partition_count(skeleton.size)
     if skeleton.min_row_support() < skeleton.m:
         return WeightSearchResult(matrix=None, attempts=0, seed=seed, budget=budget)
     size, m = skeleton.size, skeleton.m

@@ -18,9 +18,9 @@ import pytest
 from helpers import refuse_before_allocating
 
 import graphqec
-from graphqec import cli, detector, singleton
+from graphqec import abelian, cli, detector, singleton
 from graphqec.cli import main
-from graphqec.graphcode import WeightedGraph, serialize_graph, wheel_code
+from graphqec.graphcode import WeightedGraph, parse_graph, serialize_graph, wheel_code
 from graphqec.singleton import certifiable_bound, largest_certifiable_bound
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -354,6 +354,50 @@ def test_vertex_cap_exit_two(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "vertex count must be in 1..2048" in err
+
+
+# A list's text and the integers it lists, or None where the list rule refuses it.
+INTEGER_LISTS = [
+    ("", ()),
+    ("0", (0,)),
+    (" 0 , 1 ", (0, 1)),
+    ("0,", None),
+    ("1,,2", None),
+    (",", None),
+    ("a", None),
+    ("1.5", None),
+]
+
+
+@pytest.mark.parametrize("text, values", INTEGER_LISTS)
+def test_every_integer_list_follows_one_rule(capsys, monkeypatch, text, values):
+    """--inputs, --config, group literals and a graph file's inputs: line
+    accept and refuse the same strings."""
+    refused = values is None
+    code, out, err = run_cli(capsys, "subdets", "--builtin", "matrix19", "--inputs", text)
+    assert code == (2 if refused else 0)
+    if refused:
+        assert err == f"error: bad vertex list {text!r}\n"
+    else:
+        assert json.loads(out)["restricted_to_inputs"] == list(values)
+    # every wheel vertex is an output once the inputs are cleared
+    code, _, err = run_cli(
+        capsys, "detect", "--builtin", "wheel", "--inputs", "", "--config", text
+    )
+    assert code == (2 if refused else 0)
+    if refused:
+        assert err == f"error: bad vertex list {text!r}\n"
+        with pytest.raises(ValueError, match="bad input list"):
+            parse_graph(f"vertices: 3\ninputs: {text}\n")
+    else:
+        assert parse_graph(f"vertices: 3\ninputs: {text}\n").inputs == values
+    # the group rules (at least one factor, each >= 2) taken out
+    monkeypatch.setattr(abelian, "make_group", tuple)
+    if refused:
+        with pytest.raises(ValueError, match="bad group literal"):
+            abelian.parse_group(text)
+    else:
+        assert abelian.parse_group(text) == values
 
 
 class TestSearchCommand:

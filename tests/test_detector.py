@@ -421,6 +421,16 @@ class TestWorkerCount:
         assert worker_count(8, 8, 2517) == 1
         assert worker_count(0, 8, many) == 1
 
+    @pytest.mark.parametrize("workers", [2.5, "2"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["small", "pool"])
+    def test_non_integral_workers_refused(self, monkeypatch, tenfold, z2, workers, pool):
+        if pool:
+            # 56 configurations would then start a pool of 4
+            monkeypatch.setattr(detector, "usable_cpus", lambda: 4)
+            monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 10)
+        with pytest.raises(ValueError, match="worker count must be integers"):
+            detects_errors(tenfold, z2, 2, workers=workers)
+
     def test_cpus_are_those_the_process_may_use(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert usable_cpus() == len(os.sched_getaffinity(0))

@@ -30,7 +30,6 @@ from graphqec.singleton import (
     graph_census,
     is_strongly_ec,
     offdiag_subdets,
-    restricted_subdets,
     search_weights,
 )
 
@@ -254,7 +253,7 @@ class TestStronglyEc:
 
 
 def restricted_bad_primes(gamma, fixed_inputs):
-    report = restricted_subdets(gamma, fixed_inputs)
+    report = offdiag_subdets(gamma, fixed_inputs)
     assert not report.has_zero_det
     return report.bad_primes
 
@@ -273,18 +272,18 @@ class TestRestricted:
 
     def test_relevant_partition_count(self, matrix19):
         # both inputs tied to one side: choose the 2 remaining block members
-        report = restricted_subdets(matrix19.gamma, (0, 1))
+        report = offdiag_subdets(matrix19.gamma, (0, 1))
         assert len(report.partitions) == math.comb(6, 2)
         for block in report.partitions:
             assert {0, 1} <= set(block) or {0, 1}.isdisjoint(block)
 
     def test_too_many_inputs_rejected(self, matrix19):
         with pytest.raises(ValueError):
-            restricted_subdets(matrix19.gamma, (0, 1, 2, 3, 4))
+            offdiag_subdets(matrix19.gamma, (0, 1, 2, 3, 4))
 
     def test_non_integral_input_rejected(self, matrix19):
         with pytest.raises(ValueError, match="fixed inputs must be integers, got 0.5"):
-            restricted_subdets(matrix19.gamma, (0.5,))
+            offdiag_subdets(matrix19.gamma, (0.5,))
 
 
 def cycle(size: int) -> tuple[tuple[int, ...], ...]:
@@ -310,7 +309,11 @@ class TestPartitionCap:
         with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
             offdiag_subdets(cycle(26))
         with pytest.raises(ValueError, match="5200300 half-half partitions"):
-            restricted_subdets(cycle(26), (0,))
+            offdiag_subdets(cycle(26), (0,))
+
+    def test_skeleton_refuses_26_vertices_when_built(self, no_listing):
+        with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
+            Skeleton(cycle(26))
 
     def test_search_refuses_26_vertices(self, no_listing):
         with pytest.raises(ValueError, match="5200300 half-half partitions"):
@@ -707,7 +710,7 @@ class TestDeterminantRouteMatchesKernelRoute:
             assert detects_errors(graph, make_group([p]), 3).all_detected == (p not in bad), p
 
     def test_two_inputs_two_errors_iff_good_prime(self, matrix19):
-        bad = restricted_subdets(matrix19.gamma, (0, 1)).bad_primes
+        bad = offdiag_subdets(matrix19.gamma, (0, 1)).bad_primes
         assert bad == {2, 5}
         graph = matrix19_code((0, 1))
         for p in PRIMES_BELOW_200:
@@ -753,4 +756,4 @@ class TestDeterminantRouteMatchesKernelRoute:
 @pytest.mark.parametrize("fixed", [(8,), (-1,), (0, 9)])
 def test_restricted_inputs_out_of_range(matrix19, fixed):
     with pytest.raises(ValueError, match="out of range"):
-        restricted_subdets(matrix19.gamma, fixed)
+        offdiag_subdets(matrix19.gamma, fixed)
