@@ -73,14 +73,12 @@ def _load_graph(args) -> WeightedGraph:
     return graph
 
 
-def _add_graph_flags(sub):
+def _add_graph_flags(sub, flag="--graph", file_help="graph file to load",
+                     builtin_help="use a built-in graph"):
+    """One required source: the graph file named by ``flag``, or --builtin."""
     src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", metavar="FILE", help="graph file to load")
-    src.add_argument(
-        "--builtin",
-        choices=sorted(BUILTIN_GRAPHS),
-        help="use a built-in graph",
-    )
+    src.add_argument(flag, metavar="FILE", help=file_help)
+    src.add_argument("--builtin", choices=sorted(BUILTIN_GRAPHS), help=builtin_help)
 
 
 def _add_code_flags(sub):
@@ -264,11 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_subdets)
 
     p = sub.add_parser("search", help="randomized weight search on a skeleton")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--skeleton", metavar="FILE",
-                     help="graph file whose support pattern is the skeleton")
-    src.add_argument("--builtin", choices=sorted(BUILTIN_GRAPHS),
-                     help="use a built-in graph's support pattern")
+    _add_graph_flags(p, "--skeleton", "graph file whose support pattern is the skeleton",
+                     "use a built-in graph's support pattern")
     p.add_argument("--bound", type=int, default=2, metavar="W",
                    help="weights drawn from [-W, W] without 0 (default: 2)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default: 0)")
@@ -295,10 +290,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

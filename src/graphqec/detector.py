@@ -247,48 +247,28 @@ def worker_count(requested: int, cpus: int, configs: int) -> int:
     return max(1, min(requested, cpus, configs // MIN_CONFIGS_PER_WORKER))
 
 
-def _colex(positions: np.ndarray, binom: np.ndarray):
-    """Colex ranks of configurations given as (N, s) ascending output
-    positions, and (N, s) ranks of their (s - 1)-subsets, the one without
-    position j in column j.
-
-    The rank of c_1 < ... < c_s is the sum of C(c_i, i); it is below
-    C(|outputs|, s), so within the sweep cap.
-    """
-    size = positions.shape[1]
-    up = binom[positions, np.arange(1, size + 1)]  # C(c_i, i)
-    down = binom[positions, np.arange(size)]  # C(c_i, i - 1): c_i moved down a slot
-    before = np.cumsum(up, axis=1) - up
-    after = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
-    return up.sum(axis=1), before + after
-
-
-def _survivors(outputs: np.ndarray, size: int, previous: np.ndarray, binom, inherited: list):
+def _survivors(outputs: tuple[int, ...], size: int, below: set, inherited: list):
     """Error vertices of the configurations of one size that need
-    elimination, in lexicographic order, CHUNK rows per array but the last.
+    elimination, as arrays in lexicographic order, CHUNK rows each but the
+    last.
 
-    ``previous`` holds the sorted colex ranks of the undetected
-    configurations one size smaller.  A configuration with a subset among
-    them is undetected (see the module docstring) and goes to ``inherited``
-    instead.  Survivors are held back until they fill a batch, so pruning
-    does not shrink the batches the engine eliminates.
+    ``below`` is the set of undetected configurations one size smaller.  A
+    configuration with one of its subsets one smaller in ``below`` is
+    undetected (see the module docstring) and goes to ``inherited``
+    instead.  Configurations are filtered before they are batched, so
+    pruning does not shrink the batches the engine eliminates.
     """
-    configs = itertools.combinations(range(len(outputs)), size)
-    held = np.zeros((0, size), dtype=np.intp)
+    configs = itertools.combinations(outputs, size)
+    if below:
+        def survives(cfg):
+            if any(map(below.__contains__, itertools.combinations(cfg, size - 1))):
+                inherited.append(cfg)
+                return False
+            return True
+
+        configs = filter(survives, configs)
     while chunk := list(itertools.islice(configs, CHUNK)):
-        positions = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
-        if len(previous):
-            _, subsets = _colex(positions, binom)
-            at = np.searchsorted(previous, subsets).clip(max=len(previous) - 1)
-            hit = (previous[at] == subsets).any(axis=1)
-            inherited.extend(map(tuple, outputs[positions[hit]].tolist()))
-            positions = positions[~hit]
-        held = np.concatenate((held, positions))
-        if len(held) >= CHUNK:  # held had fewer than CHUNK rows before
-            yield outputs[held[:CHUNK]]
-            held = held[CHUNK:]
-    if len(held):
-        yield outputs[held]
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
 
 
 def _undetected(graph: WeightedGraph, gamma: np.ndarray, d: int, errs: np.ndarray):
@@ -337,9 +317,8 @@ def _sweep(
     (workers,) = integers((workers,), "worker count")
     if max_size < 0:
         raise ValueError(f"sweep size must be >= 0, got {max_size}")
-    outputs = np.array(graph.outputs, dtype=np.intp)
-    sizes = range(min(max_size, len(outputs)) + 1)
-    total = sum(math.comb(len(outputs), size) for size in sizes)
+    sizes = range(min(max_size, len(graph.outputs)) + 1)
+    total = sum(math.comb(len(graph.outputs), size) for size in sizes)
     if total > SIZE_CAP:
         raise ValueError(
             f"sweep would check {total} configurations, more than the cap of "
@@ -350,10 +329,6 @@ def _sweep(
     # one elimination modulo the group exponent: see the module docstring
     sweep = (graph, _residues(graph.gamma, graph.n, group.exponent, graph.n),
              group.exponent)
-    binom = np.array(
-        [[math.comb(i, j) for j in range(sizes[-1] + 1)] for i in range(len(outputs) + 1)],
-        dtype=np.int64,
-    )
     with contextlib.ExitStack() as stack:
         if workers > 1:
             import multiprocessing
@@ -369,20 +344,15 @@ def _sweep(
             decide_all = partial(map, partial(_undetected, *sweep))
         per_size = []
         pruned = 0
-        previous = np.zeros(0, dtype=np.int64)
+        below: set[tuple[int, ...]] = set()
         for size in sizes:
             inherited: list[tuple[int, ...]] = []
-            batches = _survivors(outputs, size, previous, binom, inherited)
+            batches = _survivors(graph.outputs, size, below, inherited)
             found = [cfg for bad in decide_all(batches) for cfg in bad]
             undetected = sorted(inherited + found)
             pruned += len(inherited)
             per_size.append(tuple(undetected))
-            # sorted colex ranks of this size's undetected, for the next size
-            previous = np.zeros(0, dtype=np.int64)
-            if undetected and size < sizes[-1]:
-                positions = np.searchsorted(outputs, np.array(undetected, dtype=np.intp))
-                ranks, _ = _colex(positions.reshape(len(undetected), size), binom)
-                previous = np.sort(ranks)
+            below = set(undetected)
     return SweepReport(
         graph=graph,
         group=group,

@@ -628,7 +628,8 @@ class TestRandomizedSoundness:
 
 class TestOneModulusPerCall:
     def test_pruned_sweeps_eliminate_full_batches(self, monkeypatch):
-        # the sparse Z2xZ4 graph of test_sizes_spanning_several_chunks
+        # the sparse Z2xZ4 graph of test_sizes_spanning_several_chunks, and the
+        # same graph with inputs 5 and 9, whose outputs are not contiguous
         rng = random.Random(3)
         edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
         sparse = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,))
@@ -640,24 +641,29 @@ class TestOneModulusPerCall:
             return undetected(graph, gamma, d, errs)
 
         monkeypatch.setattr(detector, "_undetected", spy)
-        report = detects_errors(sparse, make_group([2, 4]), 5)
-        assert report.pruned > 0
-        previous = set()
-        for size, found in enumerate(report.sizes):
-            rows = [errs for errs in batches if errs.shape[1] == size]
-            assert all(len(errs) == CHUNK for errs in rows[:-1])
-            assert 0 < len(rows[-1]) <= CHUNK
-            # the survivors of pruning, in lexicographic order
-            expected = [
-                cfg
-                for cfg in itertools.combinations(sparse.outputs, size)
-                if not previous.intersection(itertools.combinations(cfg, max(size - 1, 0)))
-            ]
-            assert [tuple(row) for errs in rows for row in errs.tolist()] == expected
-            previous = set(found)
-        # size 5 is pruned and still fills several batches
-        assert len(expected) < math.comb(13, 5)
-        assert len([errs for errs in batches if errs.shape[1] == 5]) > 2
+        batches_of_five = []
+        for graph in (sparse, sparse.with_inputs((5, 9))):
+            batches.clear()
+            report = detects_errors(graph, make_group([2, 4]), 5)
+            assert report.pruned > 0
+            previous = set()
+            for size, found in enumerate(report.sizes):
+                rows = [errs for errs in batches if errs.shape[1] == size]
+                assert all(len(errs) == CHUNK for errs in rows[:-1])
+                assert 0 < len(rows[-1]) <= CHUNK
+                # the survivors of pruning, in lexicographic order
+                expected = [
+                    cfg
+                    for cfg in itertools.combinations(graph.outputs, size)
+                    if not previous.intersection(itertools.combinations(cfg, max(size - 1, 0)))
+                ]
+                assert [tuple(row) for errs in rows for row in errs.tolist()] == expected
+                previous = set(found)
+            assert len(expected) < math.comb(len(graph.outputs), 5)
+            batches_of_five.append(len([errs for errs in batches if errs.shape[1] == 5]))
+        # size 5 is pruned and still fills several batches on the first graph
+        # (the second prunes every size down to one batch)
+        assert batches_of_five[0] > 2
 
     def test_detects_eliminates_up_to_the_first_failing_factor(self, monkeypatch, wheel):
         moduli = []
