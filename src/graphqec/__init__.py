@@ -9,15 +9,13 @@ building the built-in graphs loads neither numpy nor ``dataclasses``.
 import importlib
 
 _SOURCES = {
-    "abelian": ("FiniteAbelianGroup", "make_group", "parse_group"),
+    "abelian": ("FiniteAbelianGroup", "parse_group"),
     "detector": (
         "DetectionVerdict",
         "SweepReport",
         "corrects_errors",
         "detects",
         "detects_errors",
-        "input_exchange_check",
-        "is_isometry_condition",
     ),
     "graphcode": (
         "WeightedGraph",

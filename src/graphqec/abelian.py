@@ -41,11 +41,6 @@ class FiniteAbelianGroup(Frozen):
         return len(self.factors)
 
 
-def make_group(factors) -> FiniteAbelianGroup:
-    """Build a group from a list of cyclic factor sizes (each >= 2)."""
-    return FiniteAbelianGroup(tuple(factors))
-
-
 def parse_group(text: str) -> FiniteAbelianGroup:
     """Parse the CLI group literal: comma-separated factors, e.g. ``2`` or ``2,4``."""
-    return make_group(integer_list(text, "group literal"))
+    return FiniteAbelianGroup(integer_list(text, "group literal"))

@@ -166,7 +166,7 @@ def _cmd_search(args) -> int:
     from . import singleton
 
     pattern = _read_graph(args.builtin, args.skeleton)
-    skeleton = singleton.Skeleton.from_matrix(pattern.gamma)
+    skeleton = singleton.Skeleton(pattern.gamma)
     # A hit's report factors every block determinant; refuse bounds whose
     # determinants could have factors that cannot be certified prime.
     if not singleton.certifiable_bound(skeleton.m, args.bound):

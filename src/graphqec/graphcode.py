@@ -227,13 +227,11 @@ _MATRIX19 = (
 )
 
 
-def matrix19_code(inputs=(0,)) -> WeightedGraph:
+def matrix19_code() -> WeightedGraph:
     """The 8-vertex weighted graph whose off-diagonal 4x4 block determinants
-    avoid exactly the primes {2, 3, 5, 11}; choose 1 or 2 input vertices."""
-    inputs = vertex_set(inputs, "matrix19 inputs")
-    if not inputs or len(inputs) > 2 or any(not 0 <= v < 8 for v in inputs):
-        raise ValueError(f"matrix19 inputs must be 1 or 2 vertices in 0..7, got {inputs}")
-    return WeightedGraph(_MATRIX19, inputs, name="matrix19")
+    avoid exactly the primes {2, 3, 5, 11}; vertex 0 is the input, and
+    ``with_inputs`` re-partitions it."""
+    return WeightedGraph(_MATRIX19, (0,), name="matrix19")
 
 
 BUILTIN_GRAPHS = {

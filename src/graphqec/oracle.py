@@ -264,16 +264,6 @@ def kl_detects(isometry: CodeIsometry, config) -> bool:
     return all(_all_scalar(m) for m in _compressions(isometry, cfg))
 
 
-def isometry_header(isometry: CodeIsometry) -> dict:
-    return {
-        "group": list(isometry.group.factors),
-        "graph": describe(isometry.graph),
-        "rows": isometry.rows,
-        "cols": isometry.cols,
-        "normalization": "counting",
-    }
-
-
 def export_isometry_csv(isometry: CodeIsometry, path) -> dict:
     """Write (row, col, real, imag) lines in lexicographic order, as
     ``csv.writer`` would; returns the JSON-ready header describing the dump.
@@ -282,4 +272,10 @@ def export_isometry_csv(isometry: CodeIsometry, path) -> dict:
     with open(path, "w", newline="") as fh:
         for r, row in enumerate(isometry.phase):
             fh.write("".join([f"{r},{c}{tails[k]}" for c, k in enumerate(row.tolist())]))
-    return isometry_header(isometry)
+    return {
+        "group": list(isometry.group.factors),
+        "graph": describe(isometry.graph),
+        "rows": isometry.rows,
+        "cols": isometry.cols,
+        "normalization": "counting",
+    }

@@ -191,15 +191,16 @@ def is_strongly_ec(gamma, d: int) -> bool:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Symmetric 0/1 support pattern with zero diagonal on 2m vertices."""
+    """Support pattern of a 2m x 2m symmetric integer matrix with zero
+    diagonal: ``support`` is 1 where the matrix is nonzero, else 0."""
 
     support: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         rows = _even_matrix(self.support, "skeleton")
-        if any(x not in (0, 1) for row in rows for x in row):
-            raise ValueError("skeleton entries must be 0 or 1")
-        object.__setattr__(self, "support", rows)
+        object.__setattr__(
+            self, "support", tuple(tuple(int(x != 0) for x in row) for row in rows)
+        )
 
     @property
     def size(self) -> int:
@@ -220,14 +221,6 @@ class Skeleton:
 
     def min_row_support(self) -> int:
         return min(sum(row) for row in self.support)
-
-    @classmethod
-    def from_matrix(cls, gamma) -> "Skeleton":
-        return cls(
-            tuple(
-                tuple(1 if x else 0 for x in row) for row in gamma
-            )
-        )
 
 
 # Attempts in search_weights' first batch; later batches double up to

@@ -2,23 +2,23 @@ from __future__ import annotations
 
 import pytest
 
-from graphqec.abelian import make_group
+from graphqec.abelian import FiniteAbelianGroup
 from graphqec.graphcode import matrix19_code, tenfold_code, wheel_code
 
 
 @pytest.fixture(scope="session")
 def z2():
-    return make_group([2])
+    return FiniteAbelianGroup([2])
 
 
 @pytest.fixture(scope="session")
 def z3():
-    return make_group([3])
+    return FiniteAbelianGroup([3])
 
 
 @pytest.fixture(scope="session")
 def z5():
-    return make_group([5])
+    return FiniteAbelianGroup([5])
 
 
 @pytest.fixture(scope="session")

@@ -392,7 +392,7 @@ def test_every_integer_list_follows_one_rule(capsys, monkeypatch, text, values):
     else:
         assert parse_graph(f"vertices: 3\ninputs: {text}\n").inputs == values
     # the group rules (at least one factor, each >= 2) taken out
-    monkeypatch.setattr(abelian, "make_group", tuple)
+    monkeypatch.setattr(abelian, "FiniteAbelianGroup", tuple)
     if refused:
         with pytest.raises(ValueError, match="bad group literal"):
             abelian.parse_group(text)

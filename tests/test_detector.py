@@ -21,15 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqec import detector
-from graphqec.abelian import make_group
+from graphqec.abelian import FiniteAbelianGroup
 from graphqec.detector import (
     CHUNK,
     MIN_CONFIGS_PER_WORKER,
     corrects_errors,
     detects,
     detects_errors,
-    input_exchange_check,
-    is_isometry_condition,
     usable_cpus,
     worker_count,
 )
@@ -191,7 +189,7 @@ class TestDetects:
 
     @pytest.mark.parametrize("factors", [[2], [3], [2, 2]])
     def test_full_output_set_never_detected(self, wheel, tenfold, factors):
-        group = make_group(factors)
+        group = FiniteAbelianGroup(factors)
         for graph in (wheel, tenfold):
             verdict = detects(graph, group, graph.outputs)
             assert not verdict.detected
@@ -231,14 +229,14 @@ class TestStrongDetects:
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     @pytest.mark.parametrize("config", [(1, 2), (1, 3)])
     def test_wheel_representative_configs(self, wheel, d, config):
-        assert strong_detects(wheel, make_group([d]), config)
+        assert strong_detects(wheel, FiniteAbelianGroup([d]), config)
 
     def test_full_output_set(self, wheel, z2):
         assert not strong_detects(wheel, z2, wheel.outputs)
 
     def test_matrix19_single_input_three_errors(self):
-        graph = matrix19_code((0,))
-        g7 = make_group([7])
+        graph = matrix19_code()
+        g7 = FiniteAbelianGroup([7])
         for config in itertools.combinations(graph.outputs, 3):
             assert strong_detects(graph, g7, config)
 
@@ -246,7 +244,7 @@ class TestStrongDetects:
         rng = random.Random(99)
         graphs = [wheel, tenfold] + [random_graph(rng) for _ in range(25)]
         for graph in graphs:
-            group = make_group([rng.choice([2, 3, 4])])
+            group = FiniteAbelianGroup([rng.choice([2, 3, 4])])
             size = rng.randint(0, len(graph.outputs))
             config = tuple(sorted(rng.sample(graph.outputs, size)))
             if strong_detects(graph, group, config):
@@ -332,7 +330,7 @@ class TestSweeps:
         graph = WeightedGraph.from_edges(24, [], (0,))
         assert sum(math.comb(23, s) for s in range(12)) == SIZE_CAP
         with pytest.raises(ValueError, match="cap"):
-            detects_errors(graph, make_group([2]), 12)
+            detects_errors(graph, FiniteAbelianGroup([2]), 12)
 
     def test_sizes_spanning_several_chunks(self, monkeypatch):
         # A 13-vertex graph over Z6; a 14-vertex sparse graph over Z2xZ4 shaped
@@ -361,9 +359,9 @@ class TestSweeps:
         wide = WeightedGraph.from_edges(72, edges, (0,))
         reports = {}
         for name, graph, group, max_size in (
-            ("dense", dense, make_group([6]), 5),
-            ("sparse", sparse, make_group([2, 4]), 5),
-            ("wide", wide, make_group([3]), 2),
+            ("dense", dense, FiniteAbelianGroup([6]), 5),
+            ("sparse", sparse, FiniteAbelianGroup([2, 4]), 5),
+            ("wide", wide, FiniteAbelianGroup([3]), 2),
         ):
             report = detects_errors(graph, group, max_size)
             expected = [
@@ -398,7 +396,7 @@ class TestSweeps:
             return WeightedGraph, (graph.gamma, graph.inputs, graph.name)
 
         monkeypatch.setattr(WeightedGraph, "__reduce_ex__", counted_reduce, raising=False)
-        parallel = detects_errors(sparse, make_group([2, 4]), 5, workers=2)
+        parallel = detects_errors(sparse, FiniteAbelianGroup([2, 4]), 5, workers=2)
         assert 1 <= len(pickles) <= parallel.workers
         assert parallel.workers == 2 and reports["sparse"].workers == 1
         assert parallel.pruned == reports["sparse"].pruned
@@ -457,7 +455,7 @@ class TestBatchedEngine:
         for _ in range(120):
             graph = random_partitioned_graph(rng, weights)
             factors = rng.choice(groups)
-            group = make_group(factors)
+            group = FiniteAbelianGroup(factors)
             flat = [x for row in graph.gamma for x in row]
             seen |= {
                 ("inputs", min(len(graph.inputs), 2)),
@@ -502,7 +500,7 @@ class TestBatchedEngine:
         edges = [(u, v, data.draw(weights)) for u in range(n) for v in range(u + 1, n)]
         inputs = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
         graph = WeightedGraph.from_edges(n, [e for e in edges if e[2]], tuple(inputs))
-        group = make_group(data.draw(st.sampled_from([[2], [3], [4], [6], [2, 2], [2, 3]])))
+        group = FiniteAbelianGroup(data.draw(st.sampled_from([[2], [3], [4], [6], [2, 2], [2, 3]])))
         report = detects_errors(graph, group, len(graph.outputs))
         expected = [
             cfg
@@ -543,40 +541,40 @@ class TestBatchedEngine:
 class TestIsometryCondition:
     def test_wheel_any_group(self, wheel):
         for factors in ([2], [3], [7], [2, 2]):
-            assert is_isometry_condition(wheel, make_group(factors))
+            assert detects(wheel, FiniteAbelianGroup(factors), ()).detected
 
     def test_isolated_input_fails(self, z2):
         graph = WeightedGraph.from_edges(3, [(1, 2, 1)], (0,))
-        assert not is_isometry_condition(graph, z2)
+        assert not detects(graph, z2, ()).detected
 
     def test_tenfold_qutrit(self, tenfold, z3):
-        assert is_isometry_condition(tenfold, z3)
+        assert detects(tenfold, z3, ()).detected
 
 
 class TestInputExchange:
     @pytest.mark.parametrize("vertex", range(6))
     def test_any_wheel_vertex_works_qubit(self, wheel, z2, vertex):
-        report = input_exchange_check(wheel, z2, (vertex,), 1)
+        report = corrects_errors(wheel.with_inputs((vertex,)), z2, 1)
         assert report.all_detected
 
     @pytest.mark.parametrize("vertex", [3])
     def test_peripheral_vertex_works_mod_seven(self, wheel, vertex):
-        report = input_exchange_check(wheel, make_group([7]), (vertex,), 1)
+        report = corrects_errors(wheel.with_inputs((vertex,)), FiniteAbelianGroup([7]), 1)
         assert report.all_detected
 
     def test_two_inputs_report_produced(self, wheel, z2):
         # informative run: two inputs leave four outputs to sweep
-        report = input_exchange_check(wheel, z2, (0, 1), 1)
+        report = corrects_errors(wheel.with_inputs((0, 1)), z2, 1)
         assert report.checked == (1, 4, 6)
         assert report.graph.inputs == (0, 1)
 
     def test_invalid_subset_rejected(self, wheel, z2):
         with pytest.raises(ValueError):
-            input_exchange_check(wheel, z2, (7,), 1)
+            corrects_errors(wheel.with_inputs((7,)), z2, 1)
 
     def test_non_integral_error_count_refused(self, wheel, z2):
         with pytest.raises(ValueError, match="error count must be integers, got 1.5"):
-            input_exchange_check(wheel, z2, (3,), 1.5)
+            corrects_errors(wheel.with_inputs((3,)), z2, 1.5)
 
 
 class TestGroupFactorIndependence:
@@ -585,13 +583,13 @@ class TestGroupFactorIndependence:
         graphs = [wheel] + [random_graph(rng, max_n=4) for _ in range(8)]
         for graph in graphs:
             for d1, d2 in itertools.product([2, 3, 4], repeat=2):
-                product_group = make_group([d1, d2])
+                product_group = FiniteAbelianGroup([d1, d2])
                 for size in range(len(graph.outputs) + 1):
                     for config in itertools.combinations(graph.outputs, size):
                         combined = detects(graph, product_group, config).detected
                         separate = (
-                            detects(graph, make_group([d1]), config).detected
-                            and detects(graph, make_group([d2]), config).detected
+                            detects(graph, FiniteAbelianGroup([d1]), config).detected
+                            and detects(graph, FiniteAbelianGroup([d2]), config).detected
                         )
                         assert combined == separate
 
@@ -602,7 +600,7 @@ class TestRandomizedSoundness:
         seen_negative = 0
         for _ in range(120):
             graph = random_graph(rng)
-            group = make_group([rng.choice([2, 3, 4])])
+            group = FiniteAbelianGroup([rng.choice([2, 3, 4])])
             for size in range(len(graph.outputs) + 1):
                 for config in itertools.combinations(graph.outputs, size):
                     verdict = detects(graph, group, config)
@@ -617,7 +615,7 @@ class TestRandomizedSoundness:
         rng = random.Random(43)
         for _ in range(10):
             graph = random_graph(rng)
-            group = make_group([2])
+            group = FiniteAbelianGroup([2])
             t = rng.randint(0, len(graph.outputs))
             report = detects_errors(graph, group, t)
             assert report.checked == tuple(
@@ -644,7 +642,7 @@ class TestOneModulusPerCall:
         batches_of_five = []
         for graph in (sparse, sparse.with_inputs((5, 9))):
             batches.clear()
-            report = detects_errors(graph, make_group([2, 4]), 5)
+            report = detects_errors(graph, FiniteAbelianGroup([2, 4]), 5)
             assert report.pruned > 0
             previous = set()
             for size, found in enumerate(report.sizes):
@@ -665,6 +663,35 @@ class TestOneModulusPerCall:
         # (the second prunes every size down to one batch)
         assert batches_of_five[0] > 2
 
+    def test_pool_keeps_eight_batches_per_worker_in_flight(self, monkeypatch):
+        # the sparse Z2xZ4 sweep above, cut into batches of 8 so that each
+        # size is many more batches than the pool may hold at once
+        from concurrent.futures import ProcessPoolExecutor
+
+        rng = random.Random(3)
+        edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
+        sparse = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,))
+        group = FiniteAbelianGroup([2, 4])
+        monkeypatch.setattr(detector, "CHUNK", 8)
+        serial = detects_errors(sparse, group, 5)
+        monkeypatch.setattr(detector, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
+        submitted, peak = [], 0
+        submit = ProcessPoolExecutor.submit
+
+        def counted_submit(pool, *args, **kwargs):
+            nonlocal peak
+            submitted.append(submit(pool, *args, **kwargs))
+            peak = max(peak, sum(not future.done() for future in submitted))
+            return submitted[-1]
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counted_submit)
+        parallel = detects_errors(sparse, group, 5, workers=2)
+        assert parallel.workers == 2
+        assert len(submitted) > 8 * 2 + 1
+        assert peak <= 8 * 2 + 1
+        assert parallel == serial and parallel.to_dict() == serial.to_dict()
+
     def test_detects_eliminates_up_to_the_first_failing_factor(self, monkeypatch, wheel):
         moduli = []
         kernel = detector.kernel_mod_batch
@@ -674,13 +701,13 @@ class TestOneModulusPerCall:
             return kernel(systems, d)
 
         monkeypatch.setattr(detector, "kernel_mod_batch", spy)
-        verdict = detects(wheel, make_group([2, 3]), (1, 2, 3))
+        verdict = detects(wheel, FiniteAbelianGroup([2, 3]), (1, 2, 3))
         assert not verdict.detected and verdict.factor == 2
         assert moduli == [2]
         verify_witness(wheel, verdict)
         moduli.clear()
         # a repeated factor is eliminated once per occurrence
-        verdict = detects(wheel, make_group([2, 2, 3]), (1, 2))
+        verdict = detects(wheel, FiniteAbelianGroup([2, 2, 3]), (1, 2))
         assert verdict.detected
         assert moduli == [2, 2, 3]
         verify_certificate(wheel, verdict)
@@ -731,7 +758,7 @@ class TestLargeGraphDetects:
             return residues(block, cols, d, n)
 
         monkeypatch.setattr(detector, "_residues", spy)
-        verdict = detects(sparse_1500, make_group(factors), config)
+        verdict = detects(sparse_1500, FiniteAbelianGroup(factors), config)
         out = verdict.to_dict()
         assert out.pop("columns") == [0, *config]
         assert out.pop("config") == list(config)

@@ -18,7 +18,7 @@ from helpers import (
     strong_detects,
 )
 
-from graphqec.abelian import make_group
+from graphqec.abelian import FiniteAbelianGroup
 from graphqec.detector import detects_errors
 from graphqec.zmodlinalg import det_fits_int64, is_prime, prime_factors
 from graphqec import singleton, zmodlinalg
@@ -327,14 +327,16 @@ class TestPartitionCap:
 
 class TestSkeleton:
     def test_from_matrix(self, matrix19):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         assert skeleton.m == 4
         assert skeleton.min_row_support() == 4
         assert len(skeleton.free_positions) == 16
+        # a weighted matrix gives the skeleton of its 0/1 pattern
+        pattern = tuple(tuple(int(x != 0) for x in row) for row in matrix19.gamma)
+        assert skeleton == Skeleton(pattern) and skeleton.support == pattern
+        assert Skeleton(((0, -3), (-3, 0))).support == ((0, 1), (1, 0))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Skeleton(((0, 2), (2, 0)))
         with pytest.raises(ValueError):
             Skeleton(((1, 0), (0, 0)))
         with pytest.raises(ValueError):
@@ -349,7 +351,7 @@ class TestSkeleton:
 
 class TestSearchWeights:
     def test_eq19_skeleton_succeeds(self, matrix19):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         result = search_weights(skeleton, 2, 0, 10**5)
         assert result.success
         assert 0 < result.attempts <= 10**5
@@ -366,7 +368,7 @@ class TestSearchWeights:
                     assert abs(result.matrix[i][j]) <= 2
 
     def test_deterministic_given_seed(self, matrix19):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         first = search_weights(skeleton, 2, 123, 10**4)
         second = search_weights(skeleton, 2, 123, 10**4)
         assert first == second
@@ -424,7 +426,7 @@ class TestSearchWeights:
         # stdout of the one-attempt-at-a-time search; tests/test_cli.py
         # checks the same commands byte for byte
         pinned = json.loads((GOLDEN / f"{name}.json").read_text())
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         result = search_weights(skeleton, pinned["bound"], pinned["seed"], pinned["budget"])
         assert result.attempts == pinned["attempts"]
         assert result.matrix == (
@@ -466,7 +468,7 @@ class TestSearchWeights:
             "k4": [[int(i != j) for j in range(4)] for i in range(4)],
             "two": [[0, 1], [1, 0]],
         }[graph]
-        skeleton = Skeleton.from_matrix(gamma)
+        skeleton = Skeleton(gamma)
         for seed in seeds:
             result = search_weights(skeleton, bound, seed, budget)
             assert (result.attempts, result.matrix) == reference_search(
@@ -491,7 +493,7 @@ class TestSearchWeights:
             return mix(z)
 
         monkeypatch.setattr(singleton, "_mix", mixing)
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         for seed in range(6):
             result = search_weights(skeleton, bound, seed, 100)
             assert (result.attempts, result.matrix) == reference_search(
@@ -530,7 +532,7 @@ class TestSearchWeights:
         assert len(firsts) == len(seeds)
 
     def test_huge_bound_draws_without_a_weight_list(self, matrix19):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         bound = 2**62 - 1
         result = search_weights(skeleton, bound, 0, 3)
         assert result.success
@@ -540,7 +542,7 @@ class TestSearchWeights:
             assert det_exact([[result.matrix[i][j] for j in comp] for i in block]) != 0
 
     def test_bad_arguments(self, matrix19):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         with pytest.raises(ValueError):
             search_weights(skeleton, 0, 0, 10)
         with pytest.raises(ValueError):
@@ -550,7 +552,7 @@ class TestSearchWeights:
 
     @pytest.mark.parametrize("arguments", [(1.5, 0, 3), (2, 0.5, 3), (2, 0, 2.5)])
     def test_non_integral_arguments_refused(self, matrix19, arguments):
-        skeleton = Skeleton.from_matrix(matrix19.gamma)
+        skeleton = Skeleton(matrix19.gamma)
         with pytest.raises(ValueError, match="search arguments must be integers"):
             search_weights(skeleton, *arguments)
 
@@ -630,7 +632,7 @@ class TestCensus:
                 graph = WeightedGraph(gamma, inputs)
                 t = 3 - len(inputs)
                 for factors in groups:
-                    report = detects_errors(graph, make_group(factors), t + bool(inputs))
+                    report = detects_errors(graph, FiniteAbelianGroup(factors), t + bool(inputs))
                     assert not any(report.sizes[: t + 1]), (inputs, factors)
                     if inputs:
                         assert report.sizes[t + 1], (inputs, factors)
@@ -667,22 +669,22 @@ class TestDetectorConsistency:
 
     @pytest.mark.parametrize("d", [7, 13])
     def test_single_input_three_errors(self, d):
-        graph = matrix19_code((0,))
-        group = make_group([d])
+        graph = matrix19_code()
+        group = FiniteAbelianGroup([d])
         for config in itertools.combinations(graph.outputs, 3):
             assert strong_detects(graph, group, config)
         assert detects_errors(graph, group, 3).all_detected
 
     @pytest.mark.parametrize("d", [7, 13])
     def test_two_inputs_two_errors(self, d):
-        graph = matrix19_code((0, 1))
-        group = make_group([d])
+        graph = matrix19_code().with_inputs((0, 1))
+        group = FiniteAbelianGroup([d])
         for config in itertools.combinations(graph.outputs, 2):
             assert strong_detects(graph, group, config)
         assert detects_errors(graph, group, 2).all_detected
 
     def test_search_witness_feeds_detector(self):
-        skeleton = Skeleton.from_matrix(matrix19_code().gamma)
+        skeleton = Skeleton(matrix19_code().gamma)
         result = search_weights(skeleton, 2, 0, 10**5)
         assert result.success
         report = offdiag_subdets(result.matrix)
@@ -691,7 +693,7 @@ class TestDetectorConsistency:
         from graphqec.graphcode import WeightedGraph
 
         graph = WeightedGraph(result.matrix, (0,))
-        assert detects_errors(graph, make_group([good[0]]), 3).all_detected
+        assert detects_errors(graph, FiniteAbelianGroup([good[0]]), 3).all_detected
 
 
 PRIMES_BELOW_200 = [p for p in range(200) if is_prime(p)]
@@ -705,16 +707,16 @@ class TestDeterminantRouteMatchesKernelRoute:
     def test_single_input_three_errors_iff_good_prime(self, matrix19):
         bad = offdiag_subdets(matrix19.gamma).bad_primes
         assert bad == PUBLISHED_BAD_PRIMES
-        graph = matrix19_code((0,))
+        graph = matrix19_code()
         for p in PRIMES_BELOW_200:
-            assert detects_errors(graph, make_group([p]), 3).all_detected == (p not in bad), p
+            assert detects_errors(graph, FiniteAbelianGroup([p]), 3).all_detected == (p not in bad), p
 
     def test_two_inputs_two_errors_iff_good_prime(self, matrix19):
         bad = offdiag_subdets(matrix19.gamma, (0, 1)).bad_primes
         assert bad == {2, 5}
-        graph = matrix19_code((0, 1))
+        graph = matrix19_code().with_inputs((0, 1))
         for p in PRIMES_BELOW_200:
-            assert detects_errors(graph, make_group([p]), 2).all_detected == (p not in bad), p
+            assert detects_errors(graph, FiniteAbelianGroup([p]), 2).all_detected == (p not in bad), p
 
     def test_strongly_ec_iff_every_partition_strongly_detects(self):
         rng = random.Random(2024)
@@ -730,7 +732,7 @@ class TestDeterminantRouteMatchesKernelRoute:
             # block holds vertex 0, the input; the rest of it are the errors
             graph = WeightedGraph(gamma, (0,))
             strong = all(
-                strong_detects(graph, make_group([p]), block[1:])
+                strong_detects(graph, FiniteAbelianGroup([p]), block[1:])
                 for block in ((0, *rest) for rest in itertools.combinations(range(1, size), m - 1))
             )
             assert is_strongly_ec(gamma, p) == strong
@@ -740,7 +742,7 @@ class TestDeterminantRouteMatchesKernelRoute:
     def test_strongly_ec_needs_no_factoring(self):
         # bound 10**12 gives determinants with a cofactor that cannot be
         # certified prime, so a full report refuses them
-        skeleton = Skeleton.from_matrix(matrix19_code().gamma)
+        skeleton = Skeleton(matrix19_code().gamma)
         matrix = search_weights(skeleton, 10**12, seed=0, budget=3).matrix
         with pytest.raises(ValueError, match="cannot certify"):
             offdiag_subdets(matrix)
