@@ -25,12 +25,11 @@ _SOURCES = {
         "tenfold_code",
         "wheel_code",
     ),
-    "oracle": ("CodeIsometry", "build_isometry", "check_isometry", "kl_detects"),
+    "oracle": ("CodeIsometry", "build_isometry", "kl_detects"),
     "singleton": (
         "DeterminantReport",
         "Skeleton",
         "graph_census",
-        "is_strongly_ec",
         "offdiag_subdets",
         "search_weights",
     ),

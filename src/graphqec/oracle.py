@@ -42,7 +42,7 @@ import numpy as np
 from .abelian import FiniteAbelianGroup
 from .graphcode import SIZE_CAP, WeightedGraph, describe, validated_config
 
-# Entrywise tolerance of the orthonormality and Knill-Laflamme checks.
+# Entrywise tolerance of the Knill-Laflamme check.
 TOL = 1e-8
 # Fewest bytes a Gram tile or expanded row chunk of the oracle may hold
 # before it is split, however few bytes of phases the code map has.
@@ -143,12 +143,6 @@ def build_isometry(graph: WeightedGraph, group: FiniteAbelianGroup) -> CodeIsome
         ),
         roots=roots,
     )
-
-
-def check_isometry(isometry: CodeIsometry) -> bool:
-    """True iff the columns are orthonormal within TOL entrywise."""
-    (gram,) = _compressions(isometry, ())  # one (1, 1, cols, cols) tile
-    return bool(np.abs(gram - np.eye(isometry.cols)).max() < TOL)
 
 
 def _error_leg_phases(
@@ -256,7 +250,9 @@ def kl_detects(isometry: CodeIsometry, config) -> bool:
     off-diagonal entries below TOL and diagonal entries mutually within
     TOL.  Rank-one operators span everything localized in the
     configuration, so this is exhaustive.  ValueError unless ``config`` is
-    a set of outputs of the isometry's graph.
+    a set of outputs of the isometry's graph.  The empty configuration asks
+    whether the code map is an isometry: every column has norm 1, so a
+    scalar Gram matrix is the identity.
     """
     cfg = validated_config(isometry.graph, config)
     if isometry.cols <= 1:

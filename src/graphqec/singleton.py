@@ -4,9 +4,9 @@ For a symmetric 2m x 2m integer matrix, every unordered partition of the
 vertices into two m-sets yields an off-diagonal m x m block; the code built
 on the matrix strongly detects the matching configurations over Z_d exactly
 when no block determinant vanishes mod d.  This module computes those
-determinants exactly, derives the excluded ("bad") primes, searches for
-weight assignments on a sparsity skeleton, and runs the small-graph census
-for the all-unimodular property.
+determinants exactly, derives the excluded ("bad") primes by factoring them
+on first use, searches for weight assignments on a sparsity skeleton, and
+runs the small-graph census for the all-unimodular property.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._frozen import integers
 from .graphcode import symmetric_matrix, vertex_set
-from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, is_prime, prime_factors
+from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, prime_factors
 
 # Largest number of half-half partitions a report or search lists: 2**21
 # admits up to 24 vertices (1,352,078 partitions) and refuses 26 (5,200,300).
@@ -53,13 +53,19 @@ def largest_certifiable_bound(m: int) -> int:
 class DeterminantReport:
     """Exact determinants of all off-diagonal m x m blocks of a 2m x 2m
     symmetric matrix, one per unordered vertex partition (the block and its
-    transpose share a determinant), plus the derived bad-prime set; a
-    partition is listed by its half holding vertex 0.  A zero determinant
-    makes every prime bad; that is flagged separately."""
+    transpose share a determinant); a partition is listed by its half holding
+    vertex 0.  A zero determinant makes every prime bad; that is flagged
+    separately.  The bad primes are factored from the determinants on first
+    use, which raises ValueError for a factor that cannot be certified
+    prime; strong detection modulo one prime p needs no factoring, as it is
+    ``all(det % p for det in dets)``."""
 
     partitions: tuple[tuple[int, ...], ...]
     dets: tuple[int, ...]
-    bad_primes: frozenset[int]
+
+    @functools.cached_property
+    def bad_primes(self) -> frozenset[int]:
+        return frozenset().union(*map(prime_factors, set(self.dets)))  # once each
 
     @property
     def m(self) -> int:
@@ -170,23 +176,7 @@ def offdiag_subdets(gamma, fixed_inputs=()) -> DeterminantReport:
             block for block in partitions if keep <= set(block) or keep.isdisjoint(block)
         )
     partitions = tuple(partitions)
-    dets = _dets(rows, partitions)
-    return DeterminantReport(
-        partitions=partitions,
-        dets=dets,
-        bad_primes=frozenset().union(*map(prime_factors, set(dets))),  # once each
-    )
-
-
-def is_strongly_ec(gamma, d: int) -> bool:
-    """True iff no off-diagonal block determinant vanishes modulo the prime d.
-
-    Only the determinants' residues matter, so none is factored."""
-    (d,) = integers((d,), "modulus")
-    if not is_prime(d):
-        raise ValueError(f"{d} is not prime")
-    rows = _even_matrix(gamma, "matrix")
-    return all(det % d for det in _dets(rows, _partitions(len(rows))))
+    return DeterminantReport(partitions=partitions, dets=_dets(rows, partitions))
 
 
 @dataclass(frozen=True)

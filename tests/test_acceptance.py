@@ -24,15 +24,14 @@ from graphqec.detector import (
     detects_errors,
 )
 from graphqec.graphcode import WeightedGraph, matrix19_code, tenfold_code, wheel_code
-from graphqec.oracle import build_isometry, check_isometry, kl_detects
+from graphqec.oracle import build_isometry, kl_detects
 from graphqec.singleton import (
     Skeleton,
     graph_census,
-    is_prime,
-    is_strongly_ec,
     offdiag_subdets,
     search_weights,
 )
+from graphqec.zmodlinalg import is_prime
 
 PUBLISHED_DET_SET = (-11, -8, -5, -4, -2, -1, 1, 2, 4, 5, 8, 9)
 PUBLISHED_BAD_PRIMES = frozenset({2, 3, 5, 11})
@@ -191,7 +190,7 @@ def test_criterion_08_isometry_and_hadamard_form():
         for graph, factors in cases:
             group = FiniteAbelianGroup(factors)
             iso = build_isometry(graph, group)
-            assert check_isometry(iso), (graph.name, factors)
+            assert kl_detects(iso, ()), (graph.name, factors)
             # counting normalization: every entry has modulus |G|^(-|Y|/2)
             modulus = group.order ** (-len(graph.outputs) / 2)
             deviation = np.abs(np.abs(iso.matrix) - modulus).max()
@@ -223,7 +222,7 @@ def test_criterion_09_negative_controls(capsys):
         # an isolated input vertex cannot give an isometry
         isolated = WeightedGraph.from_edges(3, [(1, 2, 1)], (0,))
         assert not detects(isolated, FiniteAbelianGroup([2]), ()).detected
-        assert not check_isometry(build_isometry(isolated, FiniteAbelianGroup([2])))
+        assert not kl_detects(build_isometry(isolated, FiniteAbelianGroup([2])), ())
 
 
 def test_criterion_10_search_witness():
@@ -235,7 +234,7 @@ def test_criterion_10_search_witness():
         assert not report.has_zero_det
         good_primes = [
             p for p in range(2, 51)
-            if is_prime(p) and is_strongly_ec(result.matrix, p)
+            if is_prime(p) and p not in report.bad_primes
         ]
         assert good_primes, (
             f"no prime <= 50 avoids the witness determinants {report.det_set}"

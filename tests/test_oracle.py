@@ -19,7 +19,6 @@ from graphqec import oracle
 from graphqec.oracle import (
     _compressions,
     build_isometry,
-    check_isometry,
     export_isometry_csv,
     kl_detects,
 )
@@ -158,14 +157,14 @@ class TestBuildIsometry:
         iso = build_isometry(graph, z2)
         expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert np.allclose(iso.matrix, expected, atol=1e-12)
-        assert check_isometry(iso)
+        assert kl_detects(iso, ())
 
     def test_disconnected_input_duplicates_columns(self, z2):
         graph = WeightedGraph.from_edges(2, [], (0,))
         iso = build_isometry(graph, z2)
         # no edges, no phases: both columns are the uniform vector
         assert np.allclose(iso.matrix, 1 / math.sqrt(2), atol=1e-12)
-        assert not check_isometry(iso)
+        assert not kl_detects(iso, ())
 
     def test_size_cap_enforced(self, tenfold, z2, z5, monkeypatch):
         refuse_before_allocating(monkeypatch)
@@ -195,7 +194,7 @@ class TestBuildIsometry:
         graph = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], ())
         iso = build_isometry(graph, z2)
         assert iso.matrix.shape == (8, 1)
-        assert check_isometry(iso)
+        assert kl_detects(iso, ())
         # a one-dimensional input space detects everything trivially
         assert kl_detects(iso, (0,))
 
@@ -243,10 +242,10 @@ class TestBuildIsometry:
 class TestCheckIsometry:
     def test_wheel_groups(self, wheel, z2, z3, z5):
         for group in (z2, z3, z5):
-            assert check_isometry(build_isometry(wheel, group))
+            assert kl_detects(build_isometry(wheel, group), ())
 
     def test_tenfold_qubit(self, tenfold, z2):
-        assert check_isometry(build_isometry(tenfold, z2))
+        assert kl_detects(build_isometry(tenfold, z2), ())
 
     def test_matches_kernel_isometry_condition(self):
         rng = random.Random(17)
@@ -254,7 +253,7 @@ class TestCheckIsometry:
             graph = random_graph(rng, max_n=4)
             group = FiniteAbelianGroup([rng.choice([2, 3])])
             iso = build_isometry(graph, group)
-            assert check_isometry(iso) == detects(graph, group, ()).detected
+            assert kl_detects(iso, ()) == detects(graph, group, ()).detected
 
 
 class TestKnillLaflamme:
@@ -267,9 +266,19 @@ class TestKnillLaflamme:
         assert kl_detects(iso, (1, 2, 5))
 
     def test_empty_config_equals_isometry_check(self, z2):
-        graph = WeightedGraph.from_edges(2, [], (0,))
-        iso = build_isometry(graph, z2)
-        assert kl_detects(iso, ()) == check_isometry(iso)
+        # the empty configuration asks for orthonormal columns, read here
+        # from the dense Gram matrix
+        rng = random.Random(5)
+        graphs = [WeightedGraph.from_edges(2, [], (0,))]
+        graphs += [random_graph(rng, max_n=4) for _ in range(20)]
+        verdicts = set()
+        for graph in graphs:
+            iso = build_isometry(graph, z2)
+            gram = iso.matrix.conj().T @ iso.matrix
+            orthonormal = np.allclose(gram, np.eye(iso.cols), atol=1e-12)
+            assert kl_detects(iso, ()) == orthonormal, graph
+            verdicts.add(orthonormal)
+        assert verdicts == {False, True}
 
     def test_rejects_non_output_config(self, wheel_iso_z2):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from graphqec.singleton import (
     Skeleton,
     adjacency_bits,
     graph_census,
-    is_strongly_ec,
     offdiag_subdets,
     search_weights,
 )
@@ -200,6 +199,16 @@ class TestOffdiagSubdets:
         assert report.det_set == (0,)
         assert report.to_dict()["bad_primes"] == "all"
 
+    def test_zero_det_reports_all_without_factoring(self):
+        # the other two determinants are 2**89 - 1, a prime past the proven
+        # Miller-Rabin range: only the bad primes themselves factor it
+        w = 2**89
+        report = offdiag_subdets([[0, w, 1, 1], [w, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        assert report.dets == (0, w - 1, w - 1)
+        assert report.to_dict()["bad_primes"] == "all"
+        with pytest.raises(ValueError, match="cannot certify"):
+            report.bad_primes
+
     def test_rejects_odd_or_asymmetric(self):
         with pytest.raises(ValueError):
             offdiag_subdets([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -233,23 +242,19 @@ class TestOffdiagSubdets:
         assert all({"I", "det"} == set(p) for p in payload["partitions"])
 
 
+def strongly_ec(gamma, p: int) -> bool:
+    """Strong error correction modulo the prime p: no block determinant of
+    the report vanishes modulo p.  No determinant is factored."""
+    return all(det % p for det in offdiag_subdets(gamma).dets)
+
+
 class TestStronglyEc:
     def test_published_primes(self, matrix19):
-        assert is_strongly_ec(matrix19.gamma, 7)
-        assert not is_strongly_ec(matrix19.gamma, 11)
-        assert is_strongly_ec(matrix19.gamma, 13)
+        assert strongly_ec(matrix19.gamma, 7)
+        assert not strongly_ec(matrix19.gamma, 11)
+        assert strongly_ec(matrix19.gamma, 13)
         for p in (2, 3, 5):
-            assert not is_strongly_ec(matrix19.gamma, p)
-
-    def test_rejects_non_prime(self, matrix19):
-        with pytest.raises(ValueError):
-            is_strongly_ec(matrix19.gamma, 6)
-
-    def test_non_integral_modulus_refused(self, matrix19):
-        # 11.9 is not 11 truncated: determinants must not be reduced modulo a float
-        assert not is_strongly_ec(matrix19.gamma, 11)
-        with pytest.raises(ValueError, match="modulus must be integers, got 11.9"):
-            is_strongly_ec(matrix19.gamma, 11.9)
+            assert not strongly_ec(matrix19.gamma, p)
 
 
 def restricted_bad_primes(gamma, fixed_inputs):
@@ -735,24 +740,30 @@ class TestDeterminantRouteMatchesKernelRoute:
                 strong_detects(graph, FiniteAbelianGroup([p]), block[1:])
                 for block in ((0, *rest) for rest in itertools.combinations(range(1, size), m - 1))
             )
-            assert is_strongly_ec(gamma, p) == strong
+            report = offdiag_subdets(gamma)
+            assert all(det % p for det in report.dets) == strong
+            assert (not report.has_zero_det and p not in report.bad_primes) == strong
             seen.add((m, strong))
         assert {(m, strong) for m in (2, 3, 4) for strong in (False, True)} <= seen
 
     def test_strongly_ec_needs_no_factoring(self):
         # bound 10**12 gives determinants with a cofactor that cannot be
-        # certified prime, so a full report refuses them
+        # certified prime, so the report's bad primes and dict refuse them
         skeleton = Skeleton(matrix19_code().gamma)
         matrix = search_weights(skeleton, 10**12, seed=0, budget=3).matrix
+        report = offdiag_subdets(matrix)
         with pytest.raises(ValueError, match="cannot certify"):
-            offdiag_subdets(matrix)
+            report.bad_primes
+        with pytest.raises(ValueError, match="cannot certify"):
+            report.to_dict()
         blocks = [
             [[matrix[i][j] for j in range(8) if j not in block] for i in block]
             for block in ((0, *rest) for rest in itertools.combinations(range(1, 8), 3))
         ]
+        assert report.dets == tuple(map(det_exact, blocks))
         for p in (7, 11, 13):
-            assert is_strongly_ec(matrix, p) == all(det_exact(b) % p for b in blocks)
-        assert is_strongly_ec(((0, 0), (0, 0)), 2) is False
+            assert strongly_ec(matrix, p) == all(det_exact(b) % p for b in blocks)
+        assert strongly_ec(((0, 0), (0, 0)), 2) is False
 
 
 @pytest.mark.parametrize("fixed", [(8,), (-1,), (0, 9)])
