@@ -28,7 +28,6 @@ _SOURCES = {
     "oracle": ("CodeIsometry", "build_isometry", "kl_detects"),
     "singleton": (
         "DeterminantReport",
-        "Skeleton",
         "graph_census",
         "offdiag_subdets",
         "search_weights",

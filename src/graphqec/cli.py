@@ -165,22 +165,22 @@ def _cmd_subdets(args) -> int:
 def _cmd_search(args) -> int:
     from . import singleton
 
-    pattern = _read_graph(args.builtin, args.skeleton)
-    skeleton = singleton.Skeleton(pattern.gamma)
+    gamma = _read_graph(args.builtin, args.skeleton).gamma
+    m = len(gamma) // 2
     # A hit's report factors every block determinant; refuse bounds whose
     # determinants could have factors that cannot be certified prime.
-    if not singleton.certifiable_bound(skeleton.m, args.bound):
+    if not singleton.certifiable_bound(m, args.bound):
         raise ValueError(
             f"--bound {args.bound} is too large to certify the bad primes of "
-            f"{skeleton.m} x {skeleton.m} blocks; the largest accepted bound is "
-            f"{singleton.largest_certifiable_bound(skeleton.m)}"
+            f"{m} x {m} blocks; the largest accepted bound is "
+            f"{singleton.largest_certifiable_bound(m)}"
         )
-    result = singleton.search_weights(skeleton, args.bound, args.seed, args.budget)
+    result = singleton.search_weights(gamma, args.bound, args.seed, args.budget)
     payload = {
         "found": result.success,
         "attempts": result.attempts,
-        "seed": result.seed,
-        "budget": result.budget,
+        "seed": args.seed,
+        "budget": args.budget,
         "bound": args.bound,
     }
     if result.success:

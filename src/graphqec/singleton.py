@@ -5,7 +5,7 @@ vertices into two m-sets yields an off-diagonal m x m block; the code built
 on the matrix strongly detects the matching configurations over Z_d exactly
 when no block determinant vanishes mod d.  This module computes those
 determinants exactly, derives the excluded ("bad") primes by factoring them
-on first use, searches for weight assignments on a sparsity skeleton, and
+on first use, searches for weights on the nonzero positions of a matrix, and
 runs the small-graph census for the all-unimodular property.
 """
 
@@ -179,40 +179,6 @@ def offdiag_subdets(gamma, fixed_inputs=()) -> DeterminantReport:
     return DeterminantReport(partitions=partitions, dets=_dets(rows, partitions))
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Support pattern of a 2m x 2m symmetric integer matrix with zero
-    diagonal: ``support`` is 1 where the matrix is nonzero, else 0."""
-
-    support: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = _even_matrix(self.support, "skeleton")
-        object.__setattr__(
-            self, "support", tuple(tuple(int(x != 0) for x in row) for row in rows)
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-    @property
-    def m(self) -> int:
-        return self.size // 2
-
-    @property
-    def free_positions(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-            if self.support[i][j]
-        )
-
-    def min_row_support(self) -> int:
-        return min(sum(row) for row in self.support)
-
-
 # Attempts in search_weights' first batch; later batches double up to
 # SEARCH_CHUNK_MAX.  For matrix19 a full batch's int64 matrices take 0.13 MB.
 SEARCH_CHUNK = 32
@@ -228,8 +194,6 @@ CENSUS_MAX_N = 8
 class WeightSearchResult:
     matrix: tuple[tuple[int, ...], ...] | None
     attempts: int
-    seed: int
-    budget: int
 
     @property
     def success(self) -> bool:
@@ -280,38 +244,38 @@ def _draws(key: np.uint64, attempts: range, n: int, count: int) -> np.ndarray:
     return out
 
 
-def search_weights(
-    skeleton: Skeleton, weight_bound: int, seed: int, budget: int
-) -> WeightSearchResult:
-    """Randomized search for nonzero weights making every block determinant
-    nonzero.
+def search_weights(skeleton, weight_bound: int, seed: int, budget: int) -> WeightSearchResult:
+    """Randomized search for nonzero weights on the nonzero positions of a
+    2m x 2m symmetric integer matrix, the skeleton, making every block
+    determinant nonzero; only the skeleton's nonzero pattern is read.
 
     Attempt a draws weights uniformly from [-bound, bound] without 0 on the
-    skeleton's free positions: ``_draws`` picks x below 2 * bound from the
-    attempt's own counter-based stream under the seed's key, and x >= 0 maps
-    to x + 1, so runs are reproducible and an attempt's weights do not
-    depend on the batch it runs in.  While ``det_fits_int64`` holds,
-    attempts run in batches of ``SEARCH_CHUNK`` doubling up to
-    ``SEARCH_CHUNK_MAX``; past the guard, one at a time.  Partitions are
-    checked in groups of 1, 2, 4, ... (each at most ``_STACK_ENTRIES`` block
-    entries over the attempts still alive), dropping the attempts with a
-    zero determinant after each group; the first attempt left wins.  From
-    the second batch on, the partitions that zeroed the most determinants so
-    far are checked first, which at bound 1 on matrix19 kills most attempts
-    with the first block.  A skeleton row with fewer than m admissible
-    entries forces a zero determinant, so that case fails immediately
-    without spending budget.
+    skeleton's nonzero positions above the diagonal: ``_draws`` picks x
+    below 2 * bound from the attempt's own counter-based stream under the
+    seed's key, and x >= 0 maps to x + 1, so runs are reproducible and an
+    attempt's weights do not depend on the batch it runs in.  While
+    ``det_fits_int64`` holds, attempts run in batches of ``SEARCH_CHUNK``
+    doubling up to ``SEARCH_CHUNK_MAX``; past the guard, one at a time.
+    Partitions are checked in groups of 1, 2, 4, ... (each at most
+    ``_STACK_ENTRIES`` block entries over the attempts still alive),
+    dropping the attempts with a zero determinant after each group; the
+    first attempt left wins.  From the second batch on, the partitions that
+    zeroed the most determinants so far are checked first, which at bound 1
+    on matrix19 kills most attempts with the first block.  A skeleton row
+    with fewer than m nonzero entries forces a zero determinant, so that
+    case fails immediately without spending budget.
     """
+    support = np.array(_even_matrix(skeleton, "skeleton"), dtype=object) != 0
     weight_bound, seed, budget = integers((weight_bound, seed, budget), "search arguments")
     if not 1 <= weight_bound < 2**62:
         raise ValueError(f"weight bound must be in [1, 2**62), got {weight_bound}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if skeleton.min_row_support() < skeleton.m:
-        return WeightSearchResult(matrix=None, attempts=0, seed=seed, budget=budget)
-    size, m = skeleton.size, skeleton.m
-    positions = skeleton.free_positions
-    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
+    size = len(support)
+    m = size // 2
+    if support.sum(axis=1).min() < m:
+        return WeightSearchResult(matrix=None, attempts=0)
+    us, vs = np.nonzero(np.triu(support, 1))
     blocks, comps = _partition_arrays(_partitions(size), size)
     # An 8-byte blake2b digest of the decimal seed: every int has its own key.
     key = np.uint64(int.from_bytes(blake2b(str(seed).encode(), digest_size=8).digest(), "little"))
@@ -323,11 +287,11 @@ def search_weights(
     zeros = np.zeros(len(blocks), dtype=np.int64)
     while start < budget:
         attempts = range(start, min(start + chunk, budget))
-        weights = _draws(key, attempts, 2 * weight_bound, len(positions)) - weight_bound
+        weights = _draws(key, attempts, 2 * weight_bound, len(us)) - weight_bound
         weights[weights >= 0] += 1
         gammas = np.zeros((len(attempts), size, size), dtype=np.int64)
-        gammas[:, rows, cols] = weights
-        gammas[:, cols, rows] = weights
+        gammas[:, us, vs] = weights
+        gammas[:, vs, us] = weights
         alive = np.arange(len(attempts))
         first, group = 0, 1
         while first < len(order) and alive.size:
@@ -341,15 +305,13 @@ def search_weights(
             return WeightSearchResult(
                 matrix=tuple(map(tuple, gammas[alive[0]].tolist())),
                 attempts=start + int(alive[0]) + 1,
-                seed=seed,
-                budget=budget,
             )
         # Which attempts survive does not depend on the partition order.
         order = np.argsort(-zeros, kind="stable")
         start += chunk
         if fits:
             chunk = min(2 * chunk, SEARCH_CHUNK_MAX)
-    return WeightSearchResult(matrix=None, attempts=budget, seed=seed, budget=budget)
+    return WeightSearchResult(matrix=None, attempts=budget)
 
 
 def adjacency_bits(gamma) -> str:

@@ -26,7 +26,6 @@ from graphqec.detector import (
 from graphqec.graphcode import WeightedGraph, matrix19_code, tenfold_code, wheel_code
 from graphqec.oracle import build_isometry, kl_detects
 from graphqec.singleton import (
-    Skeleton,
     graph_census,
     offdiag_subdets,
     search_weights,
@@ -227,9 +226,8 @@ def test_criterion_09_negative_controls(capsys):
 
 def test_criterion_10_search_witness():
     with stopwatch("criterion 10: seeded weight search yields a verified witness", 300.0):
-        skeleton = Skeleton(matrix19_code().gamma)
-        result = search_weights(skeleton, weight_bound=2, seed=0, budget=10**5)
-        assert result.success, f"search exhausted {result.budget} attempts"
+        result = search_weights(matrix19_code().gamma, weight_bound=2, seed=0, budget=10**5)
+        assert result.success, f"search exhausted {result.attempts} attempts"
         report = offdiag_subdets(result.matrix)
         assert not report.has_zero_det
         good_primes = [

@@ -435,6 +435,20 @@ class TestSearchCommand:
         assert out == ""
         assert "largest accepted bound is 674773" in err
 
+    def test_bound_is_checked_before_the_skeleton_size(self, capsys, tmp_path):
+        path = write_cycle(tmp_path / "c7.graph", 7)
+        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: skeleton size must be even and positive, got 7\n"
+        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --bound 100000000 is too large") and "3 x 3 blocks" in err
+        # past the partition cap too, the bound is reported first
+        path = write_cycle(tmp_path / "c26.graph", 26)
+        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --bound 100000000 is too large") and "13 x 13 blocks" in err
+
     def test_largest_certifiable_bound_succeeds(self, capsys):
         code, payload = run_json(
             capsys, "search", "--builtin", "matrix19", "--bound", "674773",

@@ -9,6 +9,7 @@ the source with ``ast``, by name."""
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import graphqec
 
 SRC = Path(graphqec.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC = frozenset(graphqec.__all__)
 
 # Reached from outside the package's code, one reason each.
@@ -158,3 +160,24 @@ def test_every_default_is_overridden_by_some_caller():
         )
     ]
     assert unset == []
+
+
+def library_section() -> tuple[str, str]:
+    """The python example under the README's ``## Library`` heading and the
+    paragraph after it, which lists the top-level names."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    example, rest = re.fullmatch(r"\s*```python\n(.*?)```\n(.*)", section, re.S).groups()
+    return example, rest.strip().split("\n\n", 1)[0]
+
+
+def test_readme_library_example_runs():
+    example, _ = library_section()
+    exec(compile(example, str(README), "exec"), {})
+
+
+def test_readme_names_every_public_name():
+    _, paragraph = library_section()
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    assert PUBLIC <= named, sorted(PUBLIC - named)
+    assert f" {len(PUBLIC)} names." in " ".join(paragraph.split())

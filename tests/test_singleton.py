@@ -25,7 +25,6 @@ from graphqec import singleton, zmodlinalg
 from graphqec.graphcode import WeightedGraph, matrix19_code, wheel_code
 from graphqec.singleton import (
     SEARCH_CHUNK,
-    Skeleton,
     adjacency_bits,
     graph_census,
     offdiag_subdets,
@@ -90,11 +89,17 @@ def reference_draws(seed, attempt, n, count):
     return out
 
 
+def nonzero_positions(skeleton):
+    """Positions (i, j), i < j, of the nonzero entries, row by row."""
+    size = len(skeleton)
+    return [(i, j) for i in range(size) for j in range(i + 1, size) if skeleton[i][j]]
+
+
 def reference_search(skeleton, weight_bound, seed, budget):
     """Reference: one attempt at a time, det_exact per block, early exit."""
-    size = skeleton.size
+    size = len(skeleton)
     parts = list(half_partitions(size))
-    positions = skeleton.free_positions
+    positions = nonzero_positions(skeleton)
     for attempt in range(budget):
         draws = reference_draws(seed, attempt, 2 * weight_bound, len(positions))
         gamma = [[0] * size for _ in range(size)]
@@ -317,46 +322,48 @@ class TestPartitionCap:
             offdiag_subdets(cycle(26), (0,))
 
     def test_skeleton_refuses_26_vertices_when_built(self, no_listing):
+        # the skeleton is read before the bound, seed and budget
         with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
-            Skeleton(cycle(26))
+            search_weights(cycle(26), 0, 0.5, -1)
 
     def test_search_refuses_26_vertices(self, no_listing):
         with pytest.raises(ValueError, match="5200300 half-half partitions"):
-            search_weights(Skeleton(cycle(26)), 2, 0, 10)
+            search_weights(cycle(26), 2, 0, 10)
 
     def test_search_accepts_24_vertices(self, no_listing):
         # a cycle starves every row, so the search ends before any listing
-        result = search_weights(Skeleton(cycle(24)), 2, 0, 10)
+        result = search_weights(cycle(24), 2, 0, 10)
         assert not result.success and result.attempts == 0
 
 
-class TestSkeleton:
-    def test_from_matrix(self, matrix19):
-        skeleton = Skeleton(matrix19.gamma)
-        assert skeleton.m == 4
-        assert skeleton.min_row_support() == 4
-        assert len(skeleton.free_positions) == 16
-        # a weighted matrix gives the skeleton of its 0/1 pattern
+class TestSearchInput:
+    def test_reads_only_the_nonzero_pattern(self, matrix19):
         pattern = tuple(tuple(int(x != 0) for x in row) for row in matrix19.gamma)
-        assert skeleton == Skeleton(pattern) and skeleton.support == pattern
-        assert Skeleton(((0, -3), (-3, 0))).support == ((0, 1), (1, 0))
+        assert pattern != matrix19.gamma
+        for seed in range(6):
+            assert search_weights(matrix19.gamma, 2, seed, 100) == search_weights(
+                pattern, 2, seed, 100
+            )
+        assert search_weights(((0, -3), (-3, 0)), 2**40, 0, 1) == search_weights(
+            ((0, 1), (1, 0)), 2**40, 0, 1
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Skeleton(((1, 0), (0, 0)))
+            search_weights(((1, 0), (0, 0)), 2, 0, 10)
         with pytest.raises(ValueError):
-            Skeleton(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+            search_weights(((0, 1, 0), (1, 0, 1), (0, 1, 0)), 2, 0, 10)
 
     def test_size_messages_name_the_matrix(self):
         with pytest.raises(ValueError, match="^skeleton size must be even and positive, got 3$"):
-            Skeleton(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+            search_weights(((0, 1, 0), (1, 0, 1), (0, 1, 0)), 2, 0, 10)
         with pytest.raises(ValueError, match="^matrix size must be even and positive, got 0$"):
             offdiag_subdets(())
 
 
 class TestSearchWeights:
     def test_eq19_skeleton_succeeds(self, matrix19):
-        skeleton = Skeleton(matrix19.gamma)
+        skeleton = matrix19.gamma
         result = search_weights(skeleton, 2, 0, 10**5)
         assert result.success
         assert 0 < result.attempts <= 10**5
@@ -366,22 +373,20 @@ class TestSearchWeights:
         # the witness skeleton support is respected
         for i in range(8):
             for j in range(8):
-                if not skeleton.support[i][j]:
+                if not skeleton[i][j]:
                     assert result.matrix[i][j] == 0
                 else:
                     assert result.matrix[i][j] != 0
                     assert abs(result.matrix[i][j]) <= 2
 
     def test_deterministic_given_seed(self, matrix19):
-        skeleton = Skeleton(matrix19.gamma)
+        skeleton = matrix19.gamma
         first = search_weights(skeleton, 2, 123, 10**4)
         second = search_weights(skeleton, 2, 123, 10**4)
         assert first == second
 
     def test_starved_row_fails_immediately(self):
-        skeleton = Skeleton(
-            ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
-        )
+        skeleton = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
         result = search_weights(skeleton, 2, 0, 10**3)
         assert not result.success
         assert result.attempts == 0
@@ -391,10 +396,8 @@ class TestSearchWeights:
         # determinants nonzero (the three pair products live in {-1, +1} and
         # would need to be pairwise distinct), so the bound-1 search must
         # exhaust its budget; bound 2 succeeds
-        complete = Skeleton(
-            tuple(
-                tuple(0 if i == j else 1 for j in range(4)) for i in range(4)
-            )
+        complete = tuple(
+            tuple(0 if i == j else 1 for j in range(4)) for i in range(4)
         )
         witnesses = []
         for signs in itertools.product((-1, 1), repeat=6):
@@ -431,8 +434,9 @@ class TestSearchWeights:
         # stdout of the one-attempt-at-a-time search; tests/test_cli.py
         # checks the same commands byte for byte
         pinned = json.loads((GOLDEN / f"{name}.json").read_text())
-        skeleton = Skeleton(matrix19.gamma)
-        result = search_weights(skeleton, pinned["bound"], pinned["seed"], pinned["budget"])
+        result = search_weights(
+            matrix19.gamma, pinned["bound"], pinned["seed"], pinned["budget"]
+        )
         assert result.attempts == pinned["attempts"]
         assert result.matrix == (
             tuple(map(tuple, pinned["matrix"])) if pinned["found"] else None
@@ -473,11 +477,10 @@ class TestSearchWeights:
             "k4": [[int(i != j) for j in range(4)] for i in range(4)],
             "two": [[0, 1], [1, 0]],
         }[graph]
-        skeleton = Skeleton(gamma)
         for seed in seeds:
-            result = search_weights(skeleton, bound, seed, budget)
+            result = search_weights(gamma, bound, seed, budget)
             assert (result.attempts, result.matrix) == reference_search(
-                skeleton, bound, seed, budget
+                gamma, bound, seed, budget
             )
 
     def test_draw_cases_sit_on_the_guard_edges(self):
@@ -498,13 +501,13 @@ class TestSearchWeights:
             return mix(z)
 
         monkeypatch.setattr(singleton, "_mix", mixing)
-        skeleton = Skeleton(matrix19.gamma)
+        skeleton = matrix19.gamma
         for seed in range(6):
             result = search_weights(skeleton, bound, seed, 100)
             assert (result.attempts, result.matrix) == reference_search(
                 skeleton, bound, seed, 100
             )
-        first = len(skeleton.free_positions) + spare
+        first = len(nonzero_positions(skeleton)) + spare
         reread = sum(width > first for width in widths)
         assert 0 < reread < widths.count(first)
 
@@ -526,28 +529,27 @@ class TestSearchWeights:
 
     def test_every_int_seed_has_its_own_stream(self):
         # every attempt on one edge succeeds, so the first attempt shows
-        skeleton = Skeleton(((0, 1), (1, 0)))
+        skeleton = ((0, 1), (1, 0))
         seeds = (0, -1, 2**64 - 1, 2**64)
         firsts = set()
         for seed in seeds:
             result = search_weights(skeleton, 2**40, seed, 1)
             assert (result.attempts, result.matrix) == reference_search(skeleton, 2**40, seed, 1)
-            assert result.seed == seed
             firsts.add(result.matrix)
         assert len(firsts) == len(seeds)
 
     def test_huge_bound_draws_without_a_weight_list(self, matrix19):
-        skeleton = Skeleton(matrix19.gamma)
+        skeleton = matrix19.gamma
         bound = 2**62 - 1
         result = search_weights(skeleton, bound, 0, 3)
         assert result.success
-        weights = [result.matrix[i][j] for i, j in skeleton.free_positions]
+        weights = [result.matrix[i][j] for i, j in nonzero_positions(skeleton)]
         assert all(type(w) is int and 0 < abs(w) <= bound for w in weights)
         for block, comp in half_partitions(8):
             assert det_exact([[result.matrix[i][j] for j in comp] for i in block]) != 0
 
     def test_bad_arguments(self, matrix19):
-        skeleton = Skeleton(matrix19.gamma)
+        skeleton = matrix19.gamma
         with pytest.raises(ValueError):
             search_weights(skeleton, 0, 0, 10)
         with pytest.raises(ValueError):
@@ -557,9 +559,8 @@ class TestSearchWeights:
 
     @pytest.mark.parametrize("arguments", [(1.5, 0, 3), (2, 0.5, 3), (2, 0, 2.5)])
     def test_non_integral_arguments_refused(self, matrix19, arguments):
-        skeleton = Skeleton(matrix19.gamma)
         with pytest.raises(ValueError, match="search arguments must be integers"):
-            search_weights(skeleton, *arguments)
+            search_weights(matrix19.gamma, *arguments)
 
 
 class TestCensus:
@@ -689,8 +690,7 @@ class TestDetectorConsistency:
         assert detects_errors(graph, group, 2).all_detected
 
     def test_search_witness_feeds_detector(self):
-        skeleton = Skeleton(matrix19_code().gamma)
-        result = search_weights(skeleton, 2, 0, 10**5)
+        result = search_weights(matrix19_code().gamma, 2, 0, 10**5)
         assert result.success
         report = offdiag_subdets(result.matrix)
         good = [p for p in range(2, 51) if is_prime(p) and p not in report.bad_primes]
@@ -749,8 +749,7 @@ class TestDeterminantRouteMatchesKernelRoute:
     def test_strongly_ec_needs_no_factoring(self):
         # bound 10**12 gives determinants with a cofactor that cannot be
         # certified prime, so the report's bad primes and dict refuse them
-        skeleton = Skeleton(matrix19_code().gamma)
-        matrix = search_weights(skeleton, 10**12, seed=0, budget=3).matrix
+        matrix = search_weights(matrix19_code().gamma, 10**12, seed=0, budget=3).matrix
         report = offdiag_subdets(matrix)
         with pytest.raises(ValueError, match="cannot certify"):
             report.bad_primes
