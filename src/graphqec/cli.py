@@ -11,8 +11,8 @@ usage or input errors, including graph files declaring more than 2,048
 vertices and sweeps over more than 2**22 configurations (both bounds follow
 from ``graphcode.SIZE_CAP``), reports and searches over more than 2**21
 vertex partitions, and search bounds too large to certify the bad primes of
-a hit.  A sweep's --oracle cross-check is skipped, with a warning, on
-instances over the oracle's size caps.  JSON is written to stdout as it is
+a hit.  ``sweep --oracle`` on an instance over the oracle's size caps exits
+2 before any configuration is decided.  JSON is written to stdout as it is
 encoded, diagnostics to stderr; a sweep's stderr line reports its wall time,
 configurations checked, configurations decided by pruning and workers used.
 The ``graphqec`` command ends its process as soon as its output is flushed,
@@ -106,6 +106,10 @@ def _cmd_sweep(args) -> int:
 
     graph = _load_graph(args)
     group = parse_group(args.group)
+    if args.oracle:
+        from . import oracle
+
+        iso = oracle.build_isometry(graph, group)  # refuses its size caps first
     workers = detector.usable_cpus()
     if args.detect is not None:
         report = detector.detects_errors(graph, group, args.detect, workers=workers)
@@ -120,30 +124,22 @@ def _cmd_sweep(args) -> int:
 
     exit_code = EXIT_OK if report.all_detected else EXIT_CLAIM_FAILS
     if args.oracle:
-        from . import oracle
-
-        try:
-            iso = oracle.build_isometry(graph, group)
-        except ValueError as exc:
-            _info(f"warning: oracle skipped: {exc}")
-            payload["oracle"] = {"checked": 0, "skipped": "size cap exceeded"}
-        else:
-            undetected = set(report.undetected)
-            disagreements = []
-            for size in range(len(report.sizes)):
-                for cfg in itertools.combinations(graph.outputs, size):
-                    kl = oracle.kl_detects(iso, cfg)
-                    if kl != (cfg not in undetected):
-                        disagreements.append(
-                            {"config": list(cfg), "kernel_verdict": cfg not in undetected,
-                             "oracle_verdict": kl}
-                        )
-            payload["oracle"] = {
-                "checked": checked,
-                "disagreements": disagreements,
-            }
-            if disagreements:
-                exit_code = EXIT_CLAIM_FAILS
+        undetected = set(report.undetected)
+        disagreements = []
+        for size in range(len(report.sizes)):
+            for cfg in itertools.combinations(graph.outputs, size):
+                kl = oracle.kl_detects(iso, cfg)
+                if kl != (cfg not in undetected):
+                    disagreements.append(
+                        {"config": list(cfg), "kernel_verdict": cfg not in undetected,
+                         "oracle_verdict": kl}
+                    )
+        payload["oracle"] = {
+            "checked": checked,
+            "disagreements": disagreements,
+        }
+        if disagreements:
+            exit_code = EXIT_CLAIM_FAILS
     _emit(payload)
     return exit_code
 
@@ -165,7 +161,8 @@ def _cmd_subdets(args) -> int:
 def _cmd_search(args) -> int:
     from . import singleton
 
-    gamma = _read_graph(args.builtin, args.skeleton).gamma
+    # the rule search_weights applies, before the bound is judged against m
+    gamma = singleton._even_matrix(_read_graph(args.builtin, args.skeleton).gamma, "skeleton")
     m = len(gamma) // 2
     # A hit's report factors every block determinant; refuse bounds whose
     # determinants could have factors that cannot be certified prime.

@@ -176,22 +176,30 @@ class TestSweepCommand:
         assert payload["sizes"][3]["undetected"]
         jsonschema.validate(payload, load_schema("sweep"))
 
-    def test_oracle_skipped_over_cap(self, capsys):
+    @staticmethod
+    def refuse_sweeping(monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a configuration was decided before the oracle refused")
+
+        monkeypatch.setattr(detector, "detects_errors", sweep)
+
+    def test_oracle_refuses_over_cap(self, capsys, monkeypatch):
+        self.refuse_sweeping(monkeypatch)
         code, out, err = run_cli(
             capsys, "sweep", "--builtin", "tenfold", "--group", "7",
             "--detect", "1", "--oracle",
         )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["oracle"]["checked"] == 0
-        assert "skipped" in payload["oracle"]
-        assert "warning" in err
-        jsonschema.validate(payload, load_schema("sweep"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: oracle instance size |G|^(n) = 7^11 = 1977326743 "
+            "exceeds the cap 4194304\n"
+        )
 
-    def test_oracle_skipped_over_compressed_operator_cap(self, capsys, monkeypatch, tmp_path):
+    def test_oracle_refuses_over_compressed_operator_cap(self, capsys, monkeypatch, tmp_path):
         # 2**20 code matrix entries, but one compressed operator over 18
         # inputs would hold 2**36: refused before the oracle touches numpy
         refuse_before_allocating(monkeypatch)
+        self.refuse_sweeping(monkeypatch)
         path = tmp_path / "path.graph"
         path.write_text(serialize_graph(
             WeightedGraph.from_edges(20, [(v, v + 1, 1) for v in range(19)], range(18))
@@ -199,16 +207,11 @@ class TestSweepCommand:
         code, out, err = run_cli(
             capsys, "sweep", "--graph", str(path), "--detect", "1", "--oracle"
         )
-        assert code == 1  # more inputs than outputs: nothing is detected
-        payload = json.loads(out)
-        assert payload["all_detected"] is False
-        assert payload["oracle"] == {"checked": 0, "skipped": "size cap exceeded"}
-        assert (
-            "warning: oracle skipped: oracle compressed operator size |G|^(2|X|) = "
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: oracle compressed operator size |G|^(2|X|) = "
             "2^36 = 68719476736 exceeds the cap 4194304\n"
-        ) in err
-        assert "Traceback" not in err
-        jsonschema.validate(payload, load_schema("sweep"))
+        )
 
     def test_inputs_override(self, capsys):
         code, payload = run_json(
@@ -330,17 +333,25 @@ def write_cycle(path: Path, size: int) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("command", [("subdets", "--graph"), ("search", "--skeleton")])
+@pytest.mark.parametrize(
+    "command",
+    [("subdets", "--graph"), ("search", "--skeleton"),
+     ("search", "--bound", "100000000", "--skeleton")],
+)
 def test_partition_cap_exit_two(capsys, monkeypatch, tmp_path, command):
     def refuse(size):
         raise AssertionError("partitions listed past the cap")
 
     monkeypatch.setattr(singleton, "_partitions", refuse)
-    path = write_cycle(tmp_path / "c26.graph", 26)
-    code, out, err = run_cli(capsys, *command, path)
-    assert code == 2
-    assert out == ""
-    assert "5200300 half-half partitions" in err and "2097152" in err
+    for size in (26, 48, 50, 70):
+        path = write_cycle(tmp_path / f"c{size}.graph", size)
+        code, out, err = run_cli(capsys, *command, path)
+        assert (code, out) == (2, "")
+        count = math.comb(size - 1, size // 2 - 1)
+        assert err == (
+            f"error: {size} vertices have {count} half-half partitions, "
+            "more than the cap of 2097152\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -435,19 +446,13 @@ class TestSearchCommand:
         assert out == ""
         assert "largest accepted bound is 674773" in err
 
-    def test_bound_is_checked_before_the_skeleton_size(self, capsys, tmp_path):
+    def test_skeleton_is_checked_before_the_bound(self, capsys, tmp_path):
         path = write_cycle(tmp_path / "c7.graph", 7)
-        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "2")
-        assert (code, out) == (2, "")
-        assert err == "error: skeleton size must be even and positive, got 7\n"
-        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "100000000")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --bound 100000000 is too large") and "3 x 3 blocks" in err
-        # past the partition cap too, the bound is reported first
-        path = write_cycle(tmp_path / "c26.graph", 26)
-        code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", "100000000")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --bound 100000000 is too large") and "13 x 13 blocks" in err
+        for bound in ("2", "100000000"):
+            code, out, err = run_cli(capsys, "search", "--skeleton", path, "--bound", bound)
+            assert (code, out) == (2, "")
+            assert err == "error: skeleton size must be even and positive, got 7\n"
+        # past the partition cap, test_partition_cap_exit_two checks both bounds
 
     def test_largest_certifiable_bound_succeeds(self, capsys):
         code, payload = run_json(
