@@ -13,13 +13,17 @@ product of cyclic groups.
 
 Single verdicts and sweeps share one engine: configurations of one size are
 decided together, CHUNK at a time, by ``zmodlinalg.kernel_mod_batch``, and
-both conditions are checked on all their generators at once.  A sweep
-eliminates once, modulo the group exponent L (the lcm of the factors), while
-``detects`` eliminates modulo each factor in turn because its certificate
-lists them all.  The two agree: a violating kernel vector x modulo a factor
-d gives the violating vector (L/d) x modulo L; and by CRT a violation modulo
-L shows modulo some maximal prime power p^k of L, where p^k divides a factor
-d, so the same vector times d/p^k violates modulo d.
+both conditions are checked on all their generators at once.  One gather,
+``_kernel_checks``, indexes every system and cross block out of residues of
+gamma whose rows are vertices, so a single verdict and a sweep batch lay a
+configuration's system out alike.  A sweep reduces all of gamma once, modulo
+the group exponent L (the lcm of the factors), and eliminates modulo L,
+while ``detects`` reduces only its system's columns and eliminates modulo
+each factor in turn because its certificate lists them all.  The two agree:
+a violating kernel vector x modulo a factor d gives the violating vector
+(L/d) x modulo L; and by CRT a violation modulo L shows modulo some maximal
+prime power p^k of L, where p^k divides a factor d, so the same vector times
+d/p^k violates modulo d.
 
 A sweep decides its sizes in increasing order and prunes, because detection
 is downward-closed (Knill and Laflamme, PRA 55, 900, 1997).  For
@@ -163,32 +167,38 @@ class SweepReport:
         return out
 
 
-def _residues(block, cols: int, d: int, n: int) -> np.ndarray:
-    """The rows of ``block``, ``cols`` Python ints each, modulo d, reduced on
-    Python ints; int64 when the engine's arithmetic modulo d on an n-vertex
-    graph fits in it, else Python ints in an object array."""
+def _residues(graph: WeightedGraph, cols, d: int) -> np.ndarray:
+    """The columns ``cols`` of gamma, every row, modulo d: an (n, len(cols))
+    array reduced on Python ints, int64 when the engine's arithmetic modulo d
+    on the n-vertex graph fits in it, else Python ints in an object array."""
     return np.array(
-        [[x % d for x in row] for row in block],
-        dtype=np.int64 if fits_int64(d, n) else object,
-    ).reshape(len(block), cols)
+        [[row[c] % d for c in cols] for row in graph.gamma],
+        dtype=np.int64 if fits_int64(d, graph.n) else object,
+    ).reshape(graph.n, len(cols))
 
 
-def _kernel_checks(systems: np.ndarray, cross: np.ndarray, inputs: int, d: int):
+def _kernel_checks(residues: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   inputs: np.ndarray, d: int):
     """Kernel generators modulo d and both condition checks for a batch of
-    detection systems of one size.
+    detection systems of one size, gathered from ``residues``.
 
-    ``systems`` stacks the (N, rows, inputs + size) blocks gamma[I, X u E]
-    modulo d, columns ordered inputs first, then errors, and ``cross`` the
-    (N, inputs, size) blocks gamma[X, E].  Returns ``(gens, bad_input,
-    bad_coupling)``: ``gens`` is the (N, n, n) generator array of
-    ``kernel_mod_batch``; ``bad_input[b, j]`` says generator j of system b
-    is nonzero on the inputs, and ``bad_coupling[b, j]`` that gamma[X, E]
-    does not annihilate its error part.  Zero rows of ``gens`` pass both
-    checks.
+    ``residues`` holds columns of gamma modulo d with rows indexed by vertex
+    (see ``_residues``).  Row b of ``rows`` lists the untouched outputs I of
+    system b, and row b of ``cols`` its residue columns, the inputs' first,
+    then the errors'; ``inputs`` lists the input vertices.  System b is then
+    residues[rows[b], cols[b]], gamma[I, X u E], and its cross block
+    residues[inputs, cols[b, |X|:]], gamma[X, E].  Returns ``(gens,
+    bad_input, bad_coupling)``: ``gens`` is the (N, |X| + size, |X| + size)
+    generator array of ``kernel_mod_batch``; ``bad_input[b, j]`` says
+    generator j of system b is nonzero on the inputs, and ``bad_coupling[b,
+    j]`` that gamma[X, E] does not annihilate its error part.  Zero rows of
+    ``gens`` pass both checks.
     """
-    gens = kernel_mod_batch(systems, d)
-    bad_input = (gens[:, :, :inputs] != 0).any(axis=2)
-    image = cross @ gens[:, :, inputs:].transpose(0, 2, 1) % d
+    gens = kernel_mod_batch(residues[rows[:, :, None], cols[:, None, :]], d)
+    x = len(inputs)
+    bad_input = (gens[:, :, :x] != 0).any(axis=2)
+    cross = residues[inputs[None, :, None], cols[:, None, x:]]
+    image = cross @ gens[:, :, x:].transpose(0, 2, 1) % d
     return gens, bad_input, (image != 0).any(axis=1)
 
 
@@ -199,8 +209,8 @@ def detects(
 
     The factors are eliminated one at a time, in order; the first with a
     violating generator gives the witness, and later factors are not
-    eliminated.  Each factor reduces only the system's blocks of gamma, not
-    all of it.
+    eliminated.  Each factor reduces only the columns of gamma the system
+    reads, the inputs' and the configuration's, not all of it.
     """
     cfg = validated_config(graph, config)
     engine = (*graph.inputs, *cfg)
@@ -208,16 +218,13 @@ def detects(
     order = sorted(range(len(engine)), key=engine.__getitem__)
     verdict = partial(DetectionVerdict, graph, group, cfg)
     errors = set(cfg)
-    rows = [y for y in graph.outputs if y not in errors]
-    system = graph.submatrix(rows, engine)
-    cross = graph.submatrix(graph.inputs, cfg)
+    rows = np.array([[y for y in graph.outputs if y not in errors]], dtype=np.intp)
+    cols = np.arange(len(engine))[None]
+    inputs = np.array(graph.inputs, dtype=np.intp)
     certificate = []
     for d in group.factors:
         gens, bad_input, bad_coupling = (x[0] for x in _kernel_checks(
-            _residues(system, len(engine), d, graph.n)[None],
-            _residues(cross, len(cfg), d, graph.n)[None],
-            len(graph.inputs), d,
-        ))
+            _residues(graph, engine, d), rows, cols, inputs, d))
         gens = list(map(tuple, gens[:, order].tolist()))
         failing = bad_input | bad_coupling
         if failing.any():
@@ -267,35 +274,30 @@ def _survivors(outputs: tuple[int, ...], size: int, below: set, inherited: list)
         yield np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
 
 
-def _undetected(graph: WeightedGraph, gamma: np.ndarray, d: int, errs: np.ndarray):
+def _undetected(gamma: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, d: int,
+                errs: np.ndarray):
     """Undetected configurations, as tuples in order, of an (N, size) batch
     of error vertices, eliminated modulo d; ``gamma`` is the whole gamma
-    modulo d."""
+    modulo d, and ``inputs`` and ``outputs`` are the graph's vertices."""
     batch, size = errs.shape
-    inputs = np.array(graph.inputs, dtype=np.intp)
-    outputs = np.array(graph.outputs, dtype=np.intp)
     untouched = (outputs[None, :, None] != errs[:, None, :]).all(axis=2)
     rows = np.broadcast_to(outputs, untouched.shape)[untouched].reshape(
         batch, len(outputs) - size
     )
     cols = np.concatenate((np.broadcast_to(inputs, (batch, len(inputs))), errs), axis=1)
-    _, bad_input, bad_coupling = _kernel_checks(
-        gamma[rows[:, :, None], cols[:, None, :]],
-        gamma[inputs[None, :, None], errs[:, None, :]],
-        len(inputs), d,
-    )
+    _, bad_input, bad_coupling = _kernel_checks(gamma, rows, cols, inputs, d)
     return list(map(tuple, errs[(bad_input | bad_coupling).any(axis=1)].tolist()))
 
 
-# (graph, gamma modulo d, d) of the sweep a pool worker serves: set by
-# ``_start_worker`` in each worker process only, so they cross to a worker
+# (gamma modulo d, inputs, outputs, d) of the sweep a pool worker serves: set
+# by ``_start_worker`` in each worker process only, so they cross to a worker
 # once rather than with every batch.
 _worker_sweep = None
 
 
-def _start_worker(graph: WeightedGraph, gamma: np.ndarray, d: int) -> None:
+def _start_worker(*sweep) -> None:
     global _worker_sweep
-    _worker_sweep = (graph, gamma, d)
+    _worker_sweep = sweep
 
 
 def _undetected_in_worker(errs: np.ndarray):
@@ -323,7 +325,8 @@ def _sweep(
     start = time.perf_counter()
     workers = worker_count(workers, usable_cpus(), total)
     # one elimination modulo the group exponent: see the module docstring
-    sweep = (graph, _residues(graph.gamma, graph.n, group.exponent, graph.n),
+    sweep = (_residues(graph, range(graph.n), group.exponent),
+             np.array(graph.inputs, dtype=np.intp), np.array(graph.outputs, dtype=np.intp),
              group.exponent)
     with contextlib.ExitStack() as stack:
         if workers > 1:

@@ -12,8 +12,6 @@ import math
 
 from ._frozen import Frozen, integer_list, integers
 
-IntMatrix = list[list[int]]
-
 # Largest sweep, in configurations, and oracle matrix or operator, in entries.
 SIZE_CAP = 2**22
 # Largest vertex count a graph file may declare: n**2 = SIZE_CAP matrix entries.
@@ -81,10 +79,6 @@ class WeightedGraph(Frozen):
             for v in range(u + 1, self.n)
             if self.gamma[u][v] != 0
         ]
-
-    def submatrix(self, rows, cols) -> IntMatrix:
-        """The block gamma[rows, cols] in the given vertex orders."""
-        return [[self.gamma[k][l] for l in cols] for k in rows]
 
     def with_inputs(self, new_inputs) -> "WeightedGraph":
         return WeightedGraph(self.gamma, tuple(new_inputs), name=self.name)

@@ -1,10 +1,10 @@
-"""Shared test utilities: random instances, detection systems, the reference
-Smith normal form and the kernels read off it, brute-force kernels, strong
-detection and determinants, canonical forms of small graphs, verdict
-re-verification, the export format written by `csv.writer`, and a guard that
-the oracle refuses before using numpy.  Matrices are plain lists of row
-lists; operations that must work on matrices with zero rows take an explicit
-column count."""
+"""Shared test utilities: random instances, blocks of gamma and detection
+systems, the reference Smith normal form and the kernels read off it,
+brute-force kernels, strong detection and determinants, canonical forms of
+small graphs, verdict re-verification, the export format written by
+`csv.writer`, and a guard that the oracle refuses before using numpy.
+Matrices are plain lists of row lists; operations that must work on matrices
+with zero rows take an explicit column count."""
 
 from __future__ import annotations
 
@@ -158,13 +158,19 @@ def kernel_from_snf(snf: SmithDecomposition, d: int) -> tuple[tuple[int, ...], .
     return tuple(generators)
 
 
+def submatrix(graph: WeightedGraph, rows, cols) -> list[list[int]]:
+    """The block gamma[rows, cols] in the given vertex orders, read off
+    ``graph.gamma`` entry by entry, independently of the detector's gather."""
+    return [[graph.gamma[k][l] for l in cols] for k in rows]
+
+
 def detection_system(graph: WeightedGraph, config):
     """Rows (untouched outputs), columns (inputs plus errors) and the block
     of gamma linking them, in ascending vertex order."""
     cfg = validated_config(graph, config)
     rows = tuple(y for y in graph.outputs if y not in cfg)
     cols = tuple(sorted(graph.inputs + cfg))
-    return rows, cols, graph.submatrix(rows, cols)
+    return rows, cols, submatrix(graph, rows, cols)
 
 
 def reference_canonical_bits(gamma) -> str:
@@ -298,7 +304,7 @@ def verify_witness(graph, verdict) -> None:
     input_pos = [i for i, c in enumerate(cols) if c in input_set]
     error_pos = [i for i, c in enumerate(cols) if c not in input_set]
     violates_inputs = any(vec[p] % d for p in input_pos)
-    cross = graph.submatrix(graph.inputs, verdict.configuration)
+    cross = submatrix(graph, graph.inputs, verdict.configuration)
     image = mat_vec_mod(cross, [vec[p] for p in error_pos], d)
     violates_coupling = any(image)
     assert violates_inputs or violates_coupling
@@ -316,7 +322,7 @@ def verify_certificate(graph, verdict) -> None:
     input_set = set(graph.inputs)
     input_pos = [i for i, c in enumerate(cols) if c in input_set]
     error_pos = [i for i, c in enumerate(cols) if c not in input_set]
-    cross = graph.submatrix(graph.inputs, verdict.configuration)
+    cross = submatrix(graph, graph.inputs, verdict.configuration)
     assert verdict.certificate is not None
     assert verdict.graph == graph
     assert [d for d, _ in verdict.certificate] == list(verdict.group.factors)

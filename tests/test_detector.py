@@ -14,6 +14,7 @@ from helpers import (
     random_graph,
     smith_normal_form,
     strong_detects,
+    submatrix,
     verify_certificate,
     verify_witness,
 )
@@ -41,7 +42,7 @@ def snf_detected(graph, group, config) -> bool:
     snf = smith_normal_form(system, ncols=len(cols))
     input_pos = [i for i, c in enumerate(cols) if c in graph.inputs]
     error_pos = [i for i, c in enumerate(cols) if c not in graph.inputs]
-    cross = graph.submatrix(graph.inputs, config)
+    cross = submatrix(graph, graph.inputs, config)
     for d in group.factors:
         for vec in kernel_from_snf(snf, d):
             if any(vec[p] for p in input_pos):
@@ -56,7 +57,7 @@ def brute_force_detected(graph, group, config) -> bool:
     the detection system, for any factor d, is nonzero on the inputs or
     outside the kernel of gamma[X, E]."""
     _, cols, system = detection_system(graph, config)
-    cross = graph.submatrix(graph.inputs, config)
+    cross = submatrix(graph, graph.inputs, config)
     input_pos = [i for i, c in enumerate(cols) if c in graph.inputs]
     error_pos = [i for i, c in enumerate(cols) if c not in graph.inputs]
     for d in group.factors:
@@ -385,8 +386,8 @@ class TestSweeps:
 
         # A real pool of spawned workers, forced on the small sweep, gives
         # the serial report.
-        # The graph goes to each worker once, not with every batch: its
-        # pickles are counted here, where the pool sends them.
+        # Workers get gamma's residues and the vertex arrays, never the
+        # graph: its pickles are counted here, where the pool sends them.
         monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
         monkeypatch.setattr(detector, "usable_cpus", lambda: 2)
         pickles = []
@@ -397,7 +398,7 @@ class TestSweeps:
 
         monkeypatch.setattr(WeightedGraph, "__reduce_ex__", counted_reduce, raising=False)
         parallel = detects_errors(sparse, FiniteAbelianGroup([2, 4]), 5, workers=2)
-        assert 1 <= len(pickles) <= parallel.workers
+        assert pickles == []
         assert parallel.workers == 2 and reports["sparse"].workers == 1
         assert parallel.pruned == reports["sparse"].pruned
         assert parallel == reports["sparse"] and hash(parallel) == hash(reports["sparse"])
@@ -634,9 +635,9 @@ class TestOneModulusPerCall:
         batches = []
         undetected = detector._undetected
 
-        def spy(graph, gamma, d, errs):
+        def spy(gamma, inputs, outputs, d, errs):
             batches.append(errs)
-            return undetected(graph, gamma, d, errs)
+            return undetected(gamma, inputs, outputs, d, errs)
 
         monkeypatch.setattr(detector, "_undetected", spy)
         batches_of_five = []
@@ -713,6 +714,57 @@ class TestOneModulusPerCall:
         verify_certificate(wheel, verdict)
 
 
+class TestOneGather:
+    def test_detects_and_sweep_batches_lay_systems_out_alike(self, monkeypatch):
+        # the sparse graph of TestOneModulusPerCall with inputs 5 and 9, over
+        # cyclic groups, so that detects' one factor is the sweep's modulus L:
+        # Z3 detects every configuration up to size 3, Z4 prunes some
+        rng = random.Random(3)
+        edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
+        graph = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,)).with_inputs((5, 9))
+        systems, batches = [], []
+        kernel, undetected = detector.kernel_mod_batch, detector._undetected
+
+        def spy_kernel(batch, d):
+            systems.append((batch, d))
+            return kernel(batch, d)
+
+        def spy_undetected(gamma, inputs, outputs, d, errs):
+            batches.append(errs)
+            return undetected(gamma, inputs, outputs, d, errs)
+
+        monkeypatch.setattr(detector, "kernel_mod_batch", spy_kernel)
+        monkeypatch.setattr(detector, "_undetected", spy_undetected)
+        for d, pruned in ((3, False), (4, True)):
+            group = FiniteAbelianGroup([d])
+            systems.clear()
+            batches.clear()
+            report = detects_errors(graph, group, 3)
+            assert (report.pruned > 0) == pruned
+            # one elimination per sweep batch, row b of it for configuration b
+            assert len(systems) == len(batches)
+            assert all(modulus == d for _, modulus in systems)
+            swept = {
+                tuple(cfg): system
+                for errs, (batch, _) in zip(batches, systems)
+                for cfg, system in zip(errs.tolist(), batch)
+            }
+            assert len(swept) == sum(report.checked) - report.pruned
+            below = set(report.undetected)
+            for size in range(4):
+                for cfg in itertools.combinations(graph.outputs, size):
+                    systems.clear()
+                    detects(graph, group, cfg)
+                    ((single, modulus),) = systems
+                    assert modulus == d and len(single) == 1
+                    if cfg in swept:
+                        assert single.dtype == swept[cfg].dtype
+                        assert np.array_equal(single[0], swept[cfg])
+                    else:
+                        # decided by pruning: an undetected subset one smaller
+                        assert below.intersection(itertools.combinations(cfg, size - 1))
+
+
 @pytest.fixture(scope="module")
 def sparse_1500():
     """A seeded 1,500-vertex graph of density 0.002, weights 1-3, whose
@@ -750,12 +802,13 @@ class TestLargeGraphDetects:
     @pytest.mark.parametrize("factors, config, expected", PINNED)
     def test_verdict_and_witness_unchanged(self, monkeypatch, sparse_1500, factors, config,
                                            expected):
-        widths = []
+        shapes = []
         residues = detector._residues
 
-        def spy(block, cols, d, n):
-            widths.append(cols)
-            return residues(block, cols, d, n)
+        def spy(graph, cols, d):
+            out = residues(graph, cols, d)
+            shapes.append(out.shape)
+            return out
 
         monkeypatch.setattr(detector, "_residues", spy)
         verdict = detects(sparse_1500, FiniteAbelianGroup(factors), config)
@@ -767,5 +820,6 @@ class TestLargeGraphDetects:
             verify_certificate(sparse_1500, verdict)
         else:
             verify_witness(sparse_1500, verdict)
-        # only the system's columns and the cross block are reduced
-        assert set(widths) <= {1 + len(config), len(config)}
+        # each factor eliminated reduces one block, the system's 1 + |E| columns
+        eliminated = len(factors) if verdict.detected else factors.index(verdict.factor) + 1
+        assert shapes == [(sparse_1500.n, 1 + len(config))] * eliminated

@@ -179,31 +179,6 @@ class TestParseSerialize:
             parse_graph(text)
 
 
-class TestSubmatrix:
-    def test_wheel_block(self, wheel):
-        assert wheel.submatrix((3, 4, 5), (0, 1, 2)) == [
-            [1, 0, 1],
-            [1, 0, 0],
-            [1, 1, 0],
-        ]
-
-    def test_empty_rows(self, wheel):
-        assert wheel.submatrix((), (0, 1, 2)) == []
-
-    def test_single_diagonal(self, wheel):
-        assert wheel.submatrix((0,), (0,)) == [[0]]
-
-    def test_transpose_relation(self, matrix19):
-        k, l = (0, 3, 5), (1, 2, 4)
-        a = matrix19.submatrix(k, l)
-        b = matrix19.submatrix(l, k)
-        assert a == [list(col) for col in zip(*b)]
-
-    def test_partition_independent_of_inputs(self, matrix19):
-        other = matrix19.with_inputs((4, 5))
-        assert matrix19.submatrix((0, 1), (2, 3)) == other.submatrix((0, 1), (2, 3))
-
-
 class TestWheel:
     def test_hub_degree(self, wheel):
         assert degree(wheel, 0) == 5
@@ -276,8 +251,11 @@ class TestMatrix19:
             for j in range(n)
         )
 
-    def test_input_choices(self):
-        assert matrix19_code().with_inputs((0, 1)).inputs == (0, 1)
+    def test_input_choices(self, matrix19):
+        other = matrix19.with_inputs((0, 1))
+        assert other.inputs == (0, 1)
+        # re-partitioning keeps gamma, so no block of it depends on the inputs
+        assert other.gamma == matrix19.gamma
 
 
 class TestEquality:

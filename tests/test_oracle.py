@@ -8,7 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import mat_vec_mod, random_graph, reference_csv, refuse_before_allocating
+from helpers import (
+    mat_vec_mod,
+    random_graph,
+    reference_csv,
+    refuse_before_allocating,
+    submatrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -495,7 +501,7 @@ class TestOmegaTable:
         config = (1, 2)
         table = scalar_table(wheel, wheel_iso_z2, config)
         rows = tuple(v for v in wheel.outputs if v not in config)
-        linking = wheel.submatrix(rows, config)
+        linking = submatrix(wheel, rows, config)
         on_support_modulus = 1 / z2.order ** len(config)
         for (a, b), lam in table.items():
             diff = [x - y for (x,), (y,) in zip(b, a)]
@@ -509,7 +515,7 @@ class TestOmegaTable:
         config = (2, 5)
         table = scalar_table(wheel, iso, config)
         rows = tuple(v for v in wheel.outputs if v not in config)
-        linking = wheel.submatrix(rows, config)
+        linking = submatrix(wheel, rows, config)
         for (a, b), lam in table.items():
             diff = [x - y for (x,), (y,) in zip(b, a)]
             on_support = not any(mat_vec_mod(linking, diff, 3))
