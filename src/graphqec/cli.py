@@ -9,12 +9,15 @@ Exit codes: 0 when the checked claim holds (or a search succeeds), 1 when it
 fails (the JSON payload then carries a machine-checkable witness), 2 on
 usage or input errors, including graph files declaring more than 2,048
 vertices and sweeps over more than 2**22 configurations (both bounds follow
-from ``graphcode.SIZE_CAP``), reports and searches over more than 2**21
-vertex partitions, and search bounds too large to certify the bad primes of
-a hit.  ``sweep --oracle`` on an instance over the oracle's size caps exits
-2 before any configuration is decided.  JSON is written to stdout as it is
-encoded, diagnostics to stderr; a sweep's stderr line reports its wall time,
-configurations checked, configurations decided by pruning and workers used.
+from ``graphcode.SIZE_CAP``), reports and searches over more than
+``SIZE_CAP`` (2**22) vertex partitions (more than 24 vertices), and search
+bounds too large to certify the bad primes of a hit.  A negative sweep size
+(``--detect`` or ``--correct``) is refused while the arguments are parsed,
+before the graph loads.  ``sweep --oracle`` on an instance over the
+oracle's size caps exits 2 before any configuration is decided.  JSON is
+written to stdout as it is encoded, diagnostics to stderr; a sweep's stderr
+line reports its wall time, configurations checked, configurations decided
+by pruning and workers used.
 The ``graphqec`` command ends its process as soon as its output is flushed,
 without interpreter teardown.
 A sweep uses as many workers as the CPUs the process may run on, but no more
@@ -71,6 +74,14 @@ def _load_graph(args) -> WeightedGraph:
     if args.inputs is not None:
         graph = graph.with_inputs(integer_list(args.inputs, "vertex list"))
     return graph
+
+
+def _size(text: str) -> int:
+    """The type of --detect and --correct: an integer >= 0."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_graph_flags(sub, flag="--graph", file_help="graph file to load",
@@ -244,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep all configurations up to a size")
     _add_code_flags(p)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--detect", type=int, metavar="T",
+    mode.add_argument("--detect", type=_size, metavar="T",
                       help="check detection of all configurations of size <= T")
-    mode.add_argument("--correct", type=int, metavar="E",
+    mode.add_argument("--correct", type=_size, metavar="E",
                       help="check correction of E errors (detection up to size 2E)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every verdict against the brute-force oracle")

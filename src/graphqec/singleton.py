@@ -22,12 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import integers
-from .graphcode import symmetric_matrix, vertex_set
+from .graphcode import SIZE_CAP, symmetric_matrix, vertex_set
 from .zmodlinalg import MR_EXACT_BELOW, det_batch, det_fits_int64, prime_factors
-
-# Largest number of half-half partitions a report or search lists: 2**21
-# admits up to 24 vertices (1,352,078 partitions) and refuses 26 (5,200,300).
-MAX_PARTITIONS = 1 << 21
 
 
 def certifiable_bound(m: int, bound: int) -> bool:
@@ -93,74 +89,62 @@ class DeterminantReport:
 
 def _even_matrix(matrix, name: str) -> tuple[tuple[int, ...], ...]:
     """``symmetric_matrix``, refused unless its size is even and positive
-    and its half-half partitions number at most MAX_PARTITIONS.
-
-    Reports and searches list every partition, and reports stack one block
-    per partition, before any determinant is known."""
+    and its half-half partitions, which reports and searches list before any
+    determinant is known, number at most ``graphcode.SIZE_CAP``."""
     rows = symmetric_matrix(matrix, name)
     size = len(rows)
     if not size or size % 2:
         raise ValueError(f"{name} size must be even and positive, got {size}")
     count = math.comb(size - 1, size // 2 - 1)
-    if count > MAX_PARTITIONS:
+    if count > SIZE_CAP:
         raise ValueError(
             f"{size} vertices have {count} half-half partitions, more than the "
-            f"cap of {MAX_PARTITIONS}"
+            f"cap of {SIZE_CAP}"
         )
     return rows
 
 
-def _partitions(size: int):
-    """Unordered half-half partitions as their blocks holding 0, in
-    lexicographic order."""
-    return ((0,) + rest for rest in itertools.combinations(range(1, size), size // 2 - 1))
-
-
-def _partition_arrays(blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of partitions of range(size) and their complements as two
-    (P, size / 2) index arrays, each row ascending."""
-    m = size // 2
-    blocks = np.array(list(blocks), dtype=np.intp).reshape(-1, m)
-    outside = np.ones((len(blocks), size), dtype=bool)
+def _partition_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered half-half partitions of range(size) as two (P, size / 2)
+    index arrays, each row ascending: the blocks holding 0, in lexicographic
+    order, and their complements."""
+    m, count = size // 2, math.comb(size - 1, size // 2 - 1)
+    rest = itertools.chain.from_iterable(itertools.combinations(range(1, size), m - 1))
+    blocks = np.zeros((count, m), dtype=np.intp)
+    blocks[:, 1:] = np.fromiter(rest, dtype=np.intp, count=count * (m - 1)).reshape(count, -1)
+    outside = np.ones((count, size), dtype=bool)
     np.put_along_axis(outside, blocks, False, axis=1)
-    return blocks, np.nonzero(outside)[1].reshape(len(blocks), m)
+    return blocks, np.nonzero(outside)[1].reshape(count, m)
 
 
 def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Determinants of the blocks gamma[block, comp] of every partition, for
-    one matrix (shape (P,)) or a stack of matrices (shape (N, P))."""
-    stack = gammas[..., blocks[:, :, None], comps[:, None, :]]
-    m = blocks.shape[1]
-    return det_batch(stack.reshape(-1, m, m)).reshape(stack.shape[:-2])
+    one matrix (shape (P,)) or a stack of matrices (shape (N, P)).
 
-
-def _dets(rows, partitions) -> tuple[int, ...]:
-    """Exact determinant of the off-diagonal block of every partition."""
-    m = len(rows) // 2
-    blocks, comps = _partition_arrays(partitions, len(rows))
-    # int64 weights let det_batch read its guard bound with numpy; only
-    # weights past int64 need Python ints.
-    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
-    gamma = np.array(rows, dtype=np.int64 if fits else object)
-    # Batches of at most _STACK_ENTRIES block entries bound the memory of
-    # the stacked blocks, which hold Python ints past the int64 guard.
-    step = max(1, _STACK_ENTRIES // (m * m))
-    return tuple(
-        det
-        for first in range(0, len(blocks), step)
-        for det in _offdiag_dets(
-            gamma, blocks[first : first + step], comps[first : first + step]
-        ).tolist()
-    )
+    Slices of partitions are gathered and eliminated one at a time, each at
+    most ``_STACK_ENTRIES`` block entries over all the matrices (or one
+    partition, if its blocks alone are more), so the stack stays small even
+    when it holds Python ints past the int64 guard.  The result is object
+    when some slice needed Python ints, else int64."""
+    m, lead = blocks.shape[1], gammas.shape[:-2]
+    step = max(1, _STACK_ENTRIES // (math.prod(lead) * m * m))
+    return np.concatenate([
+        det_batch(gammas[..., blocks[i : i + step, :, None], comps[i : i + step, None, :]]
+                  .reshape(-1, m, m)).reshape(lead + (-1,))
+        for i in range(0, len(blocks), step)
+    ], axis=-1)
 
 
 def offdiag_subdets(gamma, fixed_inputs=()) -> DeterminantReport:
-    """Exact determinant for every unordered half-half partition, or, given
-    fixed inputs, for those keeping all of them on one side.
+    """Exact determinant for every unordered half-half partition, in the
+    order of ``_partition_arrays``, or, given fixed inputs, for those keeping
+    all of them on one side.
 
     With the inputs pinned to one block, only partitions whose block contains
     them all can arise as an inputs-plus-errors side, so only those
-    determinants constrain the code.
+    determinants constrain the code.  Weights that fit int64 are eliminated
+    in int64 (det_batch reads their guard bound with numpy), others on
+    Python ints.
     """
     rows = _even_matrix(gamma, "matrix")
     m = len(rows) // 2
@@ -169,21 +153,22 @@ def offdiag_subdets(gamma, fixed_inputs=()) -> DeterminantReport:
         raise ValueError(f"at most {m} fixed inputs allowed, got {fixed}")
     if any(not 0 <= v < 2 * m for v in fixed):
         raise ValueError(f"fixed inputs out of range: {fixed}")
-    partitions = _partitions(2 * m)
+    blocks, comps = _partition_arrays(2 * m)
     if fixed:
-        keep = set(fixed)
-        partitions = (
-            block for block in partitions if keep <= set(block) or keep.isdisjoint(block)
-        )
-    partitions = tuple(partitions)
-    return DeterminantReport(partitions=partitions, dets=_dets(rows, partitions))
+        # each block holds 0 to len(fixed) of them: keep both ends
+        keep = np.isin(blocks, fixed).sum(axis=1) % len(fixed) == 0
+        blocks, comps = blocks[keep], comps[keep]
+    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
+    dets = _offdiag_dets(np.array(rows, dtype=np.int64 if fits else object), blocks, comps)
+    return DeterminantReport(tuple(zip(*blocks.T.tolist())), tuple(dets.tolist()))
 
 
 # Attempts in search_weights' first batch; later batches double up to
 # SEARCH_CHUNK_MAX.  For matrix19 a full batch's int64 matrices take 0.13 MB.
 SEARCH_CHUNK = 32
 SEARCH_CHUNK_MAX = 256
-# Largest number of int64 block entries handed to one determinant batch.
+# Largest number of block entries gathered into one determinant batch, by
+# _offdiag_dets for reports and searches and by _unimodular_blocks.
 _STACK_ENTRIES = 1 << 15
 # Graph codes per census batch: 2**CENSUS_BATCH_BITS (1 MB of uint32).
 CENSUS_BATCH_BITS = 18
@@ -256,14 +241,14 @@ def search_weights(skeleton, weight_bound: int, seed: int, budget: int) -> Weigh
     attempt's weights do not depend on the batch it runs in.  While
     ``det_fits_int64`` holds, attempts run in batches of ``SEARCH_CHUNK``
     doubling up to ``SEARCH_CHUNK_MAX``; past the guard, one at a time.
-    Partitions are checked in groups of 1, 2, 4, ... (each at most
-    ``_STACK_ENTRIES`` block entries over the attempts still alive),
-    dropping the attempts with a zero determinant after each group; the
-    first attempt left wins.  From the second batch on, the partitions that
-    zeroed the most determinants so far are checked first, which at bound 1
-    on matrix19 kills most attempts with the first block.  A skeleton row
-    with fewer than m nonzero entries forces a zero determinant, so that
-    case fails immediately without spending budget.
+    Partitions are checked in groups of 1, 2, 4, ... over the attempts
+    still alive (``_offdiag_dets`` bounds each gather), dropping the
+    attempts with a zero determinant after each group; the first attempt
+    left wins.  From the second batch on, the partitions that zeroed the
+    most determinants so far are checked first, which at bound 1 on
+    matrix19 kills most attempts with the first block.  A skeleton row with
+    fewer than m nonzero entries forces a zero determinant, so that case
+    fails immediately without spending budget.
     """
     support = np.array(_even_matrix(skeleton, "skeleton"), dtype=object) != 0
     weight_bound, seed, budget = integers((weight_bound, seed, budget), "search arguments")
@@ -276,7 +261,7 @@ def search_weights(skeleton, weight_bound: int, seed: int, budget: int) -> Weigh
     if support.sum(axis=1).min() < m:
         return WeightSearchResult(matrix=None, attempts=0)
     us, vs = np.nonzero(np.triu(support, 1))
-    blocks, comps = _partition_arrays(_partitions(size), size)
+    blocks, comps = _partition_arrays(size)
     # An 8-byte blake2b digest of the decimal seed: every int has its own key.
     key = np.uint64(int.from_bytes(blake2b(str(seed).encode(), digest_size=8).digest(), "little"))
     # Weights past the guard make det_batch eliminate on Python ints; one
@@ -295,12 +280,11 @@ def search_weights(skeleton, weight_bound: int, seed: int, budget: int) -> Weigh
         alive = np.arange(len(attempts))
         first, group = 0, 1
         while first < len(order) and alive.size:
-            count = min(group, max(1, _STACK_ENTRIES // (alive.size * m * m)))
-            part = order[first : first + count]
+            part = order[first : first + group]
             dead = _offdiag_dets(gammas[alive], blocks[part], comps[part]) == 0
             zeros[part] += dead.sum(axis=0)
             alive = alive[~dead.any(axis=1)]
-            first, group = first + count, 2 * group
+            first, group = first + group, 2 * group
         if alive.size:
             return WeightSearchResult(
                 matrix=tuple(map(tuple, gammas[alive[0]].tolist())),
@@ -391,7 +375,7 @@ def _unimodular_codes(n: int):
         sum((low >> b & 1).astype(np.uint8) for b in bits if b < low_bits) for bits in incident
     ]
     high_masks = [sum(1 << b for b in bits if b >= low_bits) for bits in incident]
-    blocks, comps = _partition_arrays(_partitions(n), n)
+    blocks, comps = _partition_arrays(n)
     block_bits = pair_bits[blocks[:, :, None], comps[:, None, :]].reshape(len(blocks), -1)
     unimodular = _unimodular_blocks(m)
     for high in range(0, 1 << nbits, 1 << low_bits):

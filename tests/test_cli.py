@@ -213,6 +213,23 @@ class TestSweepCommand:
             "2^36 = 68719476736 exceeds the cap 4194304\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--detect", "--correct"])
+    def test_negative_size_refused_while_parsing(self, capsys, monkeypatch, flag):
+        # refused before the graph loads, the oracle is built or any sweep runs
+        from graphqec import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the sweep size was checked")
+
+        for module, name in ((cli, "_read_graph"), (oracle, "build_isometry"),
+                             (detector, "detects_errors"), (detector, "corrects_errors")):
+            monkeypatch.setattr(module, name, refuse)
+        code, out, err = run_cli(
+            capsys, "sweep", "--builtin", "tenfold", "--group", "4", flag, "-1", "--oracle"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(f"graphqec sweep: error: argument {flag}: must be >= 0, got -1\n")
+
     def test_inputs_override(self, capsys):
         code, payload = run_json(
             capsys, "sweep", "--builtin", "wheel", "--inputs", "3",
@@ -342,7 +359,7 @@ def test_partition_cap_exit_two(capsys, monkeypatch, tmp_path, command):
     def refuse(size):
         raise AssertionError("partitions listed past the cap")
 
-    monkeypatch.setattr(singleton, "_partitions", refuse)
+    monkeypatch.setattr(singleton, "_partition_arrays", refuse)
     for size in (26, 48, 50, 70):
         path = write_cycle(tmp_path / f"c{size}.graph", size)
         code, out, err = run_cli(capsys, *command, path)
@@ -350,7 +367,7 @@ def test_partition_cap_exit_two(capsys, monkeypatch, tmp_path, command):
         count = math.comb(size - 1, size // 2 - 1)
         assert err == (
             f"error: {size} vertices have {count} half-half partitions, "
-            "more than the cap of 2097152\n"
+            "more than the cap of 4194304\n"
         )
 
 

@@ -247,6 +247,58 @@ class TestOffdiagSubdets:
         assert all({"I", "det"} == set(p) for p in payload["partitions"])
 
 
+def random_symmetric(size: int, seed: int, weight=1, stack=()):
+    """Symmetric matrices with zero diagonal and entries in weight * [-3, 3],
+    an int64 array, or an object array of Python ints past int64."""
+    upper = np.triu(np.random.default_rng(seed).integers(-3, 4, stack + (size, size)), 1)
+    gammas = upper + np.swapaxes(upper, -1, -2)
+    return gammas * weight if weight < 2**62 else gammas.astype(object) * weight
+
+
+class TestPartitionArrays:
+    @pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 12])
+    def test_blocks_and_complements_in_order(self, size):
+        blocks, comps = singleton._partition_arrays(size)
+        assert blocks.dtype == comps.dtype == np.intp
+        want = list(half_partitions(size))
+        assert blocks.tolist() == [list(block) for block, _ in want]
+        assert comps.tolist() == [list(comp) for _, comp in want]
+
+
+class TestOffdiagDets:
+    """Sliced gathers against one unsliced det_batch call, with
+    _STACK_ENTRIES small enough that slices split the partition list."""
+
+    @pytest.mark.parametrize("entries", [10, 300])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("weight", [1, 2**70])
+    def test_slices_match_one_batch(self, monkeypatch, entries, stack, weight):
+        size, m = 10, 5
+        gammas = random_symmetric(size, 7, weight, stack)
+        blocks, comps = singleton._partition_arrays(size)
+        whole = zmodlinalg.det_batch(
+            gammas[..., blocks[:, :, None], comps[:, None, :]].reshape(-1, m, m)
+        ).reshape(stack + (-1,))
+        assert whole.dtype == (np.int64 if weight == 1 else object)
+        sliced = []
+
+        def spy(stacked):
+            sliced.append(stacked.shape[0])
+            return zmodlinalg.det_batch(stacked)
+
+        monkeypatch.setattr(singleton, "det_batch", spy)
+        monkeypatch.setattr(singleton, "_STACK_ENTRIES", entries)
+        dets = singleton._offdiag_dets(gammas, blocks, comps)
+        assert dets.shape == whole.shape == stack + (len(blocks),)
+        assert dets.dtype == whole.dtype
+        assert dets.tolist() == whole.tolist()
+        # each slice holds at most `entries` block entries, or one partition
+        matrices = math.prod(stack)
+        assert len(sliced) > 1
+        assert sum(sliced) == matrices * len(blocks)
+        assert all(n * m * m <= max(entries, matrices * m * m) for n in sliced)
+
+
 def strongly_ec(gamma, p: int) -> bool:
     """Strong error correction modulo the prime p: no block determinant of
     the report vanishes modulo p.  No determinant is factored."""
@@ -287,6 +339,31 @@ class TestRestricted:
         for block in report.partitions:
             assert {0, 1} <= set(block) or {0, 1}.isdisjoint(block)
 
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_mask_matches_set_rule(self, monkeypatch, size):
+        # content and order for every fixed set of size <= m, and no
+        # restricted report gathers more partitions than it keeps
+        gamma = random_symmetric(size, size).tolist()
+        full = offdiag_subdets(gamma)
+        det_of = dict(zip(full.partitions, full.dets))
+        gathered = []
+
+        def spy(gammas, blocks, comps):
+            gathered.append(len(blocks))
+            return offdiag_dets(gammas, blocks, comps)
+
+        offdiag_dets = singleton._offdiag_dets
+        monkeypatch.setattr(singleton, "_offdiag_dets", spy)
+        for k in range(size // 2 + 1):
+            for fixed in itertools.combinations(range(size), k):
+                keep = set(fixed)
+                want = [block for block, _ in half_partitions(size)
+                        if keep <= set(block) or keep.isdisjoint(block)]
+                report = offdiag_subdets(gamma, fixed[::-1])
+                assert list(report.partitions) == want
+                assert report.dets == tuple(det_of[block] for block in want)
+                assert gathered.pop() == len(want) <= len(full.partitions)
+
     def test_too_many_inputs_rejected(self, matrix19):
         with pytest.raises(ValueError):
             offdiag_subdets(matrix19.gamma, (0, 1, 2, 3, 4))
@@ -305,7 +382,7 @@ def cycle(size: int) -> tuple[tuple[int, ...], ...]:
 
 
 class TestPartitionCap:
-    """26 vertices have 5,200,300 half-half partitions, over the 2**21 cap;
+    """26 vertices have 5,200,300 half-half partitions, over the 2**22 cap;
     24 have 1,352,078, under it."""
 
     @pytest.fixture
@@ -313,17 +390,17 @@ class TestPartitionCap:
         def refuse(size):
             raise AssertionError("partitions listed past the cap")
 
-        monkeypatch.setattr(singleton, "_partitions", refuse)
+        monkeypatch.setattr(singleton, "_partition_arrays", refuse)
 
     def test_reports_refuse_26_vertices(self, no_listing):
-        with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
+        with pytest.raises(ValueError, match="5200300 half-half partitions.*4194304"):
             offdiag_subdets(cycle(26))
         with pytest.raises(ValueError, match="5200300 half-half partitions"):
             offdiag_subdets(cycle(26), (0,))
 
     def test_skeleton_refuses_26_vertices_when_built(self, no_listing):
         # the skeleton is read before the bound, seed and budget
-        with pytest.raises(ValueError, match="5200300 half-half partitions.*2097152"):
+        with pytest.raises(ValueError, match="5200300 half-half partitions.*4194304"):
             search_weights(cycle(26), 0, 0.5, -1)
 
     def test_search_refuses_26_vertices(self, no_listing):
