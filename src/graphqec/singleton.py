@@ -114,7 +114,9 @@ def _partition_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
     blocks[:, 1:] = np.fromiter(rest, dtype=np.intp, count=count * (m - 1)).reshape(count, -1)
     outside = np.ones((count, size), dtype=bool)
     np.put_along_axis(outside, blocks, False, axis=1)
-    return blocks, np.nonzero(outside)[1].reshape(count, m)
+    comps = np.flatnonzero(outside)
+    comps %= size
+    return blocks, comps.reshape(count, m)
 
 
 def _offdiag_dets(gammas: np.ndarray, blocks: np.ndarray, comps: np.ndarray) -> np.ndarray:

@@ -664,34 +664,74 @@ class TestOneModulusPerCall:
         # (the second prunes every size down to one batch)
         assert batches_of_five[0] > 2
 
-    def test_pool_keeps_eight_batches_per_worker_in_flight(self, monkeypatch):
-        # the sparse Z2xZ4 sweep above, cut into batches of 8 so that each
-        # size is many more batches than the pool may hold at once
-        from concurrent.futures import ProcessPoolExecutor
+    def test_pool_task_pipe_bounds_batches_in_flight(self, monkeypatch):
+        # A 24-vertex graph over Z2xZ4 to size 4, cut into batches of 8: size
+        # 4 alone is 1,079 batches, far more than the pool's task pipe holds
+        # (64 KiB on Linux, about 47 tasks of four such batches pickled).
+        # Batches the parent has produced and not yet consumed the result of
+        # peaked at 199-219 on a 2-vCPU VM; every batch of a size in flight
+        # at once (``pool.map``) would be 1,079.
+        import multiprocessing.pool
+
+        rng = random.Random(1)
+        edges = [
+            (u, v, rng.randint(1, 3)) for u in range(24) for v in range(u + 1, 24)
+            if rng.random() < 0.3
+        ]
+        graph = WeightedGraph.from_edges(24, edges, (0,))
+        group = FiniteAbelianGroup([2, 4])
+        serial = detects_errors(graph, group, 4)
+        assert serial.pruned > 0 and serial.undetected
+        monkeypatch.setattr(detector, "CHUNK", 8)
+        monkeypatch.setattr(detector, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
+        produced = consumed = peak = 0
+        survivors, imap = detector._survivors, multiprocessing.pool.Pool.imap
+
+        def counted_survivors(*args):
+            nonlocal produced, peak
+            for errs in survivors(*args):
+                produced += 1
+                peak = max(peak, produced - consumed)
+                yield errs
+
+        def counted_imap(pool, *args, **kwargs):
+            nonlocal consumed
+            for bad in imap(pool, *args, **kwargs):
+                consumed += 1
+                yield bad
+
+        monkeypatch.setattr(detector, "_survivors", counted_survivors)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", counted_imap)
+        parallel = detects_errors(graph, group, 4, workers=2)
+        assert parallel.workers == 2
+        assert produced == consumed > 1000
+        assert peak < 400
+        assert parallel == serial and parallel.to_dict() == serial.to_dict()
+
+    def test_failed_pool_sweep_raises_and_stops_its_workers(self, monkeypatch):
+        # the sparse Z2xZ4 sweep above to size 6, failing in the parent at
+        # the 6th batch of size 6, while the workers hold earlier batches
+        import multiprocessing
 
         rng = random.Random(3)
         edges = [(u, v, rng.choice((0, 0, 1, 2))) for u in range(14) for v in range(u + 1, 14)]
         sparse = WeightedGraph.from_edges(14, [e for e in edges if e[2]], (0,))
-        group = FiniteAbelianGroup([2, 4])
         monkeypatch.setattr(detector, "CHUNK", 8)
-        serial = detects_errors(sparse, group, 5)
         monkeypatch.setattr(detector, "usable_cpus", lambda: 2)
         monkeypatch.setattr(detector, "MIN_CONFIGS_PER_WORKER", 1)
-        submitted, peak = [], 0
-        submit = ProcessPoolExecutor.submit
+        survivors = detector._survivors
 
-        def counted_submit(pool, *args, **kwargs):
-            nonlocal peak
-            submitted.append(submit(pool, *args, **kwargs))
-            peak = max(peak, sum(not future.done() for future in submitted))
-            return submitted[-1]
+        def failing_survivors(outputs, size, below, inherited):
+            for i, errs in enumerate(survivors(outputs, size, below, inherited)):
+                if size == 6 and i == 5:
+                    raise RuntimeError("batch 6 of size 6")
+                yield errs
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counted_submit)
-        parallel = detects_errors(sparse, group, 5, workers=2)
-        assert parallel.workers == 2
-        assert len(submitted) > 8 * 2 + 1
-        assert peak <= 8 * 2 + 1
-        assert parallel == serial and parallel.to_dict() == serial.to_dict()
+        monkeypatch.setattr(detector, "_survivors", failing_survivors)
+        with pytest.raises(RuntimeError, match="batch 6 of size 6"):
+            detects_errors(sparse, FiniteAbelianGroup([2, 4]), 6, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_detects_eliminates_up_to_the_first_failing_factor(self, monkeypatch, wheel):
         moduli = []

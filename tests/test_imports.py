@@ -35,6 +35,17 @@ print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
+# a sweep forced onto a pool of two spawned workers
+POOL_SWEEP = """
+import json, sys
+from graphqec import FiniteAbelianGroup, detector, tenfold_code
+detector.MIN_CONFIGS_PER_WORKER = 1
+detector.usable_cpus = lambda: 2
+report = detector.detects_errors(tenfold_code(), FiniteAbelianGroup([2]), 2, workers=2)
+assert report.workers == 2
+print(json.dumps(sorted(sys.modules)))
+"""
+
 # modules only the removed exact phase algebra and orbit reduction needed
 UNUSED = {"fractions", "decimal", "cmath", "networkx"}
 
@@ -68,14 +79,14 @@ def test_setup_names_load_no_numpy():
 def test_singleton_commands_skip_verdict_modules(argv):
     modules = loaded_modules(RUN_CLI, *argv)
     assert "graphqec.singleton" in modules
-    assert not {"graphqec.detector", "graphqec.oracle", "concurrent.futures"} & modules
+    assert not {"graphqec.detector", "graphqec.oracle", "multiprocessing"} & modules
     assert not UNUSED & modules
 
 
 def test_one_worker_sweep_skips_singleton_and_pool():
     modules = loaded_modules(RUN_CLI, "sweep", "--builtin", "wheel", "--detect", "2")
     assert "graphqec.detector" in modules
-    assert not {"graphqec.singleton", "graphqec.oracle", "concurrent.futures"} & modules
+    assert not {"graphqec.singleton", "graphqec.oracle", "multiprocessing"} & modules
     assert not UNUSED & modules
 
 
@@ -85,6 +96,12 @@ def test_small_sweep_at_two_workers_starts_no_pool():
     modules = loaded_modules(RUN_CLI, "sweep", "--builtin", "wheel", "--detect", "5")
     assert "graphqec.detector" in modules
     assert not {"concurrent.futures", "multiprocessing"} & modules
+
+
+def test_pool_sweep_uses_multiprocessing_pool_only():
+    modules = loaded_modules(POOL_SWEEP)
+    assert "multiprocessing.pool" in modules
+    assert "concurrent.futures" not in modules
 
 
 def test_every_public_name_resolves():
