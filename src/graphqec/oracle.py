@@ -10,20 +10,20 @@ matrix is kept.  Detection is then checked directly through the
 Knill-Laflamme factorization: for every rank-one error operator localized in
 the configuration, the compressed operator on the input space must be a
 multiple of the identity.  Each check allocates a copy of the phases in
-its error-leg layout (the same narrow type), buffers for the indices,
-operands and product of a row chunk, and the Gram tile being summed; only
-a row chunk at a time is expanded into the roots' type, float64 for
-exponent 2 (the roots are then +-|G|^(-|Y|/2), so Z2 and Z2 x Z2 sum real
-products) and complex128 otherwise.  With Q the bytes of the phases,
-B = max(Q, FLOOR_BYTES) and P = 16 |G|^(2|X|) bytes of one complex
+its error-leg layout (the same narrow type); per row chunk, the index
+temporary that ``take`` makes and the operands, expanded from the phases
+into the roots' type, float64 for exponent 2 (the roots are then
++-|G|^(-|Y|/2), so Z2 and Z2 x Z2 sum real products) and complex128
+otherwise; and the product and Gram tiles.  With Q the bytes of the
+phases, B = max(Q, FLOOR_BYTES) and P = 16 |G|^(2|X|) bytes of one complex
 compressed operator, chunks and tiles stay within max(B, P), so a check
 holds at most 8 B + 4 P + 1 MiB: 321 MiB at most, as the build refuses
 |G|^n or |G|^(2|X|) above ``graphcode.SIZE_CAP`` before anything is
 allocated.  With V = 16 |G|^n bytes of the complex matrix that is never
 built, ``tracemalloc`` measures the build at under 0.08 V, a check at
-0.22-0.42 V on tenfold over Z3 and matrix19 over Z5, 1.34 V on wheel over
-Z6 (where the floor sets B), 17.5-18 MiB (0.27-0.28 V, 4.4-4.5 Q) on
-tenfold over Z4 and Z2 x Z2 at the cap, and 24.1 MiB (1.5 P) on a
+0.15-0.33 V on tenfold over Z3 and matrix19 over Z5, 0.90 V on wheel over
+Z6 (where the floor sets B), 16.5-19 MiB (0.26-0.30 V, 4.1-4.8 Q) on
+tenfold over Z2 x Z2 and Z4 at the cap, and 16.0 MiB (1.0 P) on a
 12-vertex path with inputs 0-9 over Z2.
 
 Normalization is the counting measure: basis vectors indexed by group
@@ -173,18 +173,20 @@ def _compressions(
 
     With A the matrix of the roots at the phases from ``_error_leg_phases``,
     entry ((a, c), (b, d)) of A^H A is M_ab[c, d].  A tile is summed in place
-    over row chunks of A; each chunk is expanded from the phases once per
-    tile into the roots' type, and the left operand is a conjugated slice of
-    it unless a Gram row does not fit the budget (then tiles are one a
-    high).  The budget is the bytes of the phases, or FLOOR_BYTES, whichever
-    is more: tiles and chunks hold at most that (but at least one M_ab and
-    one row), and index, operand and product buffers allocated once per call
-    hold every chunk's.  With B the budget and P the complex bytes of one
-    M_ab, a call holds at most 8 B + 4 P + 1 MiB: the phase copy (at most
-    B), the buffers (3 B for real roots, 2.5 B for complex), and at most 4
-    tile-sized arrays (the tile, the product, and the next tile or the
-    temporaries of ``_all_scalar``); see the module docstring for measured
-    peaks.
+    over row chunks of A; each chunk's right operand is expanded from the
+    phases by ``take`` once per tile, and the left operand is a conjugated
+    slice of it (a view for real roots) unless a Gram row does not fit the
+    budget (then tiles are one a high).  The budget is the bytes of the
+    phases, or FLOOR_BYTES, whichever is more: tiles and operands hold at
+    most that, but at least one M_ab and one row.  With B the budget and P
+    the complex bytes of one M_ab, a call holds at most 8 B + 4 P + 1 MiB:
+    the phase copy (at most B); the operands of the chunk being made and of
+    the one before, with the index temporary of ``take`` (at most B, B/2 for
+    complex roots), at most 4 B, while at most two tiles are held (the tile
+    being summed and the one last yielded); and otherwise at most 2 B of
+    operands beside at most 4 tile-sized arrays (those two tiles, and the
+    product or the temporaries of ``_all_scalar``), each at most
+    max(B, P) <= B + P.  See the module docstring for measured peaks.
     """
     phases, n_e = _error_leg_phases(isometry, config)
     cols, roots = isometry.cols, isometry.roots
@@ -192,39 +194,20 @@ def _compressions(
     pair = roots.itemsize * cols * cols  # bytes of one M_ab
     width = min(n_e, max(1, budget // pair))
     height = max(1, budget // (pair * n_e)) if width == n_e else 1
-    # The indices, operands and product of every chunk live in buffers
-    # allocated once per call: arrays made afresh for each chunk went back
-    # to the system and were page-faulted in again on every chunk.
-    entries = min(phases.size, max(budget // roots.itemsize, width * cols))
-    index = np.empty(entries, dtype=np.intp)
-    right_rows = np.empty(entries, dtype=roots.dtype)
-    left_rows = np.empty(entries, dtype=roots.dtype)
-    product = np.empty(min(height, n_e) * width * cols * cols, dtype=roots.dtype)
-
-    def expand(chunk, table, out):
-        """table[chunk] in ``out``, shaped like the chunk of phases.  Phases
-        are below the exponent, so "clip" never clips; unlike "raise", it
-        lets ``take`` write into ``out`` directly."""
-        idx = index[:chunk.size].reshape(chunk.shape)
-        np.copyto(idx, chunk)
-        return table.take(idx, out=out[:chunk.size].reshape(chunk.shape), mode="clip")
-
     for lo in range(0, n_e, height):
         hi = min(n_e, lo + height)
         for b_lo in range(lo, n_e, width):
             b_hi = min(n_e, b_lo + width)
             depth = max(1, budget // (roots.itemsize * (b_hi - b_lo) * cols))
             block = np.zeros(((hi - lo) * cols, (b_hi - b_lo) * cols), dtype=roots.dtype)
-            prod = product[:block.size].reshape(block.shape)
             for r in range(0, len(phases), depth):
                 chunk = phases[r:r + depth]
-                right = expand(chunk[:, b_lo * cols:b_hi * cols], roots, right_rows)
+                right = roots.take(chunk[:, b_lo * cols:b_hi * cols])
                 if b_lo == lo:
-                    left = right[:, :(hi - lo) * cols]
-                    left = np.conjugate(left, out=left_rows[:left.size].reshape(left.shape))
+                    left = right[:, :(hi - lo) * cols].conj()
                 else:
-                    left = expand(chunk[:, lo * cols:hi * cols], roots.conj(), left_rows)
-                block += np.matmul(left.T, right, out=prod)
+                    left = roots.conj().take(chunk[:, lo * cols:hi * cols])
+                block += left.T @ right
             yield block.reshape(hi - lo, cols, b_hi - b_lo, cols).transpose(0, 2, 1, 3)
 
 

@@ -431,12 +431,14 @@ class TestExactness:
             ("wheel", [6], (2,), 8),
             ("matrix19", [5], (3,), 8),
             ("tenfold", [4], (3,), 2),  # 4**11 = 2**22 code matrix entries
+            ("tenfold", [2, 2], (3,), 2),  # the same cap with real roots
         ],
     )
     def test_peak_memory_within_the_phase_budget(self, name, factors, sizes, per_size):
         # With Q the bytes of the phases, B = max(Q, FLOOR_BYTES) and
         # P = 16 |G|^(2|X|), a check holds at most 8 B + 4 P + 1 MiB: 33 MiB
-        # on tenfold over Z4, whose complex matrix would take 64 MiB.
+        # on tenfold over Z4 and Z2 x Z2, whose complex matrix would take
+        # 64 MiB.
         graph, group = BUILTIN_GRAPHS[name](), FiniteAbelianGroup(factors)
         iso = build_isometry(graph, group)
         budget = max(iso.phase.nbytes, oracle.FLOOR_BYTES)

@@ -69,3 +69,17 @@ def test_ring13_oracle_agrees_over_z2(ring13):
     for _ in range(10):
         config = tuple(sorted(rng.sample(ring13.outputs, 4)))
         assert kl_detects(iso, config), config
+
+
+def test_ring19_oracle_agrees_over_z2():
+    # 2**20 code matrix entries: the oracle at distance seven
+    ring19, z2 = read_code("ring19"), FiniteAbelianGroup([2])
+    sizes = detects_errors(ring19, z2, 7).sizes
+    assert sizes[:7] == ((),) * 7 and len(sizes[7]) == 684
+    iso = build_isometry(ring19, z2)
+    rng = random.Random(19)
+    for config in rng.sample(sizes[7], 10):
+        assert not kl_detects(iso, config), config
+    for _ in range(10):
+        config = tuple(sorted(rng.sample(ring19.outputs, 6)))
+        assert kl_detects(iso, config), config
